@@ -408,36 +408,43 @@ impl Sim {
         let mut crashes_applied: Vec<(u64, ProcId)> = Vec::new();
         config.crashes.sort_by_key(|(t, _)| *t);
         let mut crash_iter = config.crashes.iter().peekable();
-        // Scratch buffers reused across steps (the hot loop allocates
+        // The runnable mask is built once and then kept equal to
+        // `ProcRt::runnable()` for every process: it can only change when a
+        // process crashes (`crash` below) or its last task exits (an
+        // ungranted slot), so the hot loop never rescans all n processes.
+        let mut runnable: Vec<bool> = self.procs.iter().map(ProcRt::runnable).collect();
+        let mut crash = |procs: &mut [ProcRt], runnable: &mut [bool], t: u64, cp: ProcId| {
+            if cp.0 < n && !procs[cp.0].crashed {
+                procs[cp.0].crashed = true;
+                runnable[cp.0] = false;
+                self.crash_flags.set(cp);
+                crashes_applied.push((t, cp));
+            }
+        };
+        // Scratch buffer reused across steps (the hot loop allocates
         // nothing per iteration).
-        let mut runnable = vec![false; n];
         let mut step_obs: Vec<crate::trace::Obs> = Vec::new();
 
         for t in 0..config.max_steps {
             while let Some(&&(ct, cp)) = crash_iter.peek() {
-                if ct <= t {
-                    if !self.procs[cp.0].crashed {
-                        self.procs[cp.0].crashed = true;
-                        self.crash_flags.set(cp);
-                        crashes_applied.push((t, cp));
-                    }
-                    crash_iter.next();
-                } else {
+                if ct > t {
                     break;
                 }
+                crash(&mut self.procs, &mut runnable, t, cp);
+                crash_iter.next();
             }
             if let Some(nem) = config.nemesis.as_mut() {
                 for cp in nem.poll_pre(t, &step_counts) {
-                    if cp.0 < n && !self.procs[cp.0].crashed {
-                        self.procs[cp.0].crashed = true;
-                        self.crash_flags.set(cp);
-                        crashes_applied.push((t, cp));
-                    }
+                    crash(&mut self.procs, &mut runnable, t, cp);
                 }
             }
-            for (flag, proc) in runnable.iter_mut().zip(&self.procs) {
-                *flag = proc.runnable();
-            }
+            debug_assert!(
+                runnable
+                    .iter()
+                    .zip(&self.procs)
+                    .all(|(&flag, proc)| flag == proc.runnable()),
+                "maintained runnable mask diverged at t = {t}"
+            );
             let view = ScheduleView {
                 n,
                 runnable: &runnable,
@@ -505,17 +512,15 @@ impl Sim {
                 step_counts[p.0] += 1;
                 if let Some(nem) = config.nemesis.as_mut() {
                     for cp in nem.poll_post(t, p, &step_obs) {
-                        if cp.0 < n && !self.procs[cp.0].crashed {
-                            self.procs[cp.0].crashed = true;
-                            self.crash_flags.set(cp);
-                            crashes_applied.push((t, cp));
-                        }
+                        crash(&mut self.procs, &mut runnable, t, cp);
                     }
                 }
+            } else {
+                // No task of p could take a step (all just exited): the
+                // time slot is skipped and p leaves the mask. A task exit
+                // followed by another task's step leaves p runnable.
+                runnable[p.0] = proc.runnable();
             }
-            // If no task of p could take a step (all just exited), the time
-            // slot is simply skipped; the next iteration re-evaluates
-            // runnability.
         }
 
         // Tear down: halt all gates, join all task threads (stepper tasks
@@ -846,6 +851,88 @@ mod tests {
             o => panic!("expected panic outcome, got {o:?}"),
         }
         assert_eq!(report.procs[1].tasks[0].1, TaskOutcome::Halted);
+    }
+
+    #[test]
+    fn runnable_mask_tracks_crashes_and_exits_in_the_same_slot() {
+        use crate::nemesis::{FaultAction, FaultPlan, FaultTarget, Trigger};
+        use crate::schedule::{DecisionLog, Tapped};
+        struct Spin;
+        impl Stepper for Spin {
+            fn step(&mut self, _ctx: &mut StepCtx<'_>) -> Control {
+                Control::Yield
+            }
+        }
+        let mut b = SimBuilder::new();
+        let p0 = b.add_process("p0");
+        b.add_stepper(p0, "m", Box::new(CountingStepper { yields: 2, done: 0 }));
+        let p1 = b.add_process("p1");
+        b.add_stepper(
+            p1,
+            "short",
+            Box::new(CountingStepper { yields: 1, done: 0 }),
+        );
+        b.add_stepper(p1, "long", Box::new(CountingStepper { yields: 4, done: 0 }));
+        let p2 = b.add_process("p2");
+        b.add_task(p2, "thread", |env| {
+            for _ in 0..3 {
+                env.tick()?;
+            }
+            Ok(())
+        });
+        for p in 3..5 {
+            let pid = b.add_process(&format!("p{p}"));
+            b.add_stepper(pid, "spin", Box::new(Spin));
+        }
+        // Slot 10: the plan crashes p3 while p0's only task finishes.
+        // Slot 11: p1's short task finishes, its long task takes the step,
+        // and that step's observation makes the nemesis crash p4 post-step.
+        // Slot 14: p2's thread-compat task returns.
+        let plan = FaultPlan::new().with(
+            Trigger::OnObs {
+                at: 11,
+                key: "i".into(),
+            },
+            FaultAction::Crash(FaultTarget::Proc(4)),
+        );
+        let log = DecisionLog::new();
+        let config = RunConfig::new(1000, Tapped::new(RoundRobin::new(), log.clone()))
+            .crash(10, ProcId(3))
+            .with_nemesis(Nemesis::new(plan));
+        let report = b.build().run(config);
+        report.assert_no_panics();
+        let got: Vec<usize> = report.trace.steps.iter().map(|p| p.0).collect();
+        assert_eq!(got, vec![0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 1, 2, 1, 1]);
+        assert_eq!(report.trace.crashes, vec![(10, ProcId(3)), (11, ProcId(4))]);
+        // The mask each decision saw; after slot 16 nothing is runnable and
+        // the run ends with 984 steps of budget left.
+        let masks: Vec<(u64, u64)> = log
+            .snapshot()
+            .iter()
+            .map(|d| (d.time, d.runnable))
+            .collect();
+        let mut want: Vec<(u64, u64)> = (0..10).map(|t| (t, 0b11111)).collect();
+        want.extend([(10, 0b10111), (11, 0b10110), (12, 0b110), (13, 0b110)]);
+        want.extend([(14, 0b110), (15, 0b10), (16, 0b10)]);
+        assert_eq!(masks, want);
+        let outcomes: Vec<Vec<TaskOutcome>> = report
+            .procs
+            .iter()
+            .map(|pr| pr.tasks.iter().map(|(_, o)| o.clone()).collect())
+            .collect();
+        use TaskOutcome::{Finished, Halted};
+        assert_eq!(
+            outcomes,
+            vec![
+                vec![Finished],
+                vec![Finished, Finished],
+                vec![Finished],
+                vec![Halted],
+                vec![Halted]
+            ]
+        );
+        let crashed: Vec<bool> = report.procs.iter().map(|pr| pr.crashed).collect();
+        assert_eq!(crashed, vec![false, false, false, true, true]);
     }
 
     #[test]

@@ -5,6 +5,14 @@
 //! offer a windowed growth test to distinguish "bounded forever" from
 //! "grows without bound" behaviors. Experiments additionally know their
 //! schedule's *intended* timely set; tests cross-check the two.
+//!
+//! Of the windowed test's per-window bounds, only the first window's and
+//! the last window's decide the verdict, together with whether the process
+//! steps in the trace's tail (its last `ceil(len / windows)` steps, which
+//! may reach back past the start of a short last window). So
+//! [`measured_timely_set`] reads just those three stretches, once for all
+//! processes: O(T + n) for a trace of T steps (about T/2 steps read), not
+//! the O(n·T) of running [`is_timely_windowed`] per process.
 
 use crate::ids::ProcId;
 
@@ -96,11 +104,49 @@ pub fn is_timely_windowed(steps: &[ProcId], p: ProcId, windows: usize, growth_fa
 
 /// The measured timely set of a run: every correct process judged timely
 /// by [`is_timely_windowed`] with default parameters (4 windows, factor 2).
+///
+/// Computes the same set as calling [`is_timely_windowed`] per process,
+/// but for all processes at once: only the first window, the last window
+/// and the last `ceil(len / 4)` steps are read, each once.
 pub fn measured_timely_set(steps: &[ProcId], n: usize, crashed: &[ProcId]) -> Vec<ProcId> {
+    const WINDOWS: usize = 4;
+    let len = steps.len();
+    if len == 0 {
+        // No step in the tail: nobody is timely.
+        return Vec::new();
+    }
+    let w = len.div_ceil(WINDOWS);
+    let first = timely_bounds_all(&steps[..w], n);
+    let last = timely_bounds_all(&steps[(len - 1) / w * w..], n);
+    let mut stepped_late = vec![false; n];
+    for s in &steps[len - w..] {
+        if let Some(flag) = stepped_late.get_mut(s.0) {
+            *flag = true;
+        }
+    }
     (0..n)
+        .filter(|&p| stepped_late[p] && last[p] as f64 <= first[p] as f64 * 2.0)
         .map(ProcId)
         .filter(|p| !crashed.contains(p))
-        .filter(|&p| is_timely_windowed(steps, p, 4, 2.0))
+        .collect()
+}
+
+/// [`timely_bound`] of every process `0..n` over `steps`, in one pass.
+/// Step ids `>= n` only count as gap steps.
+fn timely_bounds_all(steps: &[ProcId], n: usize) -> Vec<u64> {
+    // `next[p]`: index just past p's latest step (0 before its first).
+    let mut next = vec![0usize; n];
+    let mut max_gap = vec![0usize; n];
+    for (i, s) in steps.iter().enumerate() {
+        if let Some(gap) = max_gap.get_mut(s.0) {
+            *gap = (*gap).max(i - next[s.0]);
+            next[s.0] = i + 1;
+        }
+    }
+    max_gap
+        .iter()
+        .zip(&next)
+        .map(|(&gap, &from)| (gap.max(steps.len() - from) + 1) as u64)
         .collect()
 }
 
