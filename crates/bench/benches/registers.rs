@@ -1,11 +1,10 @@
-//! B1 — register operation costs, simulated and native backends.
+//! B1 — register operation costs: one solo invocation/response pair per
+//! iteration, on each simulated register kind.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use std::sync::Arc;
-use tbwf_registers::native::{NativeAbortableReg, NativeAtomicReg, NativeEnv};
-use tbwf_registers::{AbortableRegister, AtomicRegister, RegisterFactory};
-use tbwf_sim::{Env, FreeRunEnv, ProcId};
+use tbwf_registers::RegisterFactory;
+use tbwf_sim::{FreeRunEnv, ProcId};
 
 fn sim_registers(c: &mut Criterion) {
     let mut g = c.benchmark_group("sim-registers");
@@ -14,71 +13,55 @@ fn sim_registers(c: &mut Criterion) {
 
     let atomic = factory.atomic("A", 0i64);
     g.bench_function("atomic-write", |b| {
-        b.iter(|| atomic.write(&env, black_box(1)).unwrap())
+        b.iter(|| {
+            let t = atomic.invoke_write(&env, black_box(1));
+            env.advance();
+            atomic.complete_write(&env, t)
+        })
     });
-    g.bench_function("atomic-read", |b| b.iter(|| atomic.read(&env).unwrap()));
+    g.bench_function("atomic-read", |b| {
+        b.iter(|| {
+            let t = atomic.invoke_read(&env);
+            env.advance();
+            atomic.complete_read(&env, t)
+        })
+    });
 
     let abortable = factory.abortable("B", 0i64);
     g.bench_function("abortable-write-solo", |b| {
-        b.iter(|| abortable.write(&env, black_box(1)).unwrap())
+        b.iter(|| {
+            let t = abortable.invoke_write(&env, black_box(1));
+            env.advance();
+            abortable.complete_write(&env, t)
+        })
     });
     g.bench_function("abortable-read-solo", |b| {
-        b.iter(|| abortable.read(&env).unwrap())
+        b.iter(|| {
+            let t = abortable.invoke_read(&env);
+            env.advance();
+            abortable.complete_read(&env, t)
+        })
     });
 
     let safe = factory.safe("S", 0);
-    g.bench_function("safe-read", |b| b.iter(|| safe.read(&env).unwrap()));
+    g.bench_function("safe-read", |b| {
+        b.iter(|| {
+            let t = safe.invoke_read(&env);
+            env.advance();
+            safe.complete_read(&env, t)
+        })
+    });
 
     let cas = factory.cas("C", 0i64);
     g.bench_function("cas", |b| {
         b.iter(|| {
-            cas.compare_and_swap(&env, black_box(&0), black_box(0))
-                .unwrap()
+            let t = cas.invoke(&env);
+            env.advance();
+            cas.complete_cas(&env, t, black_box(&0), black_box(0))
         })
     });
     g.finish();
 }
 
-fn native_registers(c: &mut Criterion) {
-    let mut g = c.benchmark_group("native-registers");
-    let (envs, _stop) = NativeEnv::group(1);
-    let env = envs[0].clone();
-
-    let atomic = NativeAtomicReg::new(0i64);
-    g.bench_function("atomic-write", |b| {
-        b.iter(|| atomic.write(&env, black_box(1)).unwrap())
-    });
-
-    let abortable = Arc::new(NativeAbortableReg::new(0i64));
-    g.bench_function("abortable-write-solo", |b| {
-        b.iter(|| abortable.write(&env, black_box(1)).unwrap())
-    });
-    g.bench_function("abortable-read-solo", |b| {
-        b.iter(|| abortable.read(&env).unwrap())
-    });
-
-    // Contended: one background writer hammering while we read.
-    let (envs2, stop2) = NativeEnv::group(2);
-    let reg = Arc::new(NativeAbortableReg::new(0i64));
-    let bg = {
-        let reg = Arc::clone(&reg);
-        let env = envs2[1].clone();
-        std::thread::spawn(move || {
-            let mut i = 0i64;
-            while env.tick().is_ok() {
-                i += 1;
-                let _ = reg.write(&env, i);
-            }
-        })
-    };
-    let renv = envs2[0].clone();
-    g.bench_function("abortable-read-contended", |b| {
-        b.iter(|| black_box(reg.read(&renv).unwrap()))
-    });
-    stop2.store(true, std::sync::atomic::Ordering::Relaxed);
-    bg.join().unwrap();
-    g.finish();
-}
-
-criterion_group!(benches, sim_registers, native_registers);
+criterion_group!(benches, sim_registers);
 criterion_main!(benches);

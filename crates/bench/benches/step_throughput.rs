@@ -1,12 +1,6 @@
-//! B5 — step-engine throughput: the same 3-process Ω∆ system driven by
-//! the native poll backend (direct `Stepper::step` calls) vs the
-//! blocking-thread adapter (one gate-backed OS thread per task, two
-//! condvar handoffs per step).
-//!
-//! Both runs execute an identical number of global steps and produce
-//! byte-identical traces (see `backends_agree_on_full_omega_system` in
-//! `tbwf-omega`), so the per-iteration time ratio is exactly the
-//! per-step engine overhead ratio.
+//! B5 — step-engine throughput: complete 3-process Ω∆ systems (both
+//! implementations, with their candidate drivers and, for the atomic one,
+//! the activity-monitor mesh) driven by direct `Stepper::step` calls.
 //!
 //! Self-timed harness (no criterion): wall-clocks whole system runs and
 //! emits both a human table and `results/bench_step_throughput.json`
@@ -25,40 +19,21 @@ use tbwf_omega::harness::install_omega;
 use tbwf_omega::{add_candidate_driver, CandidateScript, OmegaKind};
 use tbwf_registers::{RegisterFactory, RegisterFactoryConfig};
 use tbwf_sim::schedule::RoundRobin;
-use tbwf_sim::{Json, ProcId, RunConfig, SimBuilder, TaskBody, TaskSpawner};
+use tbwf_sim::{Json, ProcId, RunConfig, SimBuilder};
 
 /// Global steps per iteration; one iteration = one complete system run.
 const STEPS: u64 = 10_000;
 const N: usize = 3;
 
-/// Hides the builder's native poll backend so every stepper goes through
-/// the default blocking adapter and runs on a gate-backed thread.
-struct ThreadBackend<'a>(&'a mut SimBuilder);
-
-impl TaskSpawner for ThreadBackend<'_> {
-    fn spawn_task(&mut self, pid: ProcId, name: &str, body: TaskBody) {
-        self.0.spawn_task(pid, name, body);
-    }
-}
-
-fn omega_run(kind: OmegaKind, threads: bool) {
+fn omega_run(kind: OmegaKind) {
     let factory = RegisterFactory::new(RegisterFactoryConfig::default());
     let mut b = SimBuilder::new();
     for p in 0..N {
         b.add_process(&format!("p{p}"));
     }
-    let handles;
-    if threads {
-        let mut t = ThreadBackend(&mut b);
-        handles = install_omega(&mut t, &factory, N, kind);
-        for p in 0..N {
-            add_candidate_driver(&mut t, ProcId(p), &handles[p], CandidateScript::Always);
-        }
-    } else {
-        handles = install_omega(&mut b, &factory, N, kind);
-        for p in 0..N {
-            add_candidate_driver(&mut b, ProcId(p), &handles[p], CandidateScript::Always);
-        }
+    let handles = install_omega(&mut b, &factory, N, kind);
+    for p in 0..N {
+        add_candidate_driver(&mut b, ProcId(p), &handles[p], CandidateScript::Always);
     }
     let report = b.build().run(RunConfig::new(STEPS, RoundRobin::new()));
     report.assert_no_panics();
@@ -86,7 +61,6 @@ fn measure(target: Duration, mut f: impl FnMut()) -> (u32, f64) {
 
 struct Sample {
     system: &'static str,
-    backend: &'static str,
     iters: u32,
     secs: f64,
 }
@@ -122,47 +96,24 @@ fn main() {
         (OmegaKind::Atomic, "atomic"),
         (OmegaKind::Abortable, "abortable"),
     ] {
-        for (threads, backend) in [(false, "stepper"), (true, "thread")] {
-            let (iters, secs) = measure(target, || omega_run(kind, threads));
-            samples.push(Sample {
-                system,
-                backend,
-                iters,
-                secs,
-            });
-        }
+        let (iters, secs) = measure(target, || omega_run(kind));
+        samples.push(Sample {
+            system,
+            iters,
+            secs,
+        });
     }
 
     let mut rows = Vec::new();
     for s in &samples {
         rows.push(vec![
             s.system.to_string(),
-            s.backend.to_string(),
             s.iters.to_string(),
             format!("{:.3}", s.secs_per_iter() * 1e3),
             format!("{:.2}", s.steps_per_sec() / 1e6),
         ]);
     }
-    print_table(
-        &["system", "backend", "iters", "ms/iter", "Msteps/s"],
-        &rows,
-    );
-
-    let speedup = |system: &str| -> f64 {
-        let by = |backend: &str| {
-            samples
-                .iter()
-                .find(|s| s.system == system && s.backend == backend)
-                .expect("sample exists")
-                .secs_per_iter()
-        };
-        by("thread") / by("stepper")
-    };
-    println!(
-        "\nstepper/thread speedup: atomic {:.1}x, abortable {:.1}x",
-        speedup("atomic"),
-        speedup("abortable")
-    );
+    print_table(&["system", "iters", "ms/iter", "Msteps/s"], &rows);
 
     let json = Json::obj([
         ("bench", Json::str("step_throughput")),
@@ -182,7 +133,6 @@ fn main() {
                     .map(|s| {
                         Json::obj([
                             ("system", Json::str(s.system)),
-                            ("backend", Json::str(s.backend)),
                             ("iters", Json::Int(s.iters as i128)),
                             ("secs", Json::Float(s.secs)),
                             ("secs_per_iter", Json::Float(s.secs_per_iter())),
@@ -191,13 +141,6 @@ fn main() {
                     })
                     .collect(),
             ),
-        ),
-        (
-            "speedup_stepper_over_thread",
-            Json::obj([
-                ("atomic", Json::Float(speedup("atomic"))),
-                ("abortable", Json::Float(speedup("abortable"))),
-            ]),
         ),
     ]);
     // Cargo runs bench binaries with cwd = the package root; anchor the

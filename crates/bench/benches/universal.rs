@@ -21,8 +21,15 @@ fn qa_solo_ops(c: &mut Criterion) {
         let env = FreeRunEnv::new(ProcId(0));
         let mut session = obj.session(ProcId(0));
         b.iter(|| {
-            // Solo fresh-slot applies always succeed in one call.
-            match session.apply(&env, CounterOp::Inc).unwrap() {
+            // Solo fresh-slot applies always succeed in one invocation.
+            session.begin_apply(CounterOp::Inc);
+            let out = loop {
+                if let Some(out) = session.poll_op(&env) {
+                    break out;
+                }
+                env.advance();
+            };
+            match out {
                 Outcome::Done(v) => v,
                 other => panic!("solo apply must succeed, got {other:?}"),
             }
@@ -33,7 +40,15 @@ fn qa_solo_ops(c: &mut Criterion) {
         let obj = CasUniversal::new(Counter, 2, factory);
         let env = FreeRunEnv::new(ProcId(0));
         let mut session = obj.session(ProcId(0));
-        b.iter(|| session.apply(&env, CounterOp::Inc).unwrap())
+        b.iter(|| {
+            session.begin_apply(CounterOp::Inc);
+            loop {
+                if let Some(v) = session.poll_op(&env) {
+                    break v;
+                }
+                env.advance();
+            }
+        })
     });
     g.finish();
 }

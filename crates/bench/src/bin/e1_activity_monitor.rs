@@ -13,7 +13,7 @@ use tbwf_monitor::fig2::{activity_monitor, OBS_FAULT, OBS_STATUS};
 use tbwf_monitor::props::{check_pair, CheckParams, PairRun};
 use tbwf_registers::RegisterFactory;
 use tbwf_sim::schedule::{GapGrowth, PartiallySynchronous, RoundRobin, Schedule};
-use tbwf_sim::{Env, Local, ProcId, RunConfig, SimBuilder};
+use tbwf_sim::{Control, Local, ProcId, RunConfig, SimBuilder, StepCtx, Stepper};
 
 #[derive(Clone, Copy, Debug)]
 enum InputScript {
@@ -57,6 +57,32 @@ impl QBehavior {
     }
 }
 
+/// Drives one monitor input: every step sets `cell` to the script's
+/// value at the current time, observing each change (and, first, the
+/// initial value).
+struct InputDriver {
+    key: &'static str,
+    idx: u32,
+    cell: Local<bool>,
+    script: InputScript,
+    started: bool,
+}
+
+impl Stepper for InputDriver {
+    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Control {
+        if !self.started {
+            self.started = true;
+            ctx.observe(self.key, self.idx, self.cell.get() as i64);
+        }
+        let v = self.script.value_at(ctx.now());
+        if self.cell.get() != v {
+            self.cell.set(v);
+            ctx.observe(self.key, self.idx, v as i64);
+        }
+        Control::Yield
+    }
+}
+
 fn add_input_driver(
     b: &mut SimBuilder,
     pid: ProcId,
@@ -65,17 +91,14 @@ fn add_input_driver(
     cell: Local<bool>,
     script: InputScript,
 ) {
-    b.add_task(pid, "driver", move |env| {
-        env.observe(key, idx, cell.get() as i64);
-        loop {
-            let v = script.value_at(env.now());
-            if cell.get() != v {
-                cell.set(v);
-                env.observe(key, idx, v as i64);
-            }
-            env.tick()?;
-        }
-    });
+    let driver = InputDriver {
+        key,
+        idx,
+        cell,
+        script,
+        started: false,
+    };
+    b.add_stepper(pid, "driver", Box::new(driver));
 }
 
 fn run_one(mon: InputScript, act: InputScript, beh: QBehavior, steps: u64) -> PairRun {
@@ -86,12 +109,18 @@ fn run_one(mon: InputScript, act: InputScript, beh: QBehavior, steps: u64) -> Pa
 
     let mut b = SimBuilder::new();
     let p0 = b.add_process("p0");
-    let ms = pair.monitoring_side;
-    b.add_task(p0, "monitoring", move |env| ms.run(&env));
+    b.add_stepper(
+        p0,
+        "monitoring",
+        Box::new(pair.monitoring_side.into_stepper()),
+    );
     add_input_driver(&mut b, p0, "monitoring", 1, monitoring, mon);
     let p1 = b.add_process("p1");
-    let md = pair.monitored_side;
-    b.add_task(p1, "monitored", move |env| md.run(&env));
+    b.add_stepper(
+        p1,
+        "monitored",
+        Box::new(pair.monitored_side.into_stepper()),
+    );
     add_input_driver(&mut b, p1, "active_for", 0, active_for, act);
 
     // Linear gap growth: q is not timely (no fixed bound exists) but its

@@ -16,9 +16,125 @@
 
 use std::sync::Arc;
 use tbwf_bench::print_table;
-use tbwf_registers::{ReadOutcome, RegisterFactory, SharedAbortable};
+use tbwf_registers::{OpToken, ReadOutcome, RegisterFactory, SharedAbortable};
 use tbwf_sim::schedule::{RoundRobin, Weighted};
-use tbwf_sim::{Env, ProcId, RunConfig, Schedule, SimBuilder};
+use tbwf_sim::{Control, ProcId, RunConfig, Schedule, SimBuilder, StepCtx, Stepper};
+
+/// Part A's task: write `i`, read, `i + 1`, … forever; every operation
+/// spans two steps.
+struct Hammer {
+    reg: SharedAbortable<i64>,
+    i: i64,
+    pending: Option<(bool, OpToken)>,
+}
+
+impl Stepper for Hammer {
+    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Control {
+        let env = ctx.env();
+        match self.pending.take() {
+            None => {}
+            // The write responds; read next.
+            Some((true, tok)) => {
+                let _ = self.reg.complete_write(env, tok);
+                self.pending = Some((false, self.reg.invoke_read(env)));
+                return Control::Yield;
+            }
+            // The read responds; write the next value.
+            Some((false, tok)) => {
+                let _ = self.reg.complete_read(env, tok);
+            }
+        }
+        self.i += 1;
+        self.pending = Some((true, self.reg.invoke_write(env, self.i)));
+        Control::Yield
+    }
+}
+
+/// Part B's writer: heartbeat `c` to every register in turn, then
+/// `c + 1`, … forever (write aborts are ignored).
+struct HbWriter {
+    regs: Vec<SharedAbortable<i64>>,
+    c: i64,
+    k: usize,
+    pending: Option<OpToken>,
+}
+
+impl Stepper for HbWriter {
+    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Control {
+        let env = ctx.env();
+        if let Some(tok) = self.pending.take() {
+            let _ = self.regs[self.k].complete_write(env, tok);
+            self.k += 1;
+        }
+        if self.k == self.regs.len() {
+            self.k = 0;
+        }
+        if self.k == 0 {
+            self.c += 1;
+        }
+        self.pending = Some(self.regs[self.k].invoke_write(env, self.c));
+        Control::Yield
+    }
+}
+
+/// Steps Part B's reader waits between polls (a fixed timeout: the
+/// ablation isolates the register-count question from adaptivity).
+const POLL_EVERY: u8 = 8;
+
+/// Where Part B's reader is: waiting out `.0` more steps before the next
+/// poll, or with the read of register `i` in flight.
+enum DetectState {
+    Wait(u8),
+    Read { i: usize, tok: OpToken },
+}
+
+/// Part B's reader: every [`POLL_EVERY`] own steps, read every register;
+/// the writer is judged timely iff each read aborted or changed.
+struct Detector {
+    regs: Vec<SharedAbortable<i64>>,
+    prev: Vec<Option<i64>>,
+    fresh_all: bool,
+    timely: i64,
+    polls: i64,
+    state: DetectState,
+}
+
+impl Stepper for Detector {
+    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Control {
+        let env = ctx.env();
+        match self.state {
+            DetectState::Wait(k) if k > 0 => self.state = DetectState::Wait(k - 1),
+            DetectState::Wait(_) => {
+                self.fresh_all = true;
+                let tok = self.regs[0].invoke_read(env);
+                self.state = DetectState::Read { i: 0, tok };
+            }
+            DetectState::Read { i, tok } => {
+                let cur = match self.regs[i].complete_read(env, tok) {
+                    ReadOutcome::Aborted => None,
+                    ReadOutcome::Value(v) => Some(v),
+                };
+                let fresh = cur.is_none() || cur != self.prev[i];
+                self.fresh_all &= fresh;
+                self.prev[i] = cur;
+                if i + 1 < self.regs.len() {
+                    let tok = self.regs[i + 1].invoke_read(env);
+                    self.state = DetectState::Read { i: i + 1, tok };
+                } else {
+                    self.polls += 1;
+                    if self.fresh_all {
+                        self.timely += 1;
+                    }
+                    ctx.observe("timely_verdicts", 0, self.timely);
+                    ctx.observe("polls", 0, self.polls);
+                    // This step is the first of the next wait.
+                    self.state = DetectState::Wait(POLL_EVERY - 1);
+                }
+            }
+        }
+        Control::Yield
+    }
+}
 
 /// Part A: n processes hammer one MWMR abortable register.
 fn abort_rate(n: usize, steps: u64) -> (u64, u64, u64) {
@@ -27,15 +143,12 @@ fn abort_rate(n: usize, steps: u64) -> (u64, u64, u64) {
     let mut b = SimBuilder::new();
     for p in 0..n {
         let pid = b.add_process(&format!("p{p}"));
-        let reg = Arc::clone(&reg);
-        b.add_task(pid, "hammer", move |env| {
-            let mut i = 0i64;
-            loop {
-                i += 1;
-                let _ = reg.write(&env, i)?;
-                let _ = reg.read(&env)?;
-            }
-        });
+        let hammer = Hammer {
+            reg: Arc::clone(&reg),
+            i: 0,
+            pending: None,
+        };
+        b.add_stepper(pid, "hammer", Box::new(hammer));
     }
     let report = b.build().run(RunConfig::new(steps, RoundRobin::new()));
     report.assert_no_panics();
@@ -55,49 +168,22 @@ fn heartbeat_detector(slow_writer: bool, two_regs: bool, steps: u64) -> (u64, u6
     let reader = b.add_process("reader");
     let writer = b.add_process("writer");
 
-    {
-        let regs = regs.clone();
-        b.add_task(writer, "hb", move |env| {
-            let mut c = 0i64;
-            loop {
-                c += 1;
-                for r in &regs {
-                    let _ = r.write(&env, c)?;
-                }
-            }
-        });
-    }
-    {
-        let regs = regs.clone();
-        b.add_task(reader, "detect", move |env| {
-            let mut prev: Vec<Option<i64>> = vec![Some(0); regs.len()];
-            let mut timely = 0i64;
-            let mut polls = 0i64;
-            loop {
-                // Poll every 8 own steps (a fixed timeout: the ablation
-                // isolates the register-count question from adaptivity).
-                for _ in 0..8 {
-                    env.tick()?;
-                }
-                let mut fresh_all = true;
-                for (i, r) in regs.iter().enumerate() {
-                    let cur = match r.read(&env)? {
-                        ReadOutcome::Aborted => None,
-                        ReadOutcome::Value(v) => Some(v),
-                    };
-                    let fresh = cur.is_none() || cur != prev[i];
-                    fresh_all &= fresh;
-                    prev[i] = cur;
-                }
-                polls += 1;
-                if fresh_all {
-                    timely += 1;
-                }
-                env.observe("timely_verdicts", 0, timely);
-                env.observe("polls", 0, polls);
-            }
-        });
-    }
+    let hb = HbWriter {
+        regs: regs.clone(),
+        c: 0,
+        k: 0,
+        pending: None,
+    };
+    b.add_stepper(writer, "hb", Box::new(hb));
+    let detect = Detector {
+        prev: vec![Some(0); regs.len()],
+        regs,
+        fresh_all: true,
+        timely: 0,
+        polls: 0,
+        state: DetectState::Wait(POLL_EVERY),
+    };
+    b.add_stepper(reader, "detect", Box::new(detect));
 
     let schedule: Box<dyn Schedule> = if slow_writer {
         // The writer gets a step ~once per 400 reader steps: its writes

@@ -30,11 +30,17 @@ fn run_monitor(adaptive: bool, gap: u64, steps: u64) -> (u64, bool) {
 
     let mut b = SimBuilder::new();
     let p0 = b.add_process("p0");
-    let ms = pair.monitoring_side;
-    b.add_task(p0, "monitoring", move |env| ms.run(&env));
+    b.add_stepper(
+        p0,
+        "monitoring",
+        Box::new(pair.monitoring_side.into_stepper()),
+    );
     let p1 = b.add_process("p1");
-    let md = pair.monitored_side;
-    b.add_task(p1, "monitored", move |env| md.run(&env));
+    b.add_stepper(
+        p1,
+        "monitored",
+        Box::new(pair.monitored_side.into_stepper()),
+    );
 
     // q (= p1) is *timely*: constant gap ⇒ a bound exists (≈ gap).
     let schedule = PartiallySynchronous::with_growth(vec![ProcId(0)], gap, GapGrowth::Constant);

@@ -22,13 +22,13 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use tbwf_bench::gauntlet::{scenario_from_artifact, write_artifact};
+use tbwf_bench::gauntlet::write_artifact;
 use tbwf_bench::print_table;
 use tbwf_check::{
-    ablation_config, check, replay_counterexample, suite, window_from_artifact, CheckReport,
-    SuiteScale,
+    ablation_config, check, counterexample_from_artifact, replay_counterexample, suite,
+    CheckReport, SuiteScale,
 };
-use tbwf_sim::{resolve_jobs, Executor, Json};
+use tbwf_sim::{resolve_jobs, Executor};
 
 const RESULTS_DIR: &str = "results";
 
@@ -94,7 +94,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
 }
 
 fn repro(path: &str) -> ExitCode {
-    let (sc, window) = match load_artifact(path) {
+    let (sc, window) = match counterexample_from_artifact(Path::new(path)) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("cannot load artifact: {e}");
@@ -123,16 +123,6 @@ fn repro(path: &str) -> ExitCode {
         }
         ExitCode::SUCCESS
     }
-}
-
-fn load_artifact(
-    path: &str,
-) -> Result<(tbwf_bench::gauntlet::Scenario, (u64, Vec<usize>)), String> {
-    let sc = scenario_from_artifact(Path::new(path))?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let json = Json::parse(&text)?;
-    let window = window_from_artifact(&json)?;
-    Ok((sc, window))
 }
 
 fn report_row(report: &CheckReport) -> Vec<String> {

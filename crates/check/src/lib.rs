@@ -44,5 +44,8 @@ pub mod suite;
 pub use config::{CheckConfig, InjectionSpec};
 pub use enumerate::{enumerate, Enumeration, Leaf};
 pub use exec::{check, fingerprint, materialize, replay_counterexample, run_leaf, CHUNK_LEAVES};
-pub use report::{window_from_artifact, CheckReport, CheckStats, Counterexample};
+pub use report::{
+    counterexample_from_artifact, window_from_artifact, CheckReport, CheckStats, Counterexample,
+    LoadedCounterexample,
+};
 pub use suite::{ablation_config, suite, SuiteScale};

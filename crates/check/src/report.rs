@@ -1,6 +1,8 @@
 //! Checker reports and counterexample artifacts.
 
-use tbwf_bench::gauntlet::{artifact_json, Outcome, Scenario};
+use std::path::Path;
+
+use tbwf_bench::gauntlet::{artifact_json, read_artifact, Outcome, Scenario};
 use tbwf_sim::Json;
 
 use crate::config::CheckConfig;
@@ -128,6 +130,38 @@ pub fn window_from_artifact(artifact: &Json) -> Result<(u64, Vec<usize>), String
         .collect::<Option<Vec<usize>>>()
         .ok_or("`window.script` holds a non-integer")?;
     Ok((start, script))
+}
+
+/// A counterexample read back from its artifact file: the scenario and
+/// its decision window `(start, script)`.
+pub type LoadedCounterexample = (Scenario, (u64, Vec<usize>));
+
+/// Reads a counterexample artifact (the `--repro` mode of
+/// `e13_model_check`): the validated scenario and its window, which must
+/// lie inside the run and name only processes of the system.
+///
+/// # Errors
+///
+/// Returns a description of the I/O or parse failure, or of why the
+/// artifact cannot be replayed.
+pub fn counterexample_from_artifact(path: &Path) -> Result<LoadedCounterexample, String> {
+    let (json, sc) = read_artifact(path)?;
+    let (start, script) = window_from_artifact(&json)?;
+    if let Some(p) = script.iter().find(|&&p| p >= sc.n) {
+        return Err(format!(
+            "`window.script` names process {p} but n = {}",
+            sc.n
+        ));
+    }
+    let end = start.checked_add(script.len() as u64);
+    if end.is_none_or(|end| end > sc.steps) {
+        return Err(format!(
+            "window of {} slots from {start} ends past the run's {} steps",
+            script.len(),
+            sc.steps
+        ));
+    }
+    Ok((sc, (start, script)))
 }
 
 #[cfg(test)]

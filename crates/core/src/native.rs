@@ -2,8 +2,10 @@
 //!
 //! The deterministic simulator is the reference backend (it is where the
 //! specifications are checked); this harness runs the *same algorithm
-//! code* — the monitor mesh, Ω∆, and the query-abortable object — on one
-//! OS thread per task, with real parallelism and OS scheduling. Registers
+//! code* — the monitor mesh, Ω∆, and the query-abortable object — with
+//! real parallelism and OS scheduling: each task's stepper is polled in a
+//! loop on an OS thread of its own, and each client polls its
+//! [`TbwfCall`] on the calling thread. Registers
 //! are the same simulated-register implementations: their two-phase
 //! overlap detection works under genuine concurrency, so abortable
 //! registers abort on real races.
@@ -28,19 +30,76 @@
 //! ```
 
 use crate::system::OBS_COMPLETED;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::fmt;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use tbwf_omega::harness::{install_omega_with, OmegaOptions};
 use tbwf_omega::{OmegaHandles, OmegaKind};
-use tbwf_registers::native::NativeEnv;
 use tbwf_registers::{RegisterFactory, RegisterFactoryConfig};
-use tbwf_sim::{Env, Halted, ProcId, TaskBody, TaskSpawner};
+use tbwf_sim::{Control, Env, ProcId, StepCtx, Stepper, TaskSpawner};
 use tbwf_universal::qa::QaObject;
-use tbwf_universal::tbwf::invoke_tbwf;
+use tbwf_universal::tbwf::TbwfCall;
 use tbwf_universal::ObjectType;
 
-/// A [`TaskSpawner`] that runs each task on its own OS thread.
+/// The system was shut down while an operation was in flight.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct Halted;
+
+impl fmt::Display for Halted {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "native system halted")
+    }
+}
+
+impl std::error::Error for Halted {}
+
+/// The environment of one native process.
+///
+/// `now` is the process's own step count: monotone but — unlike the
+/// simulator — not a total order of steps. Observations are dropped
+/// (native runs are for throughput, not trace checking).
+#[derive(Clone)]
+struct NativeEnv {
+    pid: ProcId,
+    stop: Arc<AtomicBool>,
+    clock: Arc<AtomicU64>,
+}
+
+impl NativeEnv {
+    fn new(pid: ProcId, stop: Arc<AtomicBool>) -> Self {
+        NativeEnv {
+            pid,
+            stop,
+            clock: Arc::new(AtomicU64::new(0)),
+        }
+    }
+
+    /// Takes one step between two segments: fails once the system is
+    /// stopping, else advances the clock.
+    fn step(&self) -> Result<(), Halted> {
+        if self.stop.load(Ordering::Relaxed) {
+            return Err(Halted);
+        }
+        self.clock.fetch_add(1, Ordering::Relaxed);
+        std::hint::spin_loop();
+        Ok(())
+    }
+}
+
+impl Env for NativeEnv {
+    fn now(&self) -> u64 {
+        self.clock.load(Ordering::Relaxed)
+    }
+
+    fn pid(&self) -> ProcId {
+        self.pid
+    }
+
+    fn observe(&self, _key: &'static str, _idx: u32, _value: i64) {}
+}
+
+/// A [`TaskSpawner`] that polls each task on its own OS thread.
 struct ThreadSpawner {
     envs: Vec<NativeEnv>,
     handles: Vec<JoinHandle<()>>,
@@ -59,13 +118,16 @@ impl ThreadSpawner {
 }
 
 impl TaskSpawner for ThreadSpawner {
-    fn spawn_task(&mut self, pid: ProcId, name: &str, body: TaskBody) {
+    fn spawn_stepper(&mut self, pid: ProcId, name: &str, mut stepper: Box<dyn Stepper>) {
         let env = self.envs[pid.0].clone();
         let handle = std::thread::Builder::new()
             .name(format!("{pid}-{name}"))
             .spawn(move || {
-                // Halted is the normal shutdown path.
-                let _ = body(&env);
+                // One segment per step until the task finishes or the
+                // system stops.
+                while stepper.step(&mut StepCtx::new(&env)) == Control::Yield && env.step().is_ok()
+                {
+                }
             })
             .expect("failed to spawn native task thread");
         self.handles.push(handle);
@@ -153,7 +215,13 @@ impl<T: ObjectType> NativeClient<T> {
     /// Returns [`Halted`] if the system was shut down while the
     /// operation was in progress.
     pub fn invoke(&mut self, op: T::Op) -> Result<T::Resp, Halted> {
-        let resp = invoke_tbwf(&self.env, &mut self.session, &self.omega, op)?;
+        let mut call = TbwfCall::new(op, true);
+        let resp = loop {
+            if let Some(resp) = call.poll(&self.env, &mut self.session, &self.omega) {
+                break resp;
+            }
+            self.env.step()?;
+        };
         self.completed += 1;
         self.env.observe(OBS_COMPLETED, 0, self.completed as i64);
         Ok(resp)

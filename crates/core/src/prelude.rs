@@ -12,7 +12,9 @@ pub use tbwf_sim::schedule::{
     Flicker, PartiallySynchronous, RoundRobin, Schedule, Scripted, SeededRandom, SoloAfter,
     Weighted,
 };
-pub use tbwf_sim::{Env, Local, ProcId, RunConfig, RunReport, SimBuilder, SimResult};
+pub use tbwf_sim::{
+    Control, Env, Local, ProcId, RunConfig, RunReport, SimBuilder, StepCtx, Stepper,
+};
 
 pub use tbwf_registers::{
     AbortPolicy, AbortableRegister, AtomicRegister, EffectPolicy, ReadOutcome, RegisterFactory,
@@ -26,8 +28,8 @@ pub use tbwf_omega::{
     OmegaSystemConfig, SpecParams,
 };
 
-pub use tbwf_universal::baselines::{CasUniversal, FlmsBoost, FlmsShared};
+pub use tbwf_universal::baselines::{CasUniversal, FlmsCall, FlmsShared, ObstructionFreeCall};
 pub use tbwf_universal::harness::{run_counter_workload, Engine, WorkloadConfig};
 pub use tbwf_universal::object::{Counter, CounterOp};
-pub use tbwf_universal::tbwf::invoke_tbwf;
+pub use tbwf_universal::tbwf::TbwfCall;
 pub use tbwf_universal::{ObjectType, Outcome, QaObject, QaSession};

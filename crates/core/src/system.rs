@@ -156,7 +156,7 @@ impl<T: ObjectType> Stepper for SystemWorker<T> {
                     });
                     env.observe(OBS_COMPLETED, 0, self.i as i64);
                     // The next call's first segment runs in the segment
-                    // that completed this one, like the blocking loop.
+                    // that completed this one.
                     if self.next_op(env) == Control::Done {
                         return Control::Done;
                     }

@@ -13,7 +13,7 @@
 
 use crate::Status;
 use tbwf_registers::{OpToken, RegisterFactory, SharedAtomic};
-use tbwf_sim::{Control, Env, Local, ProcId, SimResult, StepCtx, Stepper};
+use tbwf_sim::{Control, Env, Local, ProcId, StepCtx, Stepper};
 
 /// Observation keys used by the monitoring side.
 pub const OBS_STATUS: &str = "status";
@@ -29,32 +29,7 @@ pub struct MonitoredSide {
 }
 
 impl MonitoredSide {
-    /// The task body for `q`. Runs forever; returns only on halt.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Halted`](tbwf_sim::Halted) when the run ends.
-    pub fn run(&self, env: &dyn Env) -> SimResult<()> {
-        let mut hb_counter: i64 = 0; // { local variable }
-        loop {
-            // 2: WRITE(HbRegister[q, p], −1)
-            self.hb.write(env, -1)?;
-            // 3: while ACTIVE-FOR[p] = off do skip
-            while !self.active_for.get() {
-                env.tick()?;
-            }
-            // 4: while ACTIVE-FOR[p] = on do
-            while self.active_for.get() {
-                // 5: hbCounter ← hbCounter + 1
-                hb_counter += 1;
-                // 6: WRITE(HbRegister[q, p], hbCounter)
-                self.hb.write(env, hb_counter)?;
-            }
-        }
-    }
-
-    /// The same task as [`MonitoredSide::run`] as a poll-driven
-    /// [`Stepper`] (segment-for-segment equivalent to the blocking form).
+    /// The task run by `q` (Figure 2, lines 1–6), as a [`Stepper`].
     pub fn into_stepper(self) -> MonitoredStepper {
         MonitoredStepper {
             side: self,
@@ -76,7 +51,9 @@ enum MonitoredState {
     WriteHbPending(OpToken),
 }
 
-/// Poll-driven form of the monitored side of `A(p, q)` (Figure 2, top).
+/// The monitored side of `A(p, q)` (Figure 2, top), run by `q`: the
+/// `repeat forever` loop of lines 1–6, whose state names the line it is
+/// parked at between steps.
 pub struct MonitoredStepper {
     side: MonitoredSide,
     hb_counter: i64,
@@ -84,11 +61,14 @@ pub struct MonitoredStepper {
 }
 
 impl MonitoredStepper {
-    /// Lines 3–5 after a completed write: spin until active, then start
+    /// Lines 3–6 after a completed write: spin until active, then start
     /// the next heartbeat write.
     fn wait_or_beat(&mut self, env: &dyn Env) {
+        // 3: while ACTIVE-FOR[p] = off do skip (one step per iteration)
         if self.side.active_for.get() {
+            // 4–5: while ACTIVE-FOR[p] = on do hbCounter ← hbCounter + 1
             self.hb_counter += 1;
+            // 6: WRITE(HbRegister[q, p], hbCounter) — invocation step.
             let tok = self.side.hb.invoke_write(env, self.hb_counter);
             self.state = MonitoredState::WriteHbPending(tok);
         } else {
@@ -102,16 +82,19 @@ impl Stepper for MonitoredStepper {
         let env = ctx.env();
         match self.state {
             MonitoredState::Start => {
-                // 2: WRITE(HbRegister[q, p], −1)
+                // 1: repeat forever
+                // 2: WRITE(HbRegister[q, p], −1) — invocation step.
                 let tok = self.side.hb.invoke_write(env, -1);
                 self.state = MonitoredState::WriteMinus1Pending(tok);
             }
             MonitoredState::WriteMinus1Pending(tok) => {
+                // 2: response step.
                 self.side.hb.complete_write(env, tok);
                 self.wait_or_beat(env);
             }
             MonitoredState::WaitActive => self.wait_or_beat(env),
             MonitoredState::WriteHbPending(tok) => {
+                // 6: response step.
                 self.side.hb.complete_write(env, tok);
                 if self.side.active_for.get() {
                     // 4–6: next heartbeat.
@@ -119,7 +102,7 @@ impl Stepper for MonitoredStepper {
                     let tok = self.side.hb.invoke_write(env, self.hb_counter);
                     self.state = MonitoredState::WriteHbPending(tok);
                 } else {
-                    // Back to line 2.
+                    // 4 exits: back to line 2.
                     let tok = self.side.hb.invoke_write(env, -1);
                     self.state = MonitoredState::WriteMinus1Pending(tok);
                 }
@@ -165,81 +148,9 @@ impl MonitoringSide {
         env.observe(OBS_FAULT, self.q.0 as u32, v as i64);
     }
 
-    /// The task body for `p`. Runs forever; returns only on halt.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Halted`](tbwf_sim::Halted) when the run ends.
-    // The initial values of `hbTimer`/`prevHbCounter` mirror the paper's
-    // "Initial state" block even though the algorithm overwrites them
-    // before first use.
-    #[allow(unused_assignments)]
-    pub fn run(&self, env: &dyn Env) -> SimResult<()> {
-        // { Initial state }
-        let mut hb_timeout: u64 = 1;
-        let mut hb_timer: u64 = 1;
-        let mut hb_counter: i64 = 0;
-        let mut prev_hb_counter: i64 = 0;
-        let mut allow_increment = true;
-        env.observe(OBS_STATUS, self.q.0 as u32, self.status.get().code());
-        env.observe(OBS_FAULT, self.q.0 as u32, self.fault_cntr.get() as i64);
-        // 7: repeat forever
-        loop {
-            // 8: STATUS[q] ← ?
-            self.set_status(env, Status::Unknown);
-            // 9: while MONITORING[q] = off do skip
-            while !self.monitoring.get() {
-                env.tick()?;
-            }
-            // 10: hbTimer ← hbTimeout
-            hb_timer = hb_timeout;
-            // 11: while MONITORING[q] = on do
-            while self.monitoring.get() {
-                env.tick()?; // one local step per loop iteration
-                             // 12: if hbTimer ≥ 1 then hbTimer ← hbTimer − 1
-                if hb_timer >= 1 {
-                    hb_timer -= 1;
-                }
-                // 13: if hbTimer = 0 then
-                if hb_timer == 0 {
-                    // 14: hbTimer ← hbTimeout
-                    hb_timer = hb_timeout;
-                    // 15: prevHbCounter ← hbCounter
-                    prev_hb_counter = hb_counter;
-                    // 16: hbCounter ← READ(HbRegister[q, p])
-                    hb_counter = self.hb.read(env)?;
-                    // 17: if hbCounter < 0 then STATUS[q] ← inactive
-                    if hb_counter < 0 {
-                        self.set_status(env, Status::Inactive);
-                    }
-                    // 18–20: fresh heartbeat ⇒ active, re-arm increment
-                    if hb_counter >= 0 && hb_counter > prev_hb_counter {
-                        self.set_status(env, Status::Active);
-                        allow_increment = true;
-                    }
-                    // 21–26: stale heartbeat ⇒ inactive; suspicion counts
-                    // only if the register is not −1 (condition (a) of the
-                    // prose) and increased since the last increment
-                    // (condition (b), tracked by allow_increment).
-                    if hb_counter >= 0 && hb_counter <= prev_hb_counter {
-                        self.set_status(env, Status::Inactive);
-                        if allow_increment {
-                            self.bump_fault(env);
-                            // 25 (ablatable): adapt the timeout upward.
-                            if self.adaptive_timeout {
-                                hb_timeout += 1;
-                            }
-                            allow_increment = false;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// The same task as [`MonitoringSide::run`] as a poll-driven
-    /// [`Stepper`] (segment-for-segment equivalent to the blocking form).
+    /// The task run by `p` (Figure 2, lines 7–26), as a [`Stepper`].
     pub fn into_stepper(self) -> MonitoringStepper {
+        // { Initial state }
         MonitoringStepper {
             side: self,
             hb_timeout: 1,
@@ -258,15 +169,16 @@ enum MonitoringState {
     Start,
     /// Spinning in the wait loop of line 9.
     WaitMon,
-    /// Inside the monitoring loop, right after the per-iteration step
-    /// (line 11's tick); about to run lines 12–13.
+    /// Inside the monitoring loop, right after the step line 11 takes
+    /// per iteration; about to run lines 12–13.
     InnerBody,
     /// The heartbeat read of line 16 is in flight.
     ReadPending(OpToken),
 }
 
-/// Poll-driven form of the monitoring side of `A(p, q)` (Figure 2,
-/// bottom).
+/// The monitoring side of `A(p, q)` (Figure 2, bottom), run by `p`: the
+/// `repeat forever` loop of lines 7–26, whose state names the line it is
+/// parked at between steps.
 pub struct MonitoringStepper {
     side: MonitoringSide,
     hb_timeout: u64,
@@ -281,6 +193,7 @@ impl MonitoringStepper {
     /// Lines 9–11: spin until monitoring, then (re-)arm the timer and
     /// enter the monitoring loop.
     fn wait_or_enter(&mut self) {
+        // 9: while MONITORING[q] = off do skip (one step per iteration)
         if self.side.monitoring.get() {
             // 10: hbTimer ← hbTimeout
             self.hb_timer = self.hb_timeout;
@@ -293,6 +206,7 @@ impl MonitoringStepper {
     /// The bottom of a monitoring-loop iteration: either go around (line
     /// 11) or fall out to the top of the outer loop (line 8).
     fn continue_or_leave(&mut self, env: &dyn Env) {
+        // 11: while MONITORING[q] = on do (one step per iteration)
         if self.side.monitoring.get() {
             self.state = MonitoringState::InnerBody;
         } else {
@@ -308,6 +222,7 @@ impl Stepper for MonitoringStepper {
         let env = ctx.env();
         match self.state {
             MonitoringState::Start => {
+                // { Initial state } is in `into_stepper`; record it.
                 env.observe(
                     OBS_STATUS,
                     self.side.q.0 as u32,
@@ -318,6 +233,7 @@ impl Stepper for MonitoringStepper {
                     self.side.q.0 as u32,
                     self.side.fault_cntr.get() as i64,
                 );
+                // 7: repeat forever
                 // 8: STATUS[q] ← ?
                 self.side.set_status(env, Status::Unknown);
                 self.wait_or_enter();
@@ -354,6 +270,9 @@ impl Stepper for MonitoringStepper {
                     self.allow_increment = true;
                 }
                 // 21–26: stale heartbeat ⇒ inactive; suspicion counts
+                // only if the register is not −1 (condition (a) of the
+                // prose) and increased since the last increment
+                // (condition (b), tracked by allow_increment).
                 if self.hb_counter >= 0 && self.hb_counter <= self.prev_hb_counter {
                     self.side.set_status(env, Status::Inactive);
                     if self.allow_increment {
@@ -397,11 +316,9 @@ pub struct ActivityMonitorPair {
 ///
 /// let mut b = SimBuilder::new();
 /// let p0 = b.add_process("p0");
-/// let ms = pair.monitoring_side;
-/// b.add_task(p0, "monitoring", move |env| ms.run(&env));
+/// b.add_stepper(p0, "monitoring", Box::new(pair.monitoring_side.into_stepper()));
 /// let p1 = b.add_process("p1");
-/// let md = pair.monitored_side;
-/// b.add_task(p1, "monitored", move |env| md.run(&env));
+/// b.add_stepper(p1, "monitored", Box::new(pair.monitored_side.into_stepper()));
 /// b.build().run(RunConfig::new(3_000, RoundRobin::new())).assert_no_panics();
 /// assert_eq!(status.get(), Status::Active); // q is timely and active
 /// ```
@@ -453,11 +370,17 @@ mod tests {
 
         let mut b = SimBuilder::new();
         let p0 = b.add_process("p0");
-        let ms = pair.monitoring_side;
-        b.add_task(p0, "monitoring", move |env| ms.run(&env));
+        b.add_stepper(
+            p0,
+            "monitoring",
+            Box::new(pair.monitoring_side.into_stepper()),
+        );
         let p1 = b.add_process("p1");
-        let md = pair.monitored_side;
-        b.add_task(p1, "monitored", move |env| md.run(&env));
+        b.add_stepper(
+            p1,
+            "monitored",
+            Box::new(pair.monitored_side.into_stepper()),
+        );
         let report = b.build().run(RunConfig::new(steps, RoundRobin::new()));
         report.assert_no_panics();
         (report, status, fault)
@@ -494,39 +417,6 @@ mod tests {
             last_change < 6_000,
             "faultCntr still changing at t={last_change} (value {final_val})"
         );
-    }
-
-    #[test]
-    fn stepper_pair_matches_blocking_pair() {
-        // The same A(p, q) on both backends: identical steps, identical
-        // observation sequences (same register seeds via fresh default
-        // factories). Any divergence in tick positions would show up as
-        // shifted observation times.
-        let run = |stepper: bool| {
-            let factory = RegisterFactory::default();
-            let pair = activity_monitor(&factory, ProcId(0), ProcId(1));
-            pair.monitoring_side.monitoring.set(true);
-            pair.monitored_side.active_for.set(true);
-            let mut b = SimBuilder::new();
-            let p0 = b.add_process("p0");
-            let p1 = b.add_process("p1");
-            let ms = pair.monitoring_side;
-            let md = pair.monitored_side;
-            if stepper {
-                b.add_stepper(p0, "monitoring", Box::new(ms.into_stepper()));
-                b.add_stepper(p1, "monitored", Box::new(md.into_stepper()));
-            } else {
-                b.add_task(p0, "monitoring", move |env| ms.run(&env));
-                b.add_task(p1, "monitored", move |env| md.run(&env));
-            }
-            b.build().run(RunConfig::new(6_000, RoundRobin::new()))
-        };
-        let rs = run(true);
-        let rb = run(false);
-        rs.assert_no_panics();
-        rb.assert_no_panics();
-        assert_eq!(rs.trace.steps, rb.trace.steps);
-        assert_eq!(rs.trace.obs, rb.trace.obs);
     }
 
     #[test]

@@ -100,7 +100,16 @@ impl MonitorMesh {
 mod tests {
     use super::*;
     use tbwf_sim::schedule::RoundRobin;
-    use tbwf_sim::{Env, RunConfig, SimBuilder};
+    use tbwf_sim::{Control, RunConfig, SimBuilder, StepCtx, Stepper};
+
+    /// A driver task that only takes steps.
+    struct Idle;
+
+    impl Stepper for Idle {
+        fn step(&mut self, _ctx: &mut StepCtx<'_>) -> Control {
+            Control::Yield
+        }
+    }
 
     #[test]
     fn mesh_reports_mutual_activity() {
@@ -121,9 +130,7 @@ mod tests {
             }
         }
         for p in 0..n {
-            b.add_task(ProcId(p), "idle", move |env| loop {
-                env.tick()?;
-            });
+            b.add_stepper(ProcId(p), "idle", Box::new(Idle));
         }
         let handles = mesh.handles.clone();
         let report = b.build().run(RunConfig::new(30_000, RoundRobin::new()));
@@ -159,9 +166,7 @@ mod tests {
             }
         }
         for p in 0..n {
-            b.add_task(ProcId(p), "idle", move |env| loop {
-                env.tick()?;
-            });
+            b.add_stepper(ProcId(p), "idle", Box::new(Idle));
         }
         let handles = mesh.handles.clone();
         let report = b

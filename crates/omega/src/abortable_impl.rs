@@ -1,7 +1,10 @@
 //! Figures 4–6: implementation of Ω∆ using single-writer single-reader
 //! **abortable** registers only (Theorem 13).
 //!
-//! Three pieces, exactly as in the paper:
+//! Three pieces, exactly as in the paper, run as one task by
+//! [`AbortableOmegaStepper`] (the Figure 4/5 procedures are inlined as
+//! per-peer states of the Figure 6 loop; their local state lives in
+//! [`MsgChannels`] and [`HeartbeatChannels`]):
 //!
 //! * [`MsgChannels`] (Figure 4) — communicating the *final value of a
 //!   variable that stops changing*: the writer retries until one write
@@ -29,15 +32,15 @@
 use crate::{set_leader, OmegaHandles};
 use std::collections::BTreeSet;
 use tbwf_registers::{OpToken, ReadOutcome, SharedAbortable};
-use tbwf_sim::{Control, Env, ProcId, SimResult, StepCtx, Stepper};
+use tbwf_sim::{Control, Env, ProcId, StepCtx, Stepper};
 
 /// A Figure 4/6 message: `⟨counter_p[p], actrTo_p[q]⟩`.
 pub type Msg = (i64, i64);
 
-/// The Figure 4 communication state of one process `p`.
+/// The Figure 4 communication state of one process `p`: the registers
+/// and local variables of `WriteMsgs` (lines 1–7) and `ReadMsgs`
+/// (lines 8–19), whose code runs in [`AbortableOmegaStepper`].
 pub struct MsgChannels {
-    p: ProcId,
-    n: usize,
     /// `MsgRegister[p, q]`, written by `p`, read by `q` (index `q`).
     out: Vec<Option<SharedAbortable<Msg>>>,
     /// `MsgRegister[q, p]`, written by `q`, read by `p` (index `q`).
@@ -58,9 +61,8 @@ impl MsgChannels {
         out: Vec<Option<SharedAbortable<Msg>>>,
         inn: Vec<Option<SharedAbortable<Msg>>>,
     ) -> Self {
+        debug_assert!(out.len() == n && out[p.0].is_none());
         MsgChannels {
-            p,
-            n,
             out,
             inn,
             msg_curr: vec![(0, 0); n],
@@ -70,94 +72,13 @@ impl MsgChannels {
             prev_write_done: vec![true; n],
         }
     }
-
-    /// Figure 4, lines 1–7: `WriteMsgs(msgTo)`.
-    ///
-    /// Tries to communicate `msgTo[q]` to every `q ≠ p`; returns
-    /// `prevWriteDone` — whether the *current* value has been written
-    /// successfully to each `MsgRegister[p, q]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Halted`](tbwf_sim::Halted) when the run ends.
-    pub fn write_msgs(&mut self, env: &dyn Env, msg_to: &[Msg]) -> SimResult<Vec<bool>> {
-        // 2: for each q ∈ Π − {p}
-        for q in 0..self.n {
-            if q == self.p.0 {
-                continue;
-            }
-            env.tick()?; // local step: inspect state for this q
-                         // 3: if (not prevWriteDone[q]) or msgCurr[q] ≠ msgTo[q]
-            if !self.prev_write_done[q] || self.msg_curr[q] != msg_to[q] {
-                // 4: if prevWriteDone[q] then msgCurr[q] := msgTo[q]
-                if self.prev_write_done[q] {
-                    self.msg_curr[q] = msg_to[q];
-                }
-                // 5: res ← WRITE(MsgRegister[p, q], msgCurr[q])
-                let res = self.out[q]
-                    .as_ref()
-                    .expect("out register for peer")
-                    .write(env, self.msg_curr[q])?;
-                // 6: prevWriteDone[q] ← (res = ok)
-                self.prev_write_done[q] = res.is_ok();
-            }
-        }
-        // 7: return prevWriteDone
-        Ok(self.prev_write_done.clone())
-    }
-
-    /// Figure 4, lines 8–19: `ReadMsgs()`.
-    ///
-    /// Polls each `MsgRegister[q, p]` every `readTimeout[q]` invocations,
-    /// backing off on aborts or unchanged values; returns `prevMsgFrom`,
-    /// the last successfully read message from each process.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Halted`](tbwf_sim::Halted) when the run ends.
-    pub fn read_msgs(&mut self, env: &dyn Env) -> SimResult<Vec<Msg>> {
-        // 9: for each q ∈ Π − {p}
-        for q in 0..self.n {
-            if q == self.p.0 {
-                continue;
-            }
-            env.tick()?; // local step: timer bookkeeping for this q
-                         // 10: if readTimer[q] ≥ 1 then readTimer[q] ← readTimer[q] − 1
-            if self.read_timer[q] >= 1 {
-                self.read_timer[q] -= 1;
-            }
-            // 11: if readTimer[q] = 0 then
-            if self.read_timer[q] == 0 {
-                // 12: readTimer[q] ← readTimeout[q]
-                self.read_timer[q] = self.read_timeout[q];
-                // 13: res[q] ← READ(MsgRegister[q, p])
-                let res = self.inn[q]
-                    .as_ref()
-                    .expect("in register for peer")
-                    .read(env)?;
-                match res {
-                    // 14–15: abort or stale ⇒ back off.
-                    ReadOutcome::Aborted => self.read_timeout[q] += 1,
-                    ReadOutcome::Value(v) if v == self.prev_msg_from[q] => {
-                        self.read_timeout[q] += 1;
-                    }
-                    // 16–18: fresh value ⇒ record it, reset the backoff.
-                    ReadOutcome::Value(v) => {
-                        self.prev_msg_from[q] = v;
-                        self.read_timeout[q] = 1;
-                    }
-                }
-            }
-        }
-        // 19: return prevMsgFrom
-        Ok(self.prev_msg_from.clone())
-    }
 }
 
-/// The Figure 5 heartbeat state of one process `p`.
+/// The Figure 5 heartbeat state of one process `p`: the registers and
+/// local variables of `SendHeartbeat` (lines 20–25) and
+/// `ReceiveHeartbeat` (lines 26–40), whose code runs in
+/// [`AbortableOmegaStepper`].
 pub struct HeartbeatChannels {
-    p: ProcId,
-    n: usize,
     /// `HbRegister1[p, q]` / `HbRegister2[p, q]` (written by `p`).
     hb1_out: Vec<Option<SharedAbortable<i64>>>,
     hb2_out: Vec<Option<SharedAbortable<i64>>>,
@@ -189,8 +110,6 @@ impl HeartbeatChannels {
         let mut active_set = BTreeSet::new();
         active_set.insert(p); // { Initial state }: activeSet = {p}
         HeartbeatChannels {
-            p,
-            n,
             hb1_out,
             hb2_out,
             hb1_in,
@@ -205,96 +124,9 @@ impl HeartbeatChannels {
             active_set,
         }
     }
-
-    /// Figure 5, lines 20–25: `SendHeartbeat(dest)`.
-    ///
-    /// Writes an ever-increasing counter to both heartbeat registers of
-    /// every `q` with `dest[q]`; write aborts are deliberately ignored.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Halted`](tbwf_sim::Halted) when the run ends.
-    pub fn send_heartbeat(&mut self, env: &dyn Env, dest: &[bool]) -> SimResult<()> {
-        // 21: hbSendCounter ← hbSendCounter + 1
-        self.hb_send_counter += 1;
-        // 22–25: for each destination, write both registers.
-        for q in 0..self.n {
-            if q == self.p.0 {
-                continue;
-            }
-            env.tick()?; // local step: inspect dest[q]
-            if dest[q] {
-                let _ = self.hb1_out[q]
-                    .as_ref()
-                    .expect("hb1 out register")
-                    .write(env, self.hb_send_counter)?;
-                let _ = self.hb2_out[q]
-                    .as_ref()
-                    .expect("hb2 out register")
-                    .write(env, self.hb_send_counter)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Figure 5, lines 26–40: `ReceiveHeartbeat()`.
-    ///
-    /// Reads both heartbeat registers of each `q` every `hbTimeout[q]`
-    /// invocations. `q` is considered timely only if, **for both
-    /// registers**, the read aborted or returned a new value; otherwise
-    /// `q` leaves the active set and the timeout adapts upward.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Halted`](tbwf_sim::Halted) when the run ends.
-    pub fn receive_heartbeat(&mut self, env: &dyn Env) -> SimResult<BTreeSet<ProcId>> {
-        // 27: for each q ∈ Π − {p}
-        for q in 0..self.n {
-            if q == self.p.0 {
-                continue;
-            }
-            env.tick()?; // local step: timer bookkeeping
-                         // 28: if hbTimer[q] ≥ 1 then hbTimer[q] ← hbTimer[q] − 1
-            if self.hb_timer[q] >= 1 {
-                self.hb_timer[q] -= 1;
-            }
-            // 29: if hbTimer[q] = 0 then
-            if self.hb_timer[q] == 0 {
-                // 30: hbTimer[q] ← hbTimeout[q]
-                self.hb_timer[q] = self.hb_timeout[q];
-                // 31–32: remember the previous samples.
-                self.prev_hb1[q] = self.hb1[q];
-                self.prev_hb2[q] = self.hb2[q];
-                // 33–34: sample both registers (⊥ becomes None).
-                self.hb1[q] = self.hb1_in[q]
-                    .as_ref()
-                    .expect("hb1 in register")
-                    .read(env)?
-                    .value();
-                self.hb2[q] = self.hb2_in[q]
-                    .as_ref()
-                    .expect("hb2 in register")
-                    .read(env)?
-                    .value();
-                // 35: fresh-or-aborted on BOTH registers ⇒ active.
-                let fresh1 = self.hb1[q].is_none() || self.hb1[q] != self.prev_hb1[q];
-                let fresh2 = self.hb2[q].is_none() || self.hb2[q] != self.prev_hb2[q];
-                if fresh1 && fresh2 {
-                    // 36: activeSet ← activeSet ∪ {q}
-                    self.active_set.insert(ProcId(q));
-                } else {
-                    // 38–39: activeSet ← activeSet − {q}; adapt timeout.
-                    self.active_set.remove(&ProcId(q));
-                    self.hb_timeout[q] += 1;
-                }
-            }
-        }
-        // 40: return activeSet
-        Ok(self.active_set.clone())
-    }
 }
 
-/// The per-process state and code of the Figure 6 main algorithm.
+/// The per-process state of the Figure 6 main algorithm.
 pub struct AbortableOmegaProcess {
     /// This process.
     pub p: ProcId,
@@ -309,91 +141,15 @@ pub struct AbortableOmegaProcess {
 }
 
 impl AbortableOmegaProcess {
-    /// The main task body (Figure 6). Runs forever; returns only on halt.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Halted`](tbwf_sim::Halted) when the run ends.
-    pub fn run(mut self, env: &dyn Env) -> SimResult<()> {
-        let n = self.n;
-        let p = self.p;
-        // { Initial state }
-        let mut leader = p;
-        let mut counter = vec![0i64; n];
-        let mut actr_to = vec![0i64; n];
-        let mut write_done = vec![false; n];
-        // 41: repeat forever
-        loop {
-            // 42: LEADER ← ?
-            set_leader(env, &self.handles.leader, None);
-            // 43: while CANDIDATE = false do skip
-            while !self.handles.candidate.get() {
-                env.tick()?;
-            }
-            // 44: self-punishment beyond the current leader's counter.
-            counter[p.0] = counter[p.0].max(counter[leader.0] + 1);
-            // 45: do … while CANDIDATE = true (lines 45–59)
-            loop {
-                env.tick()?;
-                // 46: SendHeartbeat(writeDone)
-                self.hb.send_heartbeat(env, &write_done)?;
-                // 47: activeSet ← ReceiveHeartbeat()
-                let active_set = self.hb.receive_heartbeat(env)?;
-                // 48: pick the active process with the smallest counter.
-                leader = *active_set
-                    .iter()
-                    .min_by_key(|&&q| (counter[q.0], q))
-                    .expect("activeSet always contains p");
-                // 49: LEADER ← leader
-                set_leader(env, &self.handles.leader, Some(leader));
-                // 50–53: assemble messages, punishing inactive processes.
-                let mut msg_to = vec![(0i64, 0i64); n];
-                for q in 0..n {
-                    if q == p.0 {
-                        continue;
-                    }
-                    // 51–52: ask inactive q to raise its counter beyond
-                    // the current leader's.
-                    if !active_set.contains(&ProcId(q)) {
-                        actr_to[q] = actr_to[q].max(counter[leader.0] + 1);
-                    }
-                    // 53: msgTo[q] ← ⟨counter[p], actrTo[q]⟩
-                    msg_to[q] = (counter[p.0], actr_to[q]);
-                }
-                // 54: writeDone ← WriteMsgs(msgTo)
-                write_done = self.msgs.write_msgs(env, &msg_to)?;
-                // 55: msgFrom ← ReadMsgs()
-                let msg_from = self.msgs.read_msgs(env)?;
-                // 56–58: adopt counters and apply received punishments.
-                for q in 0..n {
-                    if q == p.0 {
-                        continue;
-                    }
-                    let (cq, actr_from_q) = msg_from[q];
-                    counter[q] = cq;
-                    counter[p.0] = counter[p.0].max(actr_from_q);
-                }
-                // 59: while CANDIDATE = true
-                if !self.handles.candidate.get() {
-                    break;
-                }
-            }
-        }
-    }
-}
-
-impl AbortableOmegaProcess {
-    /// Converts into the poll-driven [`Stepper`] form of the same
-    /// algorithm (the step engine's native backend).
-    ///
-    /// One [`step`](Stepper::step) executes exactly the code between two
-    /// consecutive `tick` points of [`run`](AbortableOmegaProcess::run) —
-    /// including the per-peer ticks inside the Figure 4/5 channel
-    /// sub-routines — with register operations straddling step boundaries
-    /// (invoke at the end of one segment, complete at the start of the
-    /// next). Both forms produce identical traces under the same schedule.
+    /// The main task of Figure 6 (with the Figure 4/5 procedures
+    /// inlined) as a [`Stepper`]: one [`step`](Stepper::step) runs the
+    /// code between two consecutive steps — the loop's own step and one
+    /// per peer inside each procedure — with register operations
+    /// straddling step boundaries (invoke at the end of one segment,
+    /// complete at the start of the next).
     pub fn into_stepper(self) -> AbortableOmegaStepper {
         let n = self.n;
+        // { Initial state }
         AbortableOmegaStepper {
             leader: self.p,
             counter: vec![0; n],
@@ -415,7 +171,7 @@ enum AbState {
     Start,
     /// Line 43: waiting to become a candidate.
     WaitCand,
-    /// Line 45 head tick consumed: start `SendHeartbeat` (line 46).
+    /// Line 45's per-iteration step taken: start `SendHeartbeat` (line 46).
     MainHead,
     /// Figure 5, lines 22–25: the per-`q` body of `SendHeartbeat`.
     SendBody { q: usize },
@@ -439,9 +195,9 @@ enum AbState {
     ReadPending { q: usize, tok: OpToken },
 }
 
-/// Poll-driven form of [`AbortableOmegaProcess`]: the Figure 6 main loop
-/// (with the Figure 4/5 channel sub-routines inlined) as a [`Stepper`]
-/// state machine. Built with [`AbortableOmegaProcess::into_stepper`].
+/// The Figure 6 main loop (lines 41–59), with the Figure 4/5 procedures
+/// (lines 1–40) inlined, as a [`Stepper`] state machine. Built with
+/// [`AbortableOmegaProcess::into_stepper`].
 pub struct AbortableOmegaStepper {
     proc: AbortableOmegaProcess,
     leader: ProcId,
@@ -460,12 +216,15 @@ impl AbortableOmegaStepper {
 
     /// Line 42, then fall through to the line-43 check.
     fn outer_top(&mut self, env: &dyn Env) {
+        // 41: repeat forever
+        // 42: LEADER ← ?
         set_leader(env, &self.proc.handles.leader, None);
         self.arm_or_wait(env);
     }
 
     /// Line 43; on candidacy, line 44 and entry into the line-45 loop.
     fn arm_or_wait(&mut self, _env: &dyn Env) {
+        // 43: while CANDIDATE = false do skip (one step per iteration)
         if !self.proc.handles.candidate.get() {
             self.state = AbState::WaitCand;
             return;
@@ -473,6 +232,7 @@ impl AbortableOmegaStepper {
         // 44: self-punishment beyond the current leader's counter.
         let p = self.proc.p.0;
         self.counter[p] = self.counter[p].max(self.counter[self.leader.0] + 1);
+        // 45: do … (one step per iteration)
         self.state = AbState::MainHead;
     }
 
@@ -486,6 +246,7 @@ impl AbortableOmegaStepper {
 
     /// Line 47: enter `ReceiveHeartbeat`.
     fn begin_receive(&mut self, env: &dyn Env) {
+        // Figure 5, 27: for each q ∈ Π − {p} (one step per q)
         match self.next_other(0) {
             Some(q) => self.state = AbState::RecvBody { q },
             None => self.finish_receive(env),
@@ -503,6 +264,7 @@ impl AbortableOmegaStepper {
     /// Lines 48–53, then entry into `WriteMsgs` (line 54).
     fn finish_receive(&mut self, env: &dyn Env) {
         let p = self.proc.p.0;
+        // Figure 5, 40: return activeSet — 47: activeSet ← ReceiveHeartbeat()
         // 48: pick the active process with the smallest counter.
         self.leader = *self
             .proc
@@ -518,11 +280,16 @@ impl AbortableOmegaStepper {
             if q == p {
                 continue;
             }
+            // 51–52: ask inactive q to raise its counter beyond the
+            // current leader's.
             if !self.proc.hb.active_set.contains(&ProcId(q)) {
                 self.actr_to[q] = self.actr_to[q].max(self.counter[self.leader.0] + 1);
             }
+            // 53: msgTo[q] ← ⟨counter[p], actrTo[q]⟩
             self.msg_to[q] = (self.counter[p], self.actr_to[q]);
         }
+        // 54: writeDone ← WriteMsgs(msgTo)
+        // Figure 4, 2: for each q ∈ Π − {p} (one step per q)
         match self.next_other(0) {
             Some(q) => self.state = AbState::WriteBody { q },
             None => self.finish_writes(env),
@@ -539,7 +306,10 @@ impl AbortableOmegaStepper {
 
     /// Figure 4 line 7 / line 54, then entry into `ReadMsgs` (line 55).
     fn finish_writes(&mut self, env: &dyn Env) {
+        // Figure 4, 7: return prevWriteDone
         self.write_done = self.proc.msgs.prev_write_done.clone();
+        // 55: msgFrom ← ReadMsgs()
+        // Figure 4, 9: for each q ∈ Π − {p} (one step per q)
         match self.next_other(0) {
             Some(q) => self.state = AbState::ReadBody { q },
             None => self.finish_reads(env),
@@ -557,6 +327,8 @@ impl AbortableOmegaStepper {
     /// Lines 56–58, then the line-59 re-check.
     fn finish_reads(&mut self, env: &dyn Env) {
         let p = self.proc.p.0;
+        // Figure 4, 19: return prevMsgFrom
+        // 56–58: adopt counters and apply received punishments.
         for q in 0..self.proc.n {
             if q == p {
                 continue;
@@ -581,15 +353,18 @@ impl Stepper for AbortableOmegaStepper {
             AbState::Start => self.outer_top(env),
             AbState::WaitCand => self.arm_or_wait(env),
             AbState::MainHead => {
-                // 46 / Figure 5 line 21: bump the heartbeat counter, then
-                // the first per-peer inspection step.
+                // 46: SendHeartbeat(writeDone)
+                // Figure 5, 21: hbSendCounter ← hbSendCounter + 1
                 self.proc.hb.hb_send_counter += 1;
+                // Figure 5, 22: for each q ∈ Π − {p} (one step per q)
                 match self.next_other(0) {
                     Some(q) => self.state = AbState::SendBody { q },
                     None => self.begin_receive(env),
                 }
             }
             AbState::SendBody { q } => {
+                // Figure 5, 23–25: if dest[q], write both heartbeat
+                // registers (aborts are deliberately ignored).
                 if self.write_done[q] {
                     let hb = &self.proc.hb;
                     let tok = hb.hb1_out[q]
@@ -626,11 +401,14 @@ impl Stepper for AbortableOmegaStepper {
                 if hb.hb_timer[q] >= 1 {
                     hb.hb_timer[q] -= 1;
                 }
-                // 29–34: sample both registers when the timer fires.
+                // 29: if hbTimer[q] = 0 then
                 if hb.hb_timer[q] == 0 {
+                    // 30: hbTimer[q] ← hbTimeout[q]
                     hb.hb_timer[q] = hb.hb_timeout[q];
+                    // 31–32: remember the previous samples.
                     hb.prev_hb1[q] = hb.hb1[q];
                     hb.prev_hb2[q] = hb.hb2[q];
+                    // 33: hb1[q] ← READ(HbRegister1[q, p]) — invocation.
                     let tok = hb.hb1_in[q]
                         .as_ref()
                         .expect("hb1 in register")
@@ -641,6 +419,7 @@ impl Stepper for AbortableOmegaStepper {
                 }
             }
             AbState::RecvHb1Pending { q, tok } => {
+                // 33: response (⊥ becomes None); 34: READ(HbRegister2[q, p]).
                 let hb = &mut self.proc.hb;
                 hb.hb1[q] = hb.hb1_in[q]
                     .as_ref()
@@ -664,8 +443,10 @@ impl Stepper for AbortableOmegaStepper {
                 let fresh1 = hb.hb1[q].is_none() || hb.hb1[q] != hb.prev_hb1[q];
                 let fresh2 = hb.hb2[q].is_none() || hb.hb2[q] != hb.prev_hb2[q];
                 if fresh1 && fresh2 {
+                    // 36: activeSet ← activeSet ∪ {q}
                     hb.active_set.insert(ProcId(q));
                 } else {
+                    // 38–39: activeSet ← activeSet − {q}; adapt timeout.
                     hb.active_set.remove(&ProcId(q));
                     hb.hb_timeout[q] += 1;
                 }
@@ -675,9 +456,11 @@ impl Stepper for AbortableOmegaStepper {
                 let msgs = &mut self.proc.msgs;
                 // 3: if (not prevWriteDone[q]) or msgCurr[q] ≠ msgTo[q]
                 if !msgs.prev_write_done[q] || msgs.msg_curr[q] != self.msg_to[q] {
+                    // 4: if prevWriteDone[q] then msgCurr[q] := msgTo[q]
                     if msgs.prev_write_done[q] {
                         msgs.msg_curr[q] = self.msg_to[q];
                     }
+                    // 5: res ← WRITE(MsgRegister[p, q], msgCurr[q])
                     let tok = msgs.out[q]
                         .as_ref()
                         .expect("out register for peer")
@@ -693,6 +476,7 @@ impl Stepper for AbortableOmegaStepper {
                     .as_ref()
                     .expect("out register for peer")
                     .complete_write(env, tok);
+                // 6: prevWriteDone[q] ← (res = ok)
                 msgs.prev_write_done[q] = res.is_ok();
                 self.advance_write(env, q);
             }
@@ -702,9 +486,11 @@ impl Stepper for AbortableOmegaStepper {
                 if msgs.read_timer[q] >= 1 {
                     msgs.read_timer[q] -= 1;
                 }
-                // 11–13: read when the timer fires.
+                // 11: if readTimer[q] = 0 then
                 if msgs.read_timer[q] == 0 {
+                    // 12: readTimer[q] ← readTimeout[q]
                     msgs.read_timer[q] = msgs.read_timeout[q];
+                    // 13: res[q] ← READ(MsgRegister[q, p])
                     let tok = msgs.inn[q]
                         .as_ref()
                         .expect("in register for peer")
@@ -721,10 +507,12 @@ impl Stepper for AbortableOmegaStepper {
                     .expect("in register for peer")
                     .complete_read(env, tok);
                 match res {
+                    // 14–15: abort or stale ⇒ back off.
                     ReadOutcome::Aborted => msgs.read_timeout[q] += 1,
                     ReadOutcome::Value(v) if v == msgs.prev_msg_from[q] => {
                         msgs.read_timeout[q] += 1;
                     }
+                    // 16–18: fresh value ⇒ record it, reset the backoff.
                     ReadOutcome::Value(v) => {
                         msgs.prev_msg_from[q] = v;
                         msgs.read_timeout[q] = 1;

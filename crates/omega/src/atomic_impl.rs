@@ -18,7 +18,7 @@
 use crate::{set_leader, OmegaHandles};
 use tbwf_monitor::{ProcessMonitorHandles, Status};
 use tbwf_registers::{OpToken, SharedAtomic};
-use tbwf_sim::{Control, Env, ProcId, SimResult, StepCtx, Stepper};
+use tbwf_sim::{Control, Env, ProcId, StepCtx, Stepper};
 
 /// The per-process state and code of the Figure 3 algorithm.
 pub struct AtomicOmegaProcess {
@@ -41,118 +41,14 @@ pub struct AtomicOmegaProcess {
 }
 
 impl AtomicOmegaProcess {
-    /// The main task body (Figure 3). Runs forever; returns only on halt.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Halted`](tbwf_sim::Halted) when the run ends.
-    pub fn run(&self, env: &dyn Env) -> SimResult<()> {
-        let n = self.n;
-        let p = self.p;
-        let others = || (0..n).map(ProcId).filter(move |&q| q != p);
-        // { Initial state }
-        let mut fault_cntr = vec![0u64; n];
-        let mut max_fault_cntr = vec![0u64; n];
-        let mut counter = vec![0i64; n];
-        let mut status = vec![Status::Unknown; n];
-        // Diagnostics (trace-only): last observed activeSet bitmap and
-        // counter views, recorded on change.
-        let mut last_active_mask = -1i64;
-        let mut last_counter_obs = vec![i64::MIN; n];
-
-        // 1: repeat forever
-        loop {
-            // 2: LEADER ← ?
-            set_leader(env, &self.handles.leader, None);
-            // 3–4: stop monitoring and stop being active for everyone.
-            for q in others() {
-                self.monitors.monitoring.set(q, false);
-                self.monitors.active_for.set(q, false);
-            }
-            // 5: while CANDIDATE = false do skip
-            while !self.handles.candidate.get() {
-                env.tick()?;
-            }
-            // 6: for each q do MONITORING[q] ← on
-            for q in others() {
-                self.monitors.monitoring.set(q, true);
-            }
-            // 7–8: self-punishment (ablatable).
-            if self.self_punish {
-                let own = self.counter_regs[p.0].read(env)?;
-                self.counter_regs[p.0].write(env, own + 1)?;
-            }
-            // 9: while CANDIDATE = true do
-            while self.handles.candidate.get() {
-                env.tick()?;
-                // 10–11: consult A(p, q) until a non-? status for each q.
-                // (Terminates: monitoring[q] is on, so the A(p, q) task
-                // sets a non-? status after its next register read.)
-                for q in others() {
-                    loop {
-                        status[q.0] = self.monitors.status.get(q);
-                        fault_cntr[q.0] = self.monitors.fault.get(q);
-                        if status[q.0] != Status::Unknown {
-                            break;
-                        }
-                        env.tick()?;
-                    }
-                }
-                // footnote 6: the self pair is trivially active.
-                status[p.0] = Status::Active;
-                fault_cntr[p.0] = 0;
-                // 12: activeSet ← {q : status[q] = active} ∪ {p}
-                let active_set: Vec<ProcId> = (0..n)
-                    .map(ProcId)
-                    .filter(|&q| q == p || status[q.0] == Status::Active)
-                    .collect();
-                let mask = active_set.iter().fold(0i64, |m, q| m | (1 << q.0));
-                if mask != last_active_mask {
-                    last_active_mask = mask;
-                    env.observe("activeset", 0, mask);
-                }
-                // 13: for each q do counter[q] ← READ(CounterRegister[q])
-                for q in 0..n {
-                    counter[q] = self.counter_regs[q].read(env)?;
-                    if counter[q] != last_counter_obs[q] {
-                        last_counter_obs[q] = counter[q];
-                        env.observe("counter", q as u32, counter[q]);
-                    }
-                }
-                // 14: LEADER ← ℓ minimizing (counter[ℓ], ℓ) over activeSet
-                let leader = *active_set
-                    .iter()
-                    .min_by_key(|&&q| (counter[q.0], q))
-                    .expect("activeSet contains p");
-                set_leader(env, &self.handles.leader, Some(leader));
-                // 15–17: be active for others iff we believe we lead.
-                let lead = leader == p;
-                for q in others() {
-                    self.monitors.active_for.set(q, lead);
-                }
-                // 18–21: punish processes whose fault counter grew.
-                for q in others() {
-                    if fault_cntr[q.0] > max_fault_cntr[q.0] {
-                        self.counter_regs[q.0].write(env, counter[q.0] + 1)?;
-                        max_fault_cntr[q.0] = fault_cntr[q.0];
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl AtomicOmegaProcess {
-    /// Converts into the poll-driven [`Stepper`] form of the same
-    /// algorithm (the step engine's native backend).
-    ///
-    /// One [`step`](Stepper::step) executes exactly the code between two
-    /// consecutive `tick` points of [`run`](AtomicOmegaProcess::run) —
-    /// register operations straddle a step boundary (invoke at the end of
-    /// one segment, complete at the start of the next) — so both forms
-    /// produce identical traces under the same schedule.
+    /// The main task of Figure 3 as a [`Stepper`]: one
+    /// [`step`](Stepper::step) runs the code between two consecutive steps
+    /// of the loop, and register operations straddle a step boundary
+    /// (invoke at the end of one segment, complete at the start of the
+    /// next).
     pub fn into_stepper(self) -> AtomicOmegaStepper {
         let n = self.n;
+        // { Initial state }
         AtomicOmegaStepper {
             fault_cntr: vec![0; n],
             max_fault_cntr: vec![0; n],
@@ -181,7 +77,7 @@ enum AtomicState {
     SelfReadPending(OpToken),
     /// Lines 7–8: the self-punishment write is in flight.
     SelfWritePending(OpToken),
-    /// Line 9 head tick consumed: run lines 10 onward.
+    /// Line 9's per-iteration step taken: run lines 10 onward.
     MainBody,
     /// Lines 10–11: waiting for a non-`?` status of `q`.
     StatusWait { q: usize },
@@ -191,9 +87,9 @@ enum AtomicState {
     PunishWrite { q: usize, tok: OpToken },
 }
 
-/// Poll-driven form of [`AtomicOmegaProcess`]: the Figure 3 main loop as
-/// a [`Stepper`] state machine. Built with
-/// [`AtomicOmegaProcess::into_stepper`].
+/// The Figure 3 main loop (lines 1–21) as a [`Stepper`] state machine.
+/// Built with [`AtomicOmegaProcess::into_stepper`]. The `activeset` and
+/// `counter` observations are trace-only diagnostics, recorded on change.
 pub struct AtomicOmegaStepper {
     proc: AtomicOmegaProcess,
     fault_cntr: Vec<u64>,
@@ -214,7 +110,10 @@ impl AtomicOmegaStepper {
 
     /// Lines 2–4, then fall through to the line-5 check.
     fn outer_top(&mut self, env: &dyn Env) {
+        // 1: repeat forever
+        // 2: LEADER ← ?
         set_leader(env, &self.proc.handles.leader, None);
+        // 3–4: stop monitoring and stop being active for everyone.
         for q in self.others().collect::<Vec<_>>() {
             self.proc.monitors.monitoring.set(q, false);
             self.proc.monitors.active_for.set(q, false);
@@ -224,13 +123,16 @@ impl AtomicOmegaStepper {
 
     /// Line 5; on candidacy, lines 6–8 and entry into the line-9 loop.
     fn arm_or_wait(&mut self, env: &dyn Env) {
+        // 5: while CANDIDATE = false do skip (one step per iteration)
         if !self.proc.handles.candidate.get() {
             self.state = AtomicState::WaitCand;
             return;
         }
+        // 6: for each q do MONITORING[q] ← on
         for q in self.others().collect::<Vec<_>>() {
             self.proc.monitors.monitoring.set(q, true);
         }
+        // 7–8: self-punishment (ablatable): read own counter, write +1.
         if self.proc.self_punish {
             let p = self.proc.p.0;
             let tok = self.proc.counter_regs[p].invoke_read(env);
@@ -242,6 +144,7 @@ impl AtomicOmegaStepper {
 
     /// The line-9 while-head check.
     fn loop_or_leave(&mut self, env: &dyn Env) {
+        // 9: while CANDIDATE = true do (one step per iteration)
         if self.proc.handles.candidate.get() {
             self.state = AtomicState::MainBody;
         } else {
@@ -254,6 +157,9 @@ impl AtomicOmegaStepper {
     fn scan_status_from(&mut self, env: &dyn Env, from: usize) {
         let p = self.proc.p.0;
         let n = self.proc.n;
+        // 10–11: consult A(p, q) until a non-? status for each q, one
+        // step per retry. (Terminates: monitoring[q] is on, so the A(p, q)
+        // task sets a non-? status after its next register read.)
         let mut q = from;
         while q < n {
             if q == p {
@@ -281,7 +187,9 @@ impl AtomicOmegaStepper {
             self.last_active_mask = mask;
             env.observe("activeset", 0, mask);
         }
-        // 13: first counter read.
+        // 13: for each q do counter[q] ← READ(CounterRegister[q]) —
+        // the first invocation; `CounterRead` completes each and invokes
+        // the next.
         let tok = self.proc.counter_regs[0].invoke_read(env);
         self.state = AtomicState::CounterRead { q: 0, tok };
     }
@@ -308,6 +216,8 @@ impl AtomicOmegaStepper {
     /// re-check.
     fn punish_from(&mut self, env: &dyn Env, from: usize) {
         let p = self.proc.p.0;
+        // 18–21: punish processes whose fault counter grew: write
+        // counter[q] + 1 and remember the new maximum.
         for q in from..self.proc.n {
             if q == p {
                 continue;
@@ -329,6 +239,7 @@ impl Stepper for AtomicOmegaStepper {
             AtomicState::Start => self.outer_top(env),
             AtomicState::WaitCand => self.arm_or_wait(env),
             AtomicState::SelfReadPending(tok) => {
+                // 7–8: the read responds; write own + 1.
                 let p = self.proc.p.0;
                 let own = self.proc.counter_regs[p].complete_read(env, tok);
                 let tok = self.proc.counter_regs[p].invoke_write(env, own + 1);
@@ -342,6 +253,7 @@ impl Stepper for AtomicOmegaStepper {
             AtomicState::MainBody => self.scan_status_from(env, 0),
             AtomicState::StatusWait { q } => self.scan_status_from(env, q),
             AtomicState::CounterRead { q, tok } => {
+                // 13: response for q.
                 self.counter[q] = self.proc.counter_regs[q].complete_read(env, tok);
                 if self.counter[q] != self.last_counter_obs[q] {
                     self.last_counter_obs[q] = self.counter[q];
@@ -355,6 +267,7 @@ impl Stepper for AtomicOmegaStepper {
                 }
             }
             AtomicState::PunishWrite { q, tok } => {
+                // 18–21: the punishment write responds; record the new maximum.
                 self.proc.counter_regs[q].complete_write(env, tok);
                 self.max_fault_cntr[q] = self.fault_cntr[q];
                 self.punish_from(env, q + 1);

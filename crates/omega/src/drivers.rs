@@ -55,7 +55,7 @@ fn set_candidate(env: &dyn Env, candidate: &Local<bool>, v: bool) {
     }
 }
 
-/// Poll-driven driver for the stateless scripts: every step sets
+/// Driver for the stateless scripts: every step sets
 /// `candidate` to the value the script wants at the current time.
 struct ScriptedDriver {
     script: CandidateScript,
@@ -87,7 +87,7 @@ enum BlinkPhase {
     Gate,
 }
 
-/// Poll-driven driver for [`CandidateScript::CanonicalBlink`]
+/// Driver for [`CandidateScript::CanonicalBlink`]
 /// (Definition 6): on-phase, off-phase, then wait out own leadership.
 struct CanonicalBlinkDriver {
     pid: ProcId,
@@ -112,7 +112,7 @@ impl Stepper for CanonicalBlinkDriver {
         }
         // Consume exactly one step, running any zero-length phase
         // transitions first (a phase of length 0 falls through without
-        // spending a step, exactly like the blocking `for _ in 0..0`).
+        // spending a step).
         loop {
             match self.phase {
                 BlinkPhase::On => {
@@ -144,7 +144,7 @@ impl Stepper for CanonicalBlinkDriver {
     }
 }
 
-/// Poll-driven driver whose desired candidacy is an externally shared
+/// Driver whose desired candidacy is an externally shared
 /// flag rather than a time script: every step it copies the flag into
 /// `candidate_p`. A nemesis flips the flag via a registered switch to
 /// realize *fault-driven* candidacy churn.
@@ -191,8 +191,7 @@ pub fn add_external_candidate_driver(
 /// Adds a driver task for process `pid` that follows `script`, observing
 /// every change of `candidate_p` into the trace.
 ///
-/// The driver is a [`Stepper`]; on the simulator it runs on the poll
-/// backend, on other spawners through the blocking adapter.
+/// The driver is a [`Stepper`], hosted by whatever `spawner` is.
 pub fn add_candidate_driver(
     spawner: &mut dyn TaskSpawner,
     pid: ProcId,

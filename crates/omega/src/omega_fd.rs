@@ -19,7 +19,7 @@ use crate::drivers::add_candidate_driver;
 use crate::harness::install_omega;
 use crate::{CandidateScript, OmegaHandles, OmegaKind};
 use tbwf_registers::RegisterFactory;
-use tbwf_sim::{Env, Local, ProcId, SimBuilder};
+use tbwf_sim::{Control, Local, ProcId, SimBuilder, StepCtx, Stepper};
 
 /// Observation key for the Ω output (always a process id).
 pub const OBS_OMEGA: &str = "omega_leader";
@@ -29,6 +29,31 @@ pub const OBS_OMEGA: &str = "omega_leader";
 pub struct OmegaFdHandle {
     /// Current leader estimate (Ω always outputs *some* process).
     pub leader: Local<ProcId>,
+}
+
+/// The per-process adapter task: every step, copies a non-`?` Ω∆ leader
+/// into the Ω output (which therefore holds its last estimate through
+/// `?` phases).
+struct OmegaFdAdapter {
+    leader_in: Local<Option<ProcId>>,
+    leader_out: Local<ProcId>,
+    started: bool,
+}
+
+impl Stepper for OmegaFdAdapter {
+    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Control {
+        if !self.started {
+            self.started = true;
+            ctx.observe(OBS_OMEGA, 0, self.leader_out.get().0 as i64);
+        }
+        if let Some(l) = self.leader_in.get() {
+            if l != self.leader_out.get() {
+                self.leader_out.set(l);
+                ctx.observe(OBS_OMEGA, 0, l.0 as i64);
+            }
+        }
+        Control::Yield
+    }
 }
 
 /// Installs the failure detector Ω for all `n` processes on top of the
@@ -52,22 +77,12 @@ pub fn install_omega_fd(
         let out = OmegaFdHandle {
             leader: Local::new(ProcId(p)),
         };
-        let leader_in = dh.leader.clone();
-        let leader_out = out.leader.clone();
-        builder.add_task(ProcId(p), "omega-fd", move |env| {
-            let mut last = leader_out.get();
-            env.observe(OBS_OMEGA, 0, last.0 as i64);
-            loop {
-                if let Some(l) = leader_in.get() {
-                    if l != last {
-                        last = l;
-                        leader_out.set(l);
-                        env.observe(OBS_OMEGA, 0, l.0 as i64);
-                    }
-                }
-                env.tick()?;
-            }
-        });
+        let adapter = OmegaFdAdapter {
+            leader_in: dh.leader.clone(),
+            leader_out: out.leader.clone(),
+            started: false,
+        };
+        builder.add_stepper(ProcId(p), "omega-fd", Box::new(adapter));
         fd_handles.push(out);
     }
     fd_handles

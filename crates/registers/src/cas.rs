@@ -7,22 +7,26 @@
 use crate::stats::{OpEvent, OpKind, OpLog};
 use parking_lot::Mutex;
 use std::sync::Arc;
-use tbwf_sim::{Env, SimResult};
+use tbwf_sim::Env;
+
+use crate::OpToken;
 
 /// A linearizable compare-and-swap register. Never aborts.
+///
+/// Both operations linearize at their response step, so one invocation
+/// serves either: [`CasRegister::invoke`] opens the operation and the
+/// `complete_*` call made on the caller's next step decides what it was.
 pub trait CasRegister<T: Clone + PartialEq>: Send + Sync {
-    /// Atomically: if the value equals `expected`, replace it with `new`
-    /// and return `true`; otherwise return `false`.
-    ///
-    /// # Errors
-    /// Propagates [`Halted`](tbwf_sim::Halted) at the end of a run.
-    fn compare_and_swap(&self, env: &dyn Env, expected: &T, new: T) -> SimResult<bool>;
+    /// Invocation step of a compare-and-swap or a read.
+    fn invoke(&self, env: &dyn Env) -> OpToken;
 
-    /// Reads the current value.
-    ///
-    /// # Errors
-    /// Propagates [`Halted`](tbwf_sim::Halted) at the end of a run.
-    fn read(&self, env: &dyn Env) -> SimResult<T>;
+    /// Response step of a compare-and-swap: atomically, if the value
+    /// equals `expected`, replace it with `new` and return `true`;
+    /// otherwise return `false`.
+    fn complete_cas(&self, env: &dyn Env, tok: OpToken, expected: &T, new: T) -> bool;
+
+    /// Response step of a read; returns the current value.
+    fn complete_read(&self, env: &dyn Env, tok: OpToken) -> T;
 }
 
 /// Simulated CAS register: two-step operation, linearizes at the response.
@@ -41,9 +45,9 @@ impl<T: Clone + PartialEq + Send> SimCasReg<T> {
         }
     }
 
-    fn record(&self, env: &dyn Env, invoked: u64, kind: OpKind) {
+    fn record(&self, env: &dyn Env, tok: OpToken, kind: OpKind) {
         self.log.push(OpEvent {
-            invoked,
+            invoked: tok.raw(),
             responded: env.now(),
             proc: env.pid(),
             reg: self.name.clone(),
@@ -56,25 +60,26 @@ impl<T: Clone + PartialEq + Send> SimCasReg<T> {
 }
 
 impl<T: Clone + PartialEq + Send + Sync> CasRegister<T> for SimCasReg<T> {
-    fn compare_and_swap(&self, env: &dyn Env, expected: &T, new: T) -> SimResult<bool> {
-        let invoked = env.now();
-        env.tick()?;
+    /// The token carries the invocation time (for the operation log).
+    fn invoke(&self, env: &dyn Env) -> OpToken {
+        OpToken::new(env.now())
+    }
+
+    fn complete_cas(&self, env: &dyn Env, tok: OpToken, expected: &T, new: T) -> bool {
         let mut v = self.value.lock();
         let ok = *v == *expected;
         if ok {
             *v = new;
         }
         drop(v);
-        self.record(env, invoked, OpKind::Write);
-        Ok(ok)
+        self.record(env, tok, OpKind::Write);
+        ok
     }
 
-    fn read(&self, env: &dyn Env) -> SimResult<T> {
-        let invoked = env.now();
-        env.tick()?;
+    fn complete_read(&self, env: &dyn Env, tok: OpToken) -> T {
         let v = self.value.lock().clone();
-        self.record(env, invoked, OpKind::Read);
-        Ok(v)
+        self.record(env, tok, OpKind::Read);
+        v
     }
 }
 
@@ -86,13 +91,25 @@ mod tests {
     use super::*;
     use tbwf_sim::{FreeRunEnv, ProcId};
 
+    fn cas<T: Clone + PartialEq>(r: &dyn CasRegister<T>, env: &FreeRunEnv, e: &T, new: T) -> bool {
+        let t = r.invoke(env);
+        env.advance();
+        r.complete_cas(env, t, e, new)
+    }
+
+    fn read<T: Clone + PartialEq>(r: &dyn CasRegister<T>, env: &FreeRunEnv) -> T {
+        let t = r.invoke(env);
+        env.advance();
+        r.complete_read(env, t)
+    }
+
     #[test]
     fn cas_succeeds_on_match() {
         let log = Arc::new(OpLog::new());
         let r = SimCasReg::new("C".into(), 0i64, log);
         let env = FreeRunEnv::new(ProcId(0));
-        assert!(r.compare_and_swap(&env, &0, 5).unwrap());
-        assert_eq!(r.read(&env).unwrap(), 5);
+        assert!(cas(&r, &env, &0, 5));
+        assert_eq!(read(&r, &env), 5);
     }
 
     #[test]
@@ -100,17 +117,19 @@ mod tests {
         let log = Arc::new(OpLog::new());
         let r = SimCasReg::new("C".into(), 0i64, log);
         let env = FreeRunEnv::new(ProcId(0));
-        assert!(!r.compare_and_swap(&env, &3, 5).unwrap());
-        assert_eq!(r.read(&env).unwrap(), 0);
+        assert!(!cas(&r, &env, &3, 5));
+        assert_eq!(read(&r, &env), 0);
     }
 
     #[test]
     fn cas_on_option_values() {
         let log = Arc::new(OpLog::new());
-        let r: SimCasReg<Option<u32>> = SimCasReg::new("C".into(), None, log);
+        let r: SimCasReg<Option<u32>> = SimCasReg::new("C".into(), None, log.clone());
         let env = FreeRunEnv::new(ProcId(0));
-        assert!(r.compare_and_swap(&env, &None, Some(7)).unwrap());
-        assert!(!r.compare_and_swap(&env, &None, Some(9)).unwrap());
-        assert_eq!(r.read(&env).unwrap(), Some(7));
+        assert!(cas(&r, &env, &None, Some(7)));
+        assert!(!cas(&r, &env, &None, Some(9)));
+        assert_eq!(read(&r, &env), Some(7));
+        // Each operation spans its invocation and response steps.
+        assert!(log.events().iter().all(|e| e.responded == e.invoked + 1));
     }
 }

@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
-use tbwf_sim::{Env, ProcId, SimResult};
+use tbwf_sim::{Env, ProcId};
 
 /// Per-process counters of operations currently in flight (invoked but
 /// not yet completed) across all registers of one factory.
@@ -429,23 +429,30 @@ impl SimSafeReg {
 }
 
 impl SafeRegister for SimSafeReg {
-    fn write(&self, env: &dyn Env, v: u64) -> SimResult<()> {
-        let invoked = env.now();
-        let id = self
-            .core
-            .begin(env, OpKind::Write, env.pid(), invoked, None);
-        env.tick()?;
-        let (res, ()) = self.core.resolve_apply(id, |_, value| *value = v);
-        self.core
-            .record(env, invoked, OpKind::Write, &res, false, true);
-        Ok(())
+    fn invoke_write(&self, env: &dyn Env, v: u64) -> OpToken {
+        OpToken::new(
+            self.core
+                .begin(env, OpKind::Write, env.pid(), env.now(), Some(v)),
+        )
     }
 
-    fn read(&self, env: &dyn Env) -> SimResult<u64> {
-        let invoked = env.now();
-        let id = self.core.begin(env, OpKind::Read, env.pid(), invoked, None);
-        env.tick()?;
-        let (res, stored) = self.core.resolve_apply(id, |_, value| *value);
+    fn complete_write(&self, env: &dyn Env, tok: OpToken) {
+        let (res, ()) = self.core.resolve_apply(tok.raw(), |res, value| {
+            *value = res.payload.take().expect("write resolved without payload");
+        });
+        self.core
+            .record(env, res.invoked, OpKind::Write, &res, false, true);
+    }
+
+    fn invoke_read(&self, env: &dyn Env) -> OpToken {
+        OpToken::new(
+            self.core
+                .begin(env, OpKind::Read, env.pid(), env.now(), None),
+        )
+    }
+
+    fn complete_read(&self, env: &dyn Env, tok: OpToken) -> u64 {
+        let (res, stored) = self.core.resolve_apply(tok.raw(), |_, value| *value);
         let v = if res.overlapped_write {
             // Arbitrary value: safe semantics under read/write overlap.
             (res.u_abort * u64::MAX as f64) as u64
@@ -453,8 +460,8 @@ impl SafeRegister for SimSafeReg {
             stored
         };
         self.core
-            .record(env, invoked, OpKind::Read, &res, false, false);
-        Ok(v)
+            .record(env, res.invoked, OpKind::Read, &res, false, false);
+        v
     }
 }
 
@@ -471,6 +478,30 @@ mod tests {
         Arc::new(InflightGauges::new())
     }
 
+    // Solo operations: invoke, one step of the caller, complete.
+
+    fn write<T: Clone>(r: &dyn AtomicRegister<T>, env: &FreeRunEnv, v: T) {
+        let t = r.invoke_write(env, v);
+        env.advance();
+        r.complete_write(env, t);
+    }
+
+    fn read<T: Clone>(r: &dyn AtomicRegister<T>, env: &FreeRunEnv) -> T {
+        let t = r.invoke_read(env);
+        env.advance();
+        r.complete_read(env, t)
+    }
+
+    fn try_write<T: Clone>(r: &dyn AbortableRegister<T>, env: &dyn Env, v: T) -> WriteOutcome {
+        let t = r.invoke_write(env, v);
+        r.complete_write(env, t)
+    }
+
+    fn try_read<T: Clone>(r: &dyn AbortableRegister<T>, env: &dyn Env) -> ReadOutcome<T> {
+        let t = r.invoke_read(env);
+        r.complete_read(env, t)
+    }
+
     /// A free-running env that also reports a fixed set of crashed
     /// processes, for exercising the pending-op purge in `begin`.
     struct CrashyEnv {
@@ -479,9 +510,6 @@ mod tests {
     }
 
     impl Env for CrashyEnv {
-        fn tick(&self) -> SimResult<()> {
-            self.inner.tick()
-        }
         fn now(&self) -> u64 {
             self.inner.now()
         }
@@ -500,8 +528,8 @@ mod tests {
     fn atomic_read_write_solo() {
         let env = FreeRunEnv::new(ProcId(0));
         let r = SimAtomicReg::new("R".into(), 0i64, 1, log(), gauges());
-        r.write(&env, 7).unwrap();
-        assert_eq!(r.read(&env).unwrap(), 7);
+        write(&r, &env, 7);
+        assert_eq!(read(&r, &env), 7);
     }
 
     #[test]
@@ -520,8 +548,8 @@ mod tests {
             None,
         );
         for i in 0..100 {
-            assert_eq!(r.write(&env, i).unwrap(), WriteOutcome::Ok);
-            assert_eq!(r.read(&env).unwrap(), ReadOutcome::Value(i));
+            assert_eq!(try_write(&r, &env, i), WriteOutcome::Ok);
+            assert_eq!(try_read(&r, &env), ReadOutcome::Value(i));
         }
     }
 
@@ -567,7 +595,7 @@ mod tests {
             Some(ProcId(0)),
             None,
         );
-        let _ = r.write(&env, 1);
+        let _ = r.invoke_write(&env, 1);
     }
 
     #[test]
@@ -575,8 +603,8 @@ mod tests {
         let env = FreeRunEnv::new(ProcId(2));
         let l = log();
         let r = SimAtomicReg::new("Reg".into(), 0i64, 1, Arc::clone(&l), gauges());
-        r.write(&env, 1).unwrap();
-        r.read(&env).unwrap();
+        write(&r, &env, 1);
+        read(&r, &env);
         let evs = l.events();
         assert_eq!(evs.len(), 2);
         assert_eq!(evs[0].kind, OpKind::Write);
@@ -590,9 +618,16 @@ mod tests {
     fn safe_register_solo_reads_are_exact() {
         let env = FreeRunEnv::new(ProcId(0));
         let r = SimSafeReg::new("S".into(), 9, 1, log(), gauges());
-        assert_eq!(r.read(&env).unwrap(), 9);
-        r.write(&env, 11).unwrap();
-        assert_eq!(r.read(&env).unwrap(), 11);
+        let safe_read = |env: &FreeRunEnv| {
+            let t = r.invoke_read(env);
+            env.advance();
+            r.complete_read(env, t)
+        };
+        assert_eq!(safe_read(&env), 9);
+        let t = r.invoke_write(&env, 11);
+        env.advance();
+        r.complete_write(&env, t);
+        assert_eq!(safe_read(&env), 11);
     }
 
     #[test]
@@ -644,8 +679,8 @@ mod tests {
             crashed: vec![ProcId(1)],
         };
         for i in 0..50 {
-            assert_eq!(r.write(&p0, i).unwrap(), WriteOutcome::Ok);
-            assert_eq!(r.read(&p0).unwrap(), ReadOutcome::Value(i));
+            assert_eq!(try_write(&r, &p0, i), WriteOutcome::Ok);
+            assert_eq!(try_read(&r, &p0), ReadOutcome::Value(i));
         }
         // The dead op's gauge was released when it was purged, and the
         // crashed write never took effect.
@@ -679,7 +714,7 @@ mod tests {
         let t2 = r.invoke_write(&env, 4);
         assert_eq!(r.complete_write(&env, t1), WriteOutcome::Aborted);
         assert_eq!(r.complete_write(&env, t2), WriteOutcome::Aborted);
-        assert_eq!(r.read(&env).unwrap(), ReadOutcome::Value(4));
+        assert_eq!(try_read(&r, &env), ReadOutcome::Value(4));
         // Back to base: Never again.
         dial.set(crate::policy::DIAL_BASE);
         let t1 = r.invoke_write(&env, 5);

@@ -40,10 +40,15 @@ impl Default for RegisterFactoryConfig {
 /// let factory = RegisterFactory::default();
 /// let reg = factory.abortable("R", 0i64);
 /// let env = FreeRunEnv::new(ProcId(0));
-/// // Solo operations on an abortable register never abort.
-/// assert_eq!(reg.write(&env, 7)?, WriteOutcome::Ok);
-/// assert_eq!(reg.read(&env)?, ReadOutcome::Value(7));
-/// # Ok::<(), tbwf_sim::Halted>(())
+/// // Solo operations on an abortable register never abort. Each spans
+/// // two steps of the caller: the invocation and the response.
+/// let tok = reg.invoke_write(&env, 7);
+/// env.advance();
+/// assert_eq!(reg.complete_write(&env, tok), WriteOutcome::Ok);
+/// let tok = reg.invoke_read(&env);
+/// env.advance();
+/// assert_eq!(reg.complete_read(&env, tok), ReadOutcome::Value(7));
+/// assert_eq!(factory.log().len(), 2);
 /// ```
 pub struct RegisterFactory {
     config: RegisterFactoryConfig,
@@ -223,8 +228,20 @@ impl Default for RegisterFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ReadOutcome, WriteOutcome};
-    use tbwf_sim::{Env, FreeRunEnv};
+    use crate::{AbortableRegister, ReadOutcome, WriteOutcome};
+    use tbwf_sim::FreeRunEnv;
+
+    fn try_write(r: &dyn AbortableRegister<i64>, env: &FreeRunEnv, v: i64) -> WriteOutcome {
+        let t = r.invoke_write(env, v);
+        env.advance();
+        r.complete_write(env, t)
+    }
+
+    fn try_read(r: &dyn AbortableRegister<i64>, env: &FreeRunEnv) -> ReadOutcome<i64> {
+        let t = r.invoke_read(env);
+        env.advance();
+        r.complete_read(env, t)
+    }
 
     #[test]
     fn factory_creates_working_registers() {
@@ -233,11 +250,13 @@ mod tests {
         let a = f.atomic("A", 1i64);
         let b = f.abortable("B", 2i64);
         let s = f.safe("S", 3);
-        assert_eq!(a.read(&env).unwrap(), 1);
-        assert_eq!(b.read(&env).unwrap(), ReadOutcome::Value(2));
-        assert_eq!(s.read(&env).unwrap(), 3);
-        assert_eq!(b.write(&env, 9).unwrap(), WriteOutcome::Ok);
-        assert_eq!(b.read(&env).unwrap(), ReadOutcome::Value(9));
+        let t = a.invoke_read(&env);
+        assert_eq!(a.complete_read(&env, t), 1);
+        assert_eq!(try_read(&*b, &env), ReadOutcome::Value(2));
+        let t = s.invoke_read(&env);
+        assert_eq!(s.complete_read(&env, t), 3);
+        assert_eq!(try_write(&*b, &env, 9), WriteOutcome::Ok);
+        assert_eq!(try_read(&*b, &env), ReadOutcome::Value(9));
         assert_eq!(f.log().len(), 5);
     }
 
@@ -246,8 +265,8 @@ mod tests {
         let f = RegisterFactory::default();
         let env = FreeRunEnv::new(ProcId(1));
         let r = f.abortable_swsr("R", 0i64, ProcId(1), ProcId(1));
-        assert_eq!(r.write(&env, 5).unwrap(), WriteOutcome::Ok);
-        assert_eq!(r.read(&env).unwrap(), ReadOutcome::Value(5));
+        assert_eq!(try_write(&*r, &env, 5), WriteOutcome::Ok);
+        assert_eq!(try_read(&*r, &env), ReadOutcome::Value(5));
     }
 
     #[test]
@@ -264,12 +283,14 @@ mod tests {
     }
 
     #[test]
-    fn env_tick_advances_between_invoke_and_response() {
+    fn logged_operation_spans_invoke_to_response() {
         let f = RegisterFactory::default();
         let env = FreeRunEnv::new(ProcId(0));
         let a = f.atomic("A", 0i64);
-        let before = env.now();
-        a.write(&env, 1).unwrap();
-        assert_eq!(env.now(), before + 1, "one tick per operation");
+        let t = a.invoke_write(&env, 1);
+        env.advance();
+        a.complete_write(&env, t);
+        let ev = &f.log().events()[0];
+        assert_eq!((ev.invoked, ev.responded), (0, 1));
     }
 }

@@ -1,16 +1,17 @@
 //! Shared registers for the TBWF reproduction: atomic, safe, and
-//! **abortable** registers, in two backends.
+//! **abortable** registers.
 //!
-//! # Model (simulated backend)
+//! # Model
 //!
 //! In the paper's model (Section 3 and \[2\]) a register operation spans an
 //! *invocation* step and a *response* step; two operations are
 //! **concurrent** iff their invoke–response intervals overlap. The
 //! simulated registers here implement exactly that:
 //!
-//! * an operation registers its invocation, consumes one
-//!   [`Env::tick`](tbwf_sim::Env) (so the response happens on the
-//!   caller's *next* step, arbitrarily far in global time), then resolves;
+//! * an operation is split into an `invoke_*` call, made at the end of
+//!   one step of the caller, and a `complete_*` call, made at the start
+//!   of the caller's *next* step (arbitrarily far in global time), where
+//!   it resolves;
 //! * an **atomic** register linearizes at the response and never aborts;
 //! * a **safe** register returns an arbitrary (seeded) value when a read
 //!   overlaps a write;
@@ -26,12 +27,9 @@
 //! [`EffectPolicy`] so every adversary is reproducible; the default policy
 //! (`AlwaysOnOverlap`) is the strongest admissible adversary.
 //!
-//! # Native backend
-//!
-//! [`native`] provides real-thread implementations: the abortable register
-//! is a try-lock/seqlock hybrid whose operations abort exactly when they
-//! detect a racing operation. It is used by the Criterion benches to put
-//! real parallel contention through the same algorithm code.
+//! The same registers serve the native thread harness of the `tbwf`
+//! crate: their overlap detection is lock-based, so genuinely concurrent
+//! operations overlap (and abortable ones may abort) there too.
 //!
 //! All registers are created through a [`RegisterFactory`], which tags each
 //! register with a name and records every operation into a shared
@@ -44,7 +42,6 @@
 mod cas;
 mod core_reg;
 mod factory;
-pub mod native;
 mod outcome;
 mod policy;
 pub mod stats;
@@ -60,16 +57,15 @@ pub use policy::{
 pub use stats::{OpEvent, OpKind, OpLog};
 
 use std::sync::Arc;
-use tbwf_sim::{Env, SimResult};
+use tbwf_sim::Env;
 
 /// Opaque handle to one register operation between its invocation and its
 /// response step.
 ///
 /// Returned by the `invoke_*` methods; passed to the matching `complete_*`
-/// method exactly once, on a *later* step of the same task (in stepper
-/// code: invoke at the end of one segment, complete at the start of the
-/// next). Completing a token twice, or a token from a different register,
-/// panics.
+/// method exactly once, on a *later* step of the same task (invoke at the
+/// end of one segment, complete at the start of the next). Completing a
+/// token twice, or a token from a different register, panics.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct OpToken(u64);
 
@@ -87,14 +83,8 @@ impl OpToken {
 
 /// A multi-writer multi-reader atomic register.
 ///
-/// Operations never abort; each costs two steps (invoke + response).
-///
-/// The required methods are the two-phase (poll) form used by stepper
-/// code; a write value is captured at invocation. The blocking `write`/
-/// `read` are *derived*: invoke, consume one step with [`Env::tick`],
-/// complete. Because the derivation is the only difference between the
-/// two forms, an algorithm using either form performs its register steps
-/// at identical times.
+/// Operations never abort; each costs two steps (invoke + response). A
+/// write value is captured at invocation.
 pub trait AtomicRegister<T: Clone>: Send + Sync {
     /// Invocation step of a write of `v` (the value is captured now).
     fn invoke_write(&self, env: &dyn Env, v: T) -> OpToken;
@@ -107,27 +97,6 @@ pub trait AtomicRegister<T: Clone>: Send + Sync {
 
     /// Response step of a read; returns the value read.
     fn complete_read(&self, env: &dyn Env, tok: OpToken) -> T;
-
-    /// Writes `v`; linearizes at the response step (blocking form).
-    ///
-    /// # Errors
-    /// Propagates [`Halted`](tbwf_sim::Halted) at the end of a run.
-    fn write(&self, env: &dyn Env, v: T) -> SimResult<()> {
-        let tok = self.invoke_write(env, v);
-        env.tick()?;
-        self.complete_write(env, tok);
-        Ok(())
-    }
-
-    /// Reads the current value (blocking form).
-    ///
-    /// # Errors
-    /// Propagates [`Halted`](tbwf_sim::Halted) at the end of a run.
-    fn read(&self, env: &dyn Env) -> SimResult<T> {
-        let tok = self.invoke_read(env);
-        env.tick()?;
-        Ok(self.complete_read(env, tok))
-    }
 }
 
 /// An abortable register (\[2\]; Section 1.2 of the paper).
@@ -136,10 +105,6 @@ pub trait AtomicRegister<T: Clone>: Send + Sync {
 /// register **may** return `⊥` ([`WriteOutcome::Aborted`] /
 /// [`ReadOutcome::Aborted`]); an aborted write may or may not have taken
 /// effect. An operation concurrent with nothing never aborts.
-///
-/// As with [`AtomicRegister`], the required methods are the two-phase
-/// (poll) form and the blocking forms are derived from them, so both
-/// forms take steps at identical times.
 pub trait AbortableRegister<T: Clone>: Send + Sync {
     /// Invocation step of a write of `v` (the value is captured now).
     fn invoke_write(&self, env: &dyn Env, v: T) -> OpToken;
@@ -152,26 +117,6 @@ pub trait AbortableRegister<T: Clone>: Send + Sync {
 
     /// Response step of a read; aborted reads return no value.
     fn complete_read(&self, env: &dyn Env, tok: OpToken) -> ReadOutcome<T>;
-
-    /// Attempts to write `v` (blocking form).
-    ///
-    /// # Errors
-    /// Propagates [`Halted`](tbwf_sim::Halted) at the end of a run.
-    fn write(&self, env: &dyn Env, v: T) -> SimResult<WriteOutcome> {
-        let tok = self.invoke_write(env, v);
-        env.tick()?;
-        Ok(self.complete_write(env, tok))
-    }
-
-    /// Attempts to read (blocking form).
-    ///
-    /// # Errors
-    /// Propagates [`Halted`](tbwf_sim::Halted) at the end of a run.
-    fn read(&self, env: &dyn Env) -> SimResult<ReadOutcome<T>> {
-        let tok = self.invoke_read(env);
-        env.tick()?;
-        Ok(self.complete_read(env, tok))
-    }
 }
 
 /// A safe register holding `u64` values.
@@ -181,17 +126,18 @@ pub trait AbortableRegister<T: Clone>: Send + Sync {
 /// registers are *weaker* than safe registers: a safe write always takes
 /// effect, an abortable one may not.
 pub trait SafeRegister: Send + Sync {
-    /// Writes `v` (always takes effect).
-    ///
-    /// # Errors
-    /// Propagates [`Halted`](tbwf_sim::Halted) at the end of a run.
-    fn write(&self, env: &dyn Env, v: u64) -> SimResult<()>;
+    /// Invocation step of a write of `v` (the value is captured now).
+    fn invoke_write(&self, env: &dyn Env, v: u64) -> OpToken;
 
-    /// Reads; an overlapping write makes the result arbitrary.
-    ///
-    /// # Errors
-    /// Propagates [`Halted`](tbwf_sim::Halted) at the end of a run.
-    fn read(&self, env: &dyn Env) -> SimResult<u64>;
+    /// Response step of a write (always takes effect).
+    fn complete_write(&self, env: &dyn Env, tok: OpToken);
+
+    /// Invocation step of a read.
+    fn invoke_read(&self, env: &dyn Env) -> OpToken;
+
+    /// Response step of a read; an overlapping write makes the result
+    /// arbitrary.
+    fn complete_read(&self, env: &dyn Env, tok: OpToken) -> u64;
 }
 
 /// Shorthand for a shared atomic register handle.

@@ -3,9 +3,37 @@
 
 use proptest::prelude::*;
 use tbwf_registers::{
-    AbortPolicy, EffectPolicy, ReadOutcome, RegisterFactory, RegisterFactoryConfig, WriteOutcome,
+    AbortPolicy, AbortableRegister, AtomicRegister, EffectPolicy, OpToken, ReadOutcome,
+    RegisterFactory, RegisterFactoryConfig, WriteOutcome,
 };
 use tbwf_sim::{FreeRunEnv, ProcId};
+
+/// One solo operation: invoke, one step of the caller, complete.
+fn solo<R>(
+    env: &FreeRunEnv,
+    invoke: impl FnOnce(&FreeRunEnv) -> OpToken,
+    complete: impl FnOnce(&FreeRunEnv, OpToken) -> R,
+) -> R {
+    let tok = invoke(env);
+    env.advance();
+    complete(env, tok)
+}
+
+fn atomic_write(r: &dyn AtomicRegister<i64>, env: &FreeRunEnv, v: i64) {
+    solo(env, |e| r.invoke_write(e, v), |e, t| r.complete_write(e, t));
+}
+
+fn atomic_read(r: &dyn AtomicRegister<i64>, env: &FreeRunEnv) -> i64 {
+    solo(env, |e| r.invoke_read(e), |e, t| r.complete_read(e, t))
+}
+
+fn try_write(r: &dyn AbortableRegister<i64>, env: &FreeRunEnv, v: i64) -> WriteOutcome {
+    solo(env, |e| r.invoke_write(e, v), |e, t| r.complete_write(e, t))
+}
+
+fn try_read(r: &dyn AbortableRegister<i64>, env: &FreeRunEnv) -> ReadOutcome<i64> {
+    solo(env, |e| r.invoke_read(e), |e, t| r.complete_read(e, t))
+}
 
 #[derive(Clone, Copy, Debug)]
 enum SeqOp {
@@ -31,8 +59,8 @@ proptest! {
         let mut model = init;
         for op in ops {
             match op {
-                SeqOp::Write(v) => { r.write(&env, v).unwrap(); model = v; }
-                SeqOp::Read => prop_assert_eq!(r.read(&env).unwrap(), model),
+                SeqOp::Write(v) => { atomic_write(&*r, &env, v); model = v; }
+                SeqOp::Read => prop_assert_eq!(atomic_read(&*r, &env), model),
             }
         }
     }
@@ -53,11 +81,11 @@ proptest! {
         for op in ops {
             match op {
                 SeqOp::Write(v) => {
-                    prop_assert_eq!(r.write(&env, v).unwrap(), WriteOutcome::Ok);
+                    prop_assert_eq!(try_write(&*r, &env, v), WriteOutcome::Ok);
                     model = v;
                 }
                 SeqOp::Read => {
-                    prop_assert_eq!(r.read(&env).unwrap(), ReadOutcome::Value(model));
+                    prop_assert_eq!(try_read(&*r, &env), ReadOutcome::Value(model));
                 }
             }
         }
@@ -77,8 +105,15 @@ proptest! {
         let mut model = init as u64;
         for op in ops {
             match op {
-                SeqOp::Write(v) => { r.write(&env, v.unsigned_abs()).unwrap(); model = v.unsigned_abs(); }
-                SeqOp::Read => prop_assert_eq!(r.read(&env).unwrap(), model),
+                SeqOp::Write(v) => {
+                    let v = v.unsigned_abs();
+                    solo(&env, |e| r.invoke_write(e, v), |e, t| r.complete_write(e, t));
+                    model = v;
+                }
+                SeqOp::Read => {
+                    let got = solo(&env, |e| r.invoke_read(e), |e, t| r.complete_read(e, t));
+                    prop_assert_eq!(got, model);
+                }
             }
         }
     }
@@ -91,10 +126,10 @@ proptest! {
         let env = FreeRunEnv::new(ProcId(0));
         let mut model = 0i64;
         for (expected, new) in ops {
-            let ok = r.compare_and_swap(&env, &expected, new).unwrap();
+            let ok = solo(&env, |e| r.invoke(e), |e, t| r.complete_cas(e, t, &expected, new));
             prop_assert_eq!(ok, model == expected);
             if ok { model = new; }
-            prop_assert_eq!(r.read(&env).unwrap(), model);
+            prop_assert_eq!(solo(&env, |e| r.invoke(e), |e, t| r.complete_read(e, t)), model);
         }
     }
 
@@ -120,15 +155,14 @@ proptest! {
             });
             f.abortable("R", 0i64)
         };
-        // Overlap two ops artificially by invoking both before ticks:
-        // here we just run the same sequential script and compare logs —
+        // Run the same sequential script on both and compare outcomes —
         // the decision *streams* are seed-determined even if unused.
         let env = FreeRunEnv::new(ProcId(0));
         let r1 = mk();
         let r2 = mk();
         for i in 0..10 {
-            let a = r1.write(&env, i).unwrap();
-            let b = r2.write(&env, i).unwrap();
+            let a = try_write(&*r1, &env, i);
+            let b = try_write(&*r2, &env, i);
             prop_assert_eq!(a, b);
         }
     }

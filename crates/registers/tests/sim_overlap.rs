@@ -2,12 +2,14 @@
 //! schedule so that register operations overlap (or don't) exactly as
 //! planned, and check the abortable semantics at the boundary.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 use tbwf_registers::{
-    AbortPolicy, EffectPolicy, ReadOutcome, RegisterFactory, RegisterFactoryConfig, WriteOutcome,
+    AbortPolicy, EffectPolicy, OpToken, ReadOutcome, RegisterFactory, RegisterFactoryConfig,
+    SafeRegister, SharedAbortable, WriteOutcome,
 };
 use tbwf_sim::schedule::Scripted;
-use tbwf_sim::{Env, Local, ProcId, RunConfig, SimBuilder};
+use tbwf_sim::{Control, Local, ProcId, RunConfig, SimBuilder, StepCtx, Stepper};
 
 fn factory(abort: AbortPolicy, effect: EffectPolicy) -> RegisterFactory {
     RegisterFactory::new(RegisterFactoryConfig {
@@ -17,45 +19,114 @@ fn factory(abort: AbortPolicy, effect: EffectPolicy) -> RegisterFactory {
     })
 }
 
+#[derive(Clone)]
+enum Reg {
+    Abortable(SharedAbortable<i64>),
+    Safe(Arc<dyn SafeRegister>),
+}
+
+/// One instruction of a [`Script`]: each takes one step (an operation's
+/// response lands at the start of the following step).
+#[derive(Clone, Copy)]
+enum Ins {
+    Write(i64),
+    Read,
+    Idle,
+}
+
+#[derive(Clone, Debug, PartialEq)]
+enum Res {
+    Wrote(WriteOutcome),
+    Read(ReadOutcome<i64>),
+    SafeRead(u64),
+}
+
+/// A task running a fixed list of register instructions, then finishing;
+/// every response is appended to `out`.
+struct Script {
+    reg: Reg,
+    ins: VecDeque<Ins>,
+    pending: Option<(Ins, OpToken)>,
+    out: Local<Vec<Res>>,
+}
+
+impl Stepper for Script {
+    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Control {
+        let env = ctx.env();
+        if let Some((ins, tok)) = self.pending.take() {
+            let res = match (&self.reg, ins) {
+                (Reg::Abortable(r), Ins::Write(_)) => Some(Res::Wrote(r.complete_write(env, tok))),
+                (Reg::Abortable(r), Ins::Read) => Some(Res::Read(r.complete_read(env, tok))),
+                (Reg::Safe(r), Ins::Write(_)) => {
+                    r.complete_write(env, tok);
+                    None
+                }
+                (Reg::Safe(r), Ins::Read) => Some(Res::SafeRead(r.complete_read(env, tok))),
+                (_, Ins::Idle) => unreachable!("idle steps invoke nothing"),
+            };
+            if let Some(res) = res {
+                self.out.update(|v| v.push(res));
+            }
+        }
+        let Some(ins) = self.ins.pop_front() else {
+            return Control::Done;
+        };
+        let tok = match (&self.reg, ins) {
+            (_, Ins::Idle) => return Control::Yield,
+            (Reg::Abortable(r), Ins::Write(v)) => r.invoke_write(env, v),
+            (Reg::Abortable(r), Ins::Read) => r.invoke_read(env),
+            (Reg::Safe(r), Ins::Write(v)) => r.invoke_write(env, v as u64),
+            (Reg::Safe(r), Ins::Read) => r.invoke_read(env),
+        };
+        self.pending = Some((ins, tok));
+        Control::Yield
+    }
+}
+
+/// Runs a writer script on p0 and a reader script on p1 under the
+/// repeating `script` schedule; returns each side's responses.
+fn run(reg: Reg, writer: &[Ins], reader: &[Ins], script: Vec<ProcId>) -> (Vec<Res>, Vec<Res>) {
+    let mut b = SimBuilder::new();
+    let mut outs = Vec::new();
+    for (name, ins) in [("writer", writer), ("reader", reader)] {
+        let out = Local::new(Vec::new());
+        let pid = b.add_process(&format!("p{}", outs.len()));
+        b.add_stepper(
+            pid,
+            name,
+            Box::new(Script {
+                reg: reg.clone(),
+                ins: ins.iter().copied().collect(),
+                pending: None,
+                out: out.clone(),
+            }),
+        );
+        outs.push(out);
+    }
+    let report = b.build().run(RunConfig::new(30, Scripted::new(script)));
+    report.assert_no_panics();
+    (outs[0].get(), outs[1].get())
+}
+
 /// Schedule [p0, p1, p0, p1]: p0's write spans steps 0–2, p1's read spans
 /// steps 1–3 ⇒ the intervals overlap ⇒ both abort under AlwaysOnOverlap.
 #[test]
 fn interleaved_ops_overlap_and_abort() {
     let f = factory(AbortPolicy::AlwaysOnOverlap, EffectPolicy::Never);
-    let reg = f.abortable("R", 0i64);
-    let w_out = Local::new(None::<WriteOutcome>);
-    let r_out = Local::new(None::<ReadOutcome<i64>>);
-
-    let mut b = SimBuilder::new();
-    let p0 = b.add_process("p0");
-    {
-        let reg = Arc::clone(&reg);
-        let w_out = w_out.clone();
-        b.add_task(p0, "writer", move |env| {
-            let res = reg.write(&env, 7)?;
-            w_out.set(Some(res));
-            Ok(())
-        });
-    }
-    let p1 = b.add_process("p1");
-    {
-        let reg = Arc::clone(&reg);
-        let r_out = r_out.clone();
-        b.add_task(p1, "reader", move |env| {
-            // With the [p0, p1] script the read's invocation (p1's first
-            // step, t=1) falls inside the write's [t=0, t=2] interval.
-            let res = reg.read(&env)?;
-            r_out.set(Some(res));
-            Ok(())
-        });
-    }
-    let report = b.build().run(RunConfig::new(
-        20,
-        Scripted::new(vec![ProcId(0), ProcId(1)]),
-    ));
-    report.assert_no_panics();
-    assert_eq!(w_out.get(), Some(WriteOutcome::Aborted), "write must abort");
-    assert_eq!(r_out.get(), Some(ReadOutcome::Aborted), "read must abort");
+    // With the [p0, p1] script the read's invocation (p1's first step,
+    // t=1) falls inside the write's [t=0, t=2] interval.
+    let (w, r) = run(
+        Reg::Abortable(f.abortable("R", 0i64)),
+        &[Ins::Write(7)],
+        &[Ins::Read],
+        vec![ProcId(0), ProcId(1)],
+    );
+    assert_eq!(
+        w,
+        vec![Res::Wrote(WriteOutcome::Aborted)],
+        "write must abort"
+    );
+    assert_eq!(r, vec![Res::Read(ReadOutcome::Aborted)], "read must abort");
     let (_, overlapped, aborted) = f.log().abort_stats();
     assert_eq!(overlapped, 2);
     assert_eq!(aborted, 2);
@@ -66,92 +137,51 @@ fn interleaved_ops_overlap_and_abort() {
 #[test]
 fn sequential_ops_do_not_abort() {
     let f = factory(AbortPolicy::AlwaysOnOverlap, EffectPolicy::Never);
-    let reg = f.abortable("R", 0i64);
-    let r_out = Local::new(None::<ReadOutcome<i64>>);
-
-    let mut b = SimBuilder::new();
-    let p0 = b.add_process("p0");
-    {
-        let reg = Arc::clone(&reg);
-        b.add_task(p0, "writer", move |env| {
-            let res = reg.write(&env, 7)?;
-            assert_eq!(res, WriteOutcome::Ok);
-            Ok(())
-        });
-    }
-    let p1 = b.add_process("p1");
-    {
-        let reg = Arc::clone(&reg);
-        let r_out = r_out.clone();
-        b.add_task(p1, "reader", move |env| {
-            // Burn steps until the writer has definitely finished.
-            for _ in 0..4 {
-                env.tick()?;
-            }
-            let res = reg.read(&env)?;
-            r_out.set(Some(res));
-            Ok(())
-        });
-    }
-    // p0 takes both its steps before p1's read begins.
-    let report = b.build().run(RunConfig::new(
-        30,
-        Scripted::new(vec![ProcId(0), ProcId(0), ProcId(1)]),
-    ));
-    report.assert_no_panics();
-    assert_eq!(r_out.get(), Some(ReadOutcome::Value(7)));
+    // p0 takes both its steps before p1's read begins; p1 also burns
+    // steps until the writer has definitely finished.
+    let (w, r) = run(
+        Reg::Abortable(f.abortable("R", 0i64)),
+        &[Ins::Write(7)],
+        &[Ins::Idle, Ins::Idle, Ins::Idle, Ins::Idle, Ins::Read],
+        vec![ProcId(0), ProcId(0), ProcId(1)],
+    );
+    assert_eq!(w, vec![Res::Wrote(WriteOutcome::Ok)]);
+    assert_eq!(r, vec![Res::Read(ReadOutcome::Value(7))]);
     let (_, overlapped, aborted) = f.log().abort_stats();
     assert_eq!(overlapped, 0);
     assert_eq!(aborted, 0);
 }
+
+/// The reader of the effect tests: a read racing the write, then (after
+/// the writer is done) a solo read, which must succeed.
+const RACE_THEN_SOLO: [Ins; 6] = [
+    Ins::Read,
+    Ins::Idle,
+    Ins::Idle,
+    Ins::Idle,
+    Ins::Idle,
+    Ins::Read,
+];
 
 /// EffectPolicy::Always: an aborted write *does* take effect — the writer
 /// gets ⊥ but a later read sees the value (footnote 2 of the paper).
 #[test]
 fn aborted_write_may_take_effect() {
     let f = factory(AbortPolicy::AlwaysOnOverlap, EffectPolicy::Always);
-    let reg = f.abortable("R", 0i64);
-    let w_out = Local::new(None::<WriteOutcome>);
-    let late_read = Local::new(None::<ReadOutcome<i64>>);
-
-    let mut b = SimBuilder::new();
-    let p0 = b.add_process("p0");
-    {
-        let reg = Arc::clone(&reg);
-        let w_out = w_out.clone();
-        b.add_task(p0, "writer", move |env| {
-            let res = reg.write(&env, 42)?;
-            w_out.set(Some(res));
-            Ok(())
-        });
-    }
-    let p1 = b.add_process("p1");
-    {
-        let reg = Arc::clone(&reg);
-        let late_read = late_read.clone();
-        b.add_task(p1, "reader", move |env| {
-            let _overlapping = reg.read(&env)?; // races the write
-            for _ in 0..4 {
-                env.tick()?;
-            }
-            let res = reg.read(&env)?; // solo: must succeed
-            late_read.set(Some(res));
-            Ok(())
-        });
-    }
-    let report = b.build().run(RunConfig::new(
-        30,
-        Scripted::new(vec![ProcId(0), ProcId(1)]),
-    ));
-    report.assert_no_panics();
+    let (w, r) = run(
+        Reg::Abortable(f.abortable("R", 0i64)),
+        &[Ins::Write(42)],
+        &RACE_THEN_SOLO,
+        vec![ProcId(0), ProcId(1)],
+    );
     assert_eq!(
-        w_out.get(),
-        Some(WriteOutcome::Aborted),
+        w,
+        vec![Res::Wrote(WriteOutcome::Aborted)],
         "writer must see ⊥"
     );
     assert_eq!(
-        late_read.get(),
-        Some(ReadOutcome::Value(42)),
+        r.last(),
+        Some(&Res::Read(ReadOutcome::Value(42))),
         "the aborted write must have taken effect"
     );
 }
@@ -160,40 +190,16 @@ fn aborted_write_may_take_effect() {
 #[test]
 fn aborted_write_may_not_take_effect() {
     let f = factory(AbortPolicy::AlwaysOnOverlap, EffectPolicy::Never);
-    let reg = f.abortable("R", 0i64);
-    let late_read = Local::new(None::<ReadOutcome<i64>>);
-
-    let mut b = SimBuilder::new();
-    let p0 = b.add_process("p0");
-    {
-        let reg = Arc::clone(&reg);
-        b.add_task(p0, "writer", move |env| {
-            let res = reg.write(&env, 42)?;
-            assert_eq!(res, WriteOutcome::Aborted);
-            Ok(())
-        });
-    }
-    let p1 = b.add_process("p1");
-    {
-        let reg = Arc::clone(&reg);
-        let late_read = late_read.clone();
-        b.add_task(p1, "reader", move |env| {
-            let _ = reg.read(&env)?; // races the write
-            for _ in 0..4 {
-                env.tick()?;
-            }
-            late_read.set(Some(reg.read(&env)?));
-            Ok(())
-        });
-    }
-    let report = b.build().run(RunConfig::new(
-        30,
-        Scripted::new(vec![ProcId(0), ProcId(1)]),
-    ));
-    report.assert_no_panics();
+    let (w, r) = run(
+        Reg::Abortable(f.abortable("R", 0i64)),
+        &[Ins::Write(42)],
+        &RACE_THEN_SOLO,
+        vec![ProcId(0), ProcId(1)],
+    );
+    assert_eq!(w, vec![Res::Wrote(WriteOutcome::Aborted)]);
     assert_eq!(
-        late_read.get(),
-        Some(ReadOutcome::Value(0)),
+        r.last(),
+        Some(&Res::Read(ReadOutcome::Value(0))),
         "no effect expected"
     );
 }
@@ -203,39 +209,13 @@ fn aborted_write_may_not_take_effect() {
 #[test]
 fn safe_register_overlap_semantics() {
     let f = factory(AbortPolicy::AlwaysOnOverlap, EffectPolicy::Never);
-    let reg = f.safe("S", 5);
-    let overlapping = Local::new(None::<u64>);
-    let quiet = Local::new(None::<u64>);
-
-    let mut b = SimBuilder::new();
-    let p0 = b.add_process("p0");
-    {
-        let reg = Arc::clone(&reg);
-        b.add_task(p0, "writer", move |env| {
-            reg.write(&env, 9)?;
-            Ok(())
-        });
-    }
-    let p1 = b.add_process("p1");
-    {
-        let reg = Arc::clone(&reg);
-        let overlapping = overlapping.clone();
-        let quiet = quiet.clone();
-        b.add_task(p1, "reader", move |env| {
-            overlapping.set(Some(reg.read(&env)?)); // races the write
-            for _ in 0..4 {
-                env.tick()?;
-            }
-            quiet.set(Some(reg.read(&env)?)); // solo
-            Ok(())
-        });
-    }
-    let report = b.build().run(RunConfig::new(
-        30,
-        Scripted::new(vec![ProcId(0), ProcId(1)]),
-    ));
-    report.assert_no_panics();
-    assert!(overlapping.get().is_some());
+    let (_, r) = run(
+        Reg::Safe(f.safe("S", 5)),
+        &[Ins::Write(9)],
+        &RACE_THEN_SOLO,
+        vec![ProcId(0), ProcId(1)],
+    );
+    assert_eq!(r.len(), 2, "both reads respond: {r:?}");
     // The solo read must be exact (the write completed with value 9).
-    assert_eq!(quiet.get(), Some(9));
+    assert_eq!(r[1], Res::SafeRead(9));
 }

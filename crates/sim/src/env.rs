@@ -1,11 +1,9 @@
-//! The environment through which algorithm code consumes steps.
+//! The environment algorithm code runs against: time, identity,
+//! observations and crash flags.
 
-use crate::gate::Gate;
-use crate::halt::SimResult;
-use crate::ids::{ProcId, TaskId};
-use crate::trace::{ObsBuf, TraceSink};
+use crate::ids::ProcId;
+use crate::trace::TraceSink;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Shared crash flags: one bit per process, set by the runner the moment
 /// a crash (from the static plan or a nemesis injection) takes effect.
@@ -42,24 +40,18 @@ impl CrashFlags {
 
 /// The interface between algorithm code and its runtime.
 ///
-/// All the algorithms of the paper (Figures 2–7) are written against this
-/// trait, so the same code runs on the deterministic simulator
-/// ([`TaskEnv`]) and on a real-thread backend (the `native` module of
-/// `tbwf-registers`).
+/// All the algorithms of the paper (Figures 2–7) are written as
+/// [`Stepper`](crate::Stepper)s against this trait, so the same code runs
+/// on the deterministic simulator (which polls each stepper once per
+/// granted step) and on real threads (the `native` module of the `tbwf`
+/// crate, which polls each stepper in a loop of its own).
 ///
-/// A *step* in the sense of Section 3 of the paper is consumed by every
-/// call to [`Env::tick`]; register operations consume one step for the
-/// invocation and one for the response by calling `tick` internally.
+/// The trait has no step operation: a *step* in the sense of Section 3 of
+/// the paper is one [`Stepper::step`](crate::Stepper::step) call that
+/// returns [`Control::Yield`](crate::Control::Yield). A register
+/// operation spans two steps by invoking at the end of one segment and
+/// completing at the start of the next.
 pub trait Env: Send + Sync {
-    /// Consume one step of this process.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Halted`](crate::Halted) when the run is over (or the
-    /// process has crashed and the run is being torn down); the task must
-    /// propagate it and return.
-    fn tick(&self) -> SimResult<()>;
-
     /// Current global time (number of steps taken by all processes so far).
     fn now(&self) -> u64;
 
@@ -78,60 +70,18 @@ pub trait Env: Send + Sync {
     ///
     /// Simulator environments report the runner's [`CrashFlags`];
     /// environments with no crash model (free-running tests, the native
-    /// thread backend) use this default and report every process alive.
+    /// thread harness) use this default and report every process alive.
     fn is_crashed(&self, _p: ProcId) -> bool {
         false
     }
 }
 
-/// Simulator-backed environment handed to each task closure.
-#[derive(Clone)]
-pub struct TaskEnv {
-    pub(crate) tid: TaskId,
-    pub(crate) gate: Arc<Gate>,
-    pub(crate) clock: Arc<AtomicU64>,
-    pub(crate) obs: ObsBuf,
-    pub(crate) crashed: Arc<CrashFlags>,
-}
-
-impl Env for TaskEnv {
-    fn tick(&self) -> SimResult<()> {
-        self.gate.tick()
-    }
-
-    fn now(&self) -> u64 {
-        // Relaxed: the runner stores the clock before granting the step,
-        // and the grant itself is a gate rendezvous whose mutex provides
-        // the happens-before edge to this task thread.
-        self.clock.load(Ordering::Relaxed)
-    }
-
-    fn pid(&self) -> ProcId {
-        self.tid.proc
-    }
-
-    fn observe(&self, key: &'static str, idx: u32, value: i64) {
-        self.obs.record(self.now(), self.tid.proc, key, idx, value);
-    }
-
-    fn is_crashed(&self, p: ProcId) -> bool {
-        self.crashed.get(p)
-    }
-}
-
-impl TaskEnv {
-    /// The full task identifier (process + task index).
-    pub fn task_id(&self) -> TaskId {
-        self.tid
-    }
-}
-
 /// A free-running environment for unit tests and micro-benchmarks.
 ///
-/// `tick` always succeeds and advances a private clock; observations are
-/// recorded into an internal sink that can be drained with
-/// [`FreeRunEnv::take_obs`]. There is no scheduler, no determinism
-/// guarantee across threads, and no halt signal — use the real simulator
+/// Time only moves when the caller says so ([`FreeRunEnv::advance`], one
+/// step per call); observations are recorded into an internal sink that
+/// can be drained with [`FreeRunEnv::take_obs`]. There is no scheduler
+/// and no determinism guarantee across threads — use the real simulator
 /// for anything that needs the model semantics.
 pub struct FreeRunEnv {
     pid: ProcId,
@@ -149,6 +99,13 @@ impl FreeRunEnv {
         }
     }
 
+    /// Takes one step: advances the private clock by one. Call it between
+    /// a register operation's invocation and its completion to give the
+    /// operation the two-step extent it has in a run.
+    pub fn advance(&self) {
+        self.clock.fetch_add(1, Ordering::SeqCst);
+    }
+
     /// Drains and returns all recorded observations.
     pub fn take_obs(&self) -> Vec<crate::trace::Obs> {
         self.sink.drain()
@@ -156,11 +113,6 @@ impl FreeRunEnv {
 }
 
 impl Env for FreeRunEnv {
-    fn tick(&self) -> SimResult<()> {
-        self.clock.fetch_add(1, Ordering::SeqCst);
-        Ok(())
-    }
-
     fn now(&self) -> u64 {
         self.clock.load(Ordering::SeqCst)
     }
@@ -179,11 +131,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn free_run_env_ticks_and_observes() {
+    fn free_run_env_advances_and_observes() {
         let env = FreeRunEnv::new(ProcId(3));
         assert_eq!(env.now(), 0);
-        env.tick().unwrap();
-        env.tick().unwrap();
+        env.advance();
+        env.advance();
         assert_eq!(env.now(), 2);
         env.observe("x", 1, 42);
         let obs = env.take_obs();

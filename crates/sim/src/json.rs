@@ -9,6 +9,12 @@
 
 use std::fmt::Write as _;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so an unbounded depth would let a hostile
+/// document overflow the stack; the artifacts this module reads nest a
+/// handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// A JSON value.
 #[derive(Clone, PartialEq, Debug)]
 pub enum Json {
@@ -185,11 +191,12 @@ impl Json {
     }
 
     /// Parses a JSON document. Returns an error message with a byte
-    /// offset on malformed input.
+    /// offset on malformed input, including nesting deeper than
+    /// [`MAX_DEPTH`].
     pub fn parse(input: &str) -> Result<Json, String> {
         let bytes = input.as_bytes();
         let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -245,8 +252,11 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'{' | b'[')) && depth >= MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'{') => {
@@ -262,7 +272,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let val = parse_value(bytes, pos)?;
+                let val = parse_value(bytes, pos, depth + 1)?;
                 pairs.push((key, val));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -284,7 +294,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -338,9 +348,11 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                         let hex = bytes
                             .get(*pos + 1..*pos + 5)
                             .ok_or_else(|| "truncated \\u escape".to_string())?;
-                        let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| "bad \\u escape".to_string())?;
+                        if !hex.iter().all(u8::is_ascii_hexdigit) {
+                            return Err(format!("bad \\u escape at byte {}", *pos));
+                        }
+                        let hex = std::str::from_utf8(hex).expect("ASCII hex digits");
+                        let code = u32::from_str_radix(hex, 16).expect("four hex digits");
                         s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         *pos += 4;
                     }
@@ -452,6 +464,46 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "1 2", "\"unterminated"] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn malformed_input_is_an_error_not_a_panic() {
+        let deep_arr = "[".repeat(50_000);
+        let deep_obj = "{\"a\":".repeat(50_000);
+        let closed = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        for bad in [
+            deep_arr.as_str(),
+            deep_obj.as_str(),
+            closed.as_str(),
+            "\"\\u",
+            "\"\\u12",
+            "\"\\u12\"",
+            "\"\\u+1a2\"",
+            "\"\\u00é\"",
+            "-",
+            "[-]",
+            "{\"n\": -}",
+            "{} x",
+            "[1] ]",
+            "null,",
+        ] {
+            let got = std::panic::catch_unwind(|| Json::parse(bad));
+            let got = got
+                .unwrap_or_else(|_| panic!("parser panicked on {:?}", &bad[..bad.len().min(20)]));
+            assert!(got.is_err(), "accepted {:?}", &bad[..bad.len().min(20)]);
+        }
+    }
+
+    #[test]
+    fn nesting_up_to_the_cap_parses() {
+        let text = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        let mut v = Json::parse(&text).unwrap();
+        let mut depth = 0;
+        while let Json::Arr(mut xs) = v {
+            depth += 1;
+            v = xs.pop().unwrap_or(Json::Null);
+        }
+        assert_eq!(depth, MAX_DEPTH);
     }
 
     #[test]

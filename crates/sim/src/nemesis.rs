@@ -5,7 +5,7 @@
 //! runner polls the plan at two fixed points of every time slot — before
 //! scheduling and right after the granted step — so an injection lands at
 //! exactly the same step on every run of the same `(program, schedule,
-//! seed, plan)`, on either task backend.
+//! seed, plan)`.
 //!
 //! The admissible injections mirror the paper's model (see `DESIGN.md`):
 //!
@@ -406,9 +406,17 @@ impl Nemesis {
         self.sched = Some(ctl);
     }
 
-    /// Checks the plan against the system size and the registrations.
-    /// Called by the runner before the first step.
-    pub(crate) fn validate(&self, n: usize) -> Result<(), String> {
+    /// Checks the plan against a system of `n` processes and against
+    /// what is registered: every targeted process is in range, every
+    /// switch, dial and gauge name is registered, trigger/target pairs
+    /// are compatible, and schedule actions have a [`ScheduleCtl`].
+    /// [`Sim::run`](crate::Sim::run) panics on a plan that fails this
+    /// check, so callers reading a plan from outside should check first.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first offending event.
+    pub fn validate(&self, n: usize) -> Result<(), String> {
         for (i, e) in self.plan.events.iter().enumerate() {
             if let Some(FaultTarget::Proc(p)) = e.action.target() {
                 if p >= n {

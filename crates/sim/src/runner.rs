@@ -1,9 +1,7 @@
 //! The simulation runner: builds processes/tasks and executes a run.
 
-use crate::env::{CrashFlags, TaskEnv};
-use crate::gate::{Gate, Grant};
-use crate::halt::SimResult;
-use crate::ids::{ProcId, TaskId};
+use crate::env::CrashFlags;
+use crate::ids::ProcId;
 use crate::nemesis::Nemesis;
 use crate::schedule::{Schedule, ScheduleView};
 use crate::step::{Control, StepCtx, StepEnv, Stepper};
@@ -11,18 +9,10 @@ use crate::trace::{ObsBuf, ObsSeq, Trace};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-
-type TaskBody = Box<dyn FnOnce(TaskEnv) -> SimResult<()> + Send + 'static>;
-
-enum TaskSpecKind {
-    Thread(TaskBody),
-    Stepper(Box<dyn Stepper>),
-}
 
 struct TaskSpec {
     name: String,
-    kind: TaskSpecKind,
+    stepper: Box<dyn Stepper>,
 }
 
 struct ProcSpec {
@@ -32,8 +22,8 @@ struct ProcSpec {
 
 /// Builder for a simulated system.
 ///
-/// Add processes, then add one or more tasks to each; `build` spawns the
-/// task threads parked on their gates.
+/// Add processes, then add one or more tasks to each; `build` wires them
+/// to the run's clock, observation buffers and crash flags.
 #[derive(Default)]
 pub struct SimBuilder {
     procs: Vec<ProcSpec>,
@@ -56,29 +46,9 @@ impl SimBuilder {
 
     /// Adds a task to process `pid`.
     ///
-    /// The task body receives a [`TaskEnv`] and should propagate
-    /// [`Halted`](crate::Halted) with `?`. A body that returns `Ok(())`
-    /// simply finishes (useful for finite workloads).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pid` was not returned by [`SimBuilder::add_process`].
-    pub fn add_task<F>(&mut self, pid: ProcId, name: &str, body: F)
-    where
-        F: FnOnce(TaskEnv) -> SimResult<()> + Send + 'static,
-    {
-        self.procs[pid.0].tasks.push(TaskSpec {
-            name: name.to_string(),
-            kind: TaskSpecKind::Thread(Box::new(body)),
-        });
-    }
-
-    /// Adds a poll-driven task to process `pid`.
-    ///
-    /// The stepper is driven by direct [`Stepper::step`] calls from the
-    /// scheduler — no thread is spawned for it. Stepper and thread-backed
-    /// tasks coexist freely within one process; see the
-    /// [`step`](crate::step) module for the equivalence contract.
+    /// The scheduler drives the stepper by direct [`Stepper::step`] calls
+    /// on the thread executing [`Sim::run`]; see the [`step`](crate::step)
+    /// module for the contract.
     ///
     /// # Panics
     ///
@@ -86,7 +56,7 @@ impl SimBuilder {
     pub fn add_stepper(&mut self, pid: ProcId, name: &str, stepper: Box<dyn Stepper>) {
         self.procs[pid.0].tasks.push(TaskSpec {
             name: name.to_string(),
-            kind: TaskSpecKind::Stepper(stepper),
+            stepper,
         });
     }
 
@@ -95,90 +65,36 @@ impl SimBuilder {
         self.procs.len()
     }
 
-    /// Spawns all task threads (parked) and returns the runnable system.
+    /// Wires every task to the run's clock, observation buffers and crash
+    /// flags, and returns the runnable system.
     ///
     /// # Panics
     ///
     /// Panics if any process has no tasks.
     pub fn build(self) -> Sim {
         let clock = Arc::new(AtomicU64::new(0));
-        // All-stepper systems run entirely on the scheduler thread, so
-        // their observation buffers can skip the cross-thread machinery
-        // (atomic stamp + mutex) the thread compat backend needs.
-        let all_steppers = self.procs.iter().all(|p| {
-            p.tasks
-                .iter()
-                .all(|t| matches!(t.kind, TaskSpecKind::Stepper(_)))
-        });
-        let obs_seq = if all_steppers {
-            ObsSeq::poll()
-        } else {
-            ObsSeq::shared()
-        };
+        let obs_seq = ObsSeq::new();
         let crash_flags = Arc::new(CrashFlags::new(self.procs.len()));
         let mut procs = Vec::with_capacity(self.procs.len());
         for (pi, spec) in self.procs.into_iter().enumerate() {
             assert!(!spec.tasks.is_empty(), "process {} has no tasks", spec.name);
-            let mut tasks = Vec::with_capacity(spec.tasks.len());
-            for (ti, t) in spec.tasks.into_iter().enumerate() {
-                let obs = obs_seq.new_buf();
-                let backend = match t.kind {
-                    TaskSpecKind::Stepper(stepper) => TaskBackend::Stepper {
-                        stepper,
-                        env: StepEnv {
-                            pid: ProcId(pi),
-                            clock: Arc::clone(&clock),
-                            obs: obs.clone(),
-                            crashed: Arc::clone(&crash_flags),
-                        },
-                    },
-                    TaskSpecKind::Thread(body) => {
-                        let gate = Arc::new(Gate::new());
-                        let tid = TaskId {
-                            proc: ProcId(pi),
-                            index: ti,
-                        };
-                        let env = TaskEnv {
-                            tid,
-                            gate: Arc::clone(&gate),
-                            clock: Arc::clone(&clock),
-                            obs: obs.clone(),
-                            crashed: Arc::clone(&crash_flags),
-                        };
-                        let g2 = Arc::clone(&gate);
-                        let thread_name = format!("{}-{}", spec.name, t.name);
-                        let handle = std::thread::Builder::new()
-                            .name(thread_name)
-                            .stack_size(256 * 1024)
-                            .spawn(move || {
-                                let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                                    if g2.wait_for_go().is_err() {
-                                        return Ok(());
-                                    }
-                                    body(env)
-                                }));
-                                g2.exit();
-                                match result {
-                                    Ok(_) => None,
-                                    Err(panic) => Some(panic_message(&*panic)),
-                                }
-                            })
-                            .expect("failed to spawn task thread");
-                        TaskBackend::Thread {
-                            gate,
-                            handle: Some(handle),
-                        }
-                    }
-                };
-                tasks.push(TaskRt {
+            let tasks = spec
+                .tasks
+                .into_iter()
+                .map(|t| TaskRt {
                     name: t.name,
-                    obs,
-                    backend,
+                    stepper: t.stepper,
+                    env: StepEnv {
+                        pid: ProcId(pi),
+                        clock: Arc::clone(&clock),
+                        obs: obs_seq.new_buf(),
+                        crashed: Arc::clone(&crash_flags),
+                    },
                     exited: false,
                     finished: false,
                     panic: None,
-                });
-            }
+                })
+                .collect();
             procs.push(ProcRt {
                 name: spec.name,
                 tasks,
@@ -204,29 +120,12 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The two execution backends a task can run on.
-enum TaskBackend {
-    /// Original backend: an OS thread parked behind a rendezvous gate;
-    /// granting a step costs two condvar handoffs.
-    Thread {
-        gate: Arc<Gate>,
-        handle: Option<JoinHandle<Option<String>>>,
-    },
-    /// Poll-driven backend: the scheduler calls `Stepper::step` directly;
-    /// granting a step is a plain function call.
-    Stepper {
-        stepper: Box<dyn Stepper>,
-        env: StepEnv,
-    },
-}
-
 struct TaskRt {
     name: String,
-    obs: ObsBuf,
-    backend: TaskBackend,
+    stepper: Box<dyn Stepper>,
+    env: StepEnv,
     exited: bool,
-    /// Exited by completing (vs. by panicking); for thread tasks a panic
-    /// discovered at join time overrides this.
+    /// Exited by returning [`Control::Done`] (vs. by panicking).
     finished: bool,
     panic: Option<String>,
 }
@@ -299,10 +198,10 @@ impl RunConfig {
 /// How a task ended.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum TaskOutcome {
-    /// Still blocked in an infinite loop when the run was halted (normal
-    /// for the paper's `repeat forever` algorithms).
+    /// Still running when the run ended (normal for the paper's
+    /// `repeat forever` algorithms).
     Halted,
-    /// The task body returned `Ok(())` before the run ended.
+    /// The task returned [`Control::Done`] before the run ended.
     Finished,
     /// The task panicked; the message is attached.
     Panicked(String),
@@ -361,7 +260,7 @@ impl Sim {
     /// Executes the run to completion and returns the report.
     ///
     /// The run ends when `max_steps` steps have been taken or no process is
-    /// runnable. All task threads are then halted and joined.
+    /// runnable. Tasks still running then are simply never polled again.
     ///
     /// # Panics
     ///
@@ -400,7 +299,7 @@ impl Sim {
         let per_task = ((config.max_steps as usize) / total_tasks.max(1)).min(1 << 16);
         for proc in &self.procs {
             for task in &proc.tasks {
-                task.obs.reserve(per_task);
+                task.env.obs.reserve(per_task);
             }
         }
         let mut steps: Vec<ProcId> = Vec::with_capacity(steps_cap);
@@ -467,43 +366,34 @@ impl Sim {
             step_obs.clear();
             for k in 0..ntasks {
                 let ti = (proc.cursor + k) % ntasks;
-                if proc.tasks[ti].exited {
+                let task = &mut proc.tasks[ti];
+                if task.exited {
                     continue;
                 }
-                // Relaxed is enough for the clock: steppers read it from
-                // this very thread, and a thread task only reads it after
-                // the gate rendezvous, whose mutex provides the
-                // happens-before edge.
+                // Relaxed is enough for the clock: tasks read it from this
+                // very thread.
                 self.clock.store(t, Ordering::Relaxed);
-                let task = &mut proc.tasks[ti];
-                let obs_mark = if watch_obs { task.obs.mark() } else { 0 };
-                // `finished`/`panic` only apply on `TaskExited`.
-                let (grant, finished, panic) = match &mut task.backend {
-                    TaskBackend::Thread { gate, .. } => (gate.grant(), true, None),
-                    TaskBackend::Stepper { stepper, env } => {
-                        let step = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            stepper.step(&mut StepCtx::new(&*env))
-                        }));
-                        match step {
-                            Ok(Control::Yield) => (Grant::StepDone, false, None),
-                            Ok(Control::Done) => (Grant::TaskExited, true, None),
-                            Err(p) => (Grant::TaskExited, false, Some(panic_message(&*p))),
-                        }
-                    }
-                };
-                match grant {
-                    Grant::StepDone => {
+                let obs_mark = if watch_obs { task.env.obs.mark() } else { 0 };
+                let (stepper, env) = (&mut task.stepper, &task.env);
+                let step = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    stepper.step(&mut StepCtx::new(env))
+                }));
+                match step {
+                    Ok(Control::Yield) => {
                         proc.cursor = ti + 1;
                         granted = true;
                         if watch_obs {
-                            task.obs.since_into(obs_mark, &mut step_obs);
+                            task.env.obs.since_into(obs_mark, &mut step_obs);
                         }
                         break;
                     }
-                    Grant::TaskExited => {
+                    Ok(Control::Done) => {
                         task.exited = true;
-                        task.finished = finished;
-                        task.panic = panic;
+                        task.finished = true;
+                    }
+                    Err(p) => {
+                        task.exited = true;
+                        task.panic = Some(panic_message(&*p));
                     }
                 }
             }
@@ -523,24 +413,10 @@ impl Sim {
             }
         }
 
-        // Tear down: halt all gates, join all task threads (stepper tasks
-        // have no thread to stop — they simply never get polled again).
-        for proc in &self.procs {
-            for task in &proc.tasks {
-                if let TaskBackend::Thread { gate, .. } = &task.backend {
-                    gate.halt();
-                }
-            }
-        }
         let mut reports = Vec::with_capacity(n);
-        for proc in &mut self.procs {
+        for proc in &self.procs {
             let mut touts = Vec::new();
-            for task in &mut proc.tasks {
-                if let TaskBackend::Thread { handle, .. } = &mut task.backend {
-                    if let Some(panic) = handle.take().and_then(|h| h.join().unwrap_or(None)) {
-                        task.panic = Some(panic);
-                    }
-                }
+            for task in &proc.tasks {
                 let outcome = if let Some(m) = &task.panic {
                     TaskOutcome::Panicked(m.clone())
                 } else if task.exited && task.finished {
@@ -562,7 +438,7 @@ impl Sim {
         let obs = ObsBuf::merge(
             self.procs
                 .iter()
-                .flat_map(|p| p.tasks.iter().map(|t| t.obs.clone())),
+                .flat_map(|p| p.tasks.iter().map(|t| &t.env.obs)),
         );
         let trace = Trace {
             steps,
@@ -585,18 +461,62 @@ impl Sim {
 mod tests {
     use super::*;
     use crate::schedule::{RoundRobin, Scripted};
-    use crate::Env;
+
+    /// Yields forever without observing anything.
+    struct Spin;
+
+    impl Stepper for Spin {
+        fn step(&mut self, _ctx: &mut StepCtx<'_>) -> Control {
+            Control::Yield
+        }
+    }
+
+    /// Yields `.0` times, then finishes.
+    struct Countdown(u64);
+
+    impl Stepper for Countdown {
+        fn step(&mut self, _ctx: &mut StepCtx<'_>) -> Control {
+            if self.0 == 0 {
+                return Control::Done;
+            }
+            self.0 -= 1;
+            Control::Yield
+        }
+    }
+
+    /// Observes `("task", 0, .0)` on every step, forever.
+    struct Tagger(i64);
+
+    impl Stepper for Tagger {
+        fn step(&mut self, ctx: &mut StepCtx<'_>) -> Control {
+            ctx.observe("task", 0, self.0);
+            Control::Yield
+        }
+    }
+
+    fn spinners(n: usize) -> SimBuilder {
+        let mut b = SimBuilder::new();
+        for p in 0..n {
+            let pid = b.add_process(&format!("p{p}"));
+            b.add_stepper(pid, "main", Box::new(Spin));
+        }
+        b
+    }
 
     #[test]
     fn round_robin_run_is_deterministic() {
+        struct Clock;
+        impl Stepper for Clock {
+            fn step(&mut self, ctx: &mut StepCtx<'_>) -> Control {
+                ctx.observe("t", 0, ctx.now() as i64);
+                Control::Yield
+            }
+        }
         let build = || {
             let mut b = SimBuilder::new();
             for p in 0..3 {
                 let pid = b.add_process(&format!("p{p}"));
-                b.add_task(pid, "main", move |env| loop {
-                    env.observe("t", 0, env.now() as i64);
-                    env.tick()?;
-                });
+                b.add_stepper(pid, "main", Box::new(Clock));
             }
             b.build()
         };
@@ -604,20 +524,13 @@ mod tests {
         let r2 = build().run(RunConfig::new(300, RoundRobin::new()));
         r1.assert_no_panics();
         assert_eq!(r1.trace.steps, r2.trace.steps);
-        assert_eq!(r1.trace.obs.len(), r2.trace.obs.len());
+        assert_eq!(r1.trace.obs, r2.trace.obs);
         assert_eq!(r1.trace.step_counts(3), vec![100, 100, 100]);
     }
 
     #[test]
     fn crash_stops_scheduling() {
-        let mut b = SimBuilder::new();
-        for p in 0..2 {
-            let pid = b.add_process(&format!("p{p}"));
-            b.add_task(pid, "main", move |env| loop {
-                env.tick()?;
-            });
-        }
-        let report = b
+        let report = spinners(2)
             .build()
             .run(RunConfig::new(100, RoundRobin::new()).crash(10, ProcId(1)));
         report.assert_no_panics();
@@ -632,13 +545,8 @@ mod tests {
     fn finished_tasks_are_skipped() {
         let mut b = SimBuilder::new();
         let p0 = b.add_process("p0");
-        b.add_task(p0, "short", |env| {
-            env.tick()?;
-            Ok(())
-        });
-        b.add_task(p0, "long", |env| loop {
-            env.tick()?;
-        });
+        b.add_stepper(p0, "short", Box::new(Countdown(1)));
+        b.add_stepper(p0, "long", Box::new(Spin));
         let report = b.build().run(RunConfig::new(50, RoundRobin::new()));
         report.assert_no_panics();
         assert_eq!(report.procs[0].tasks[0].1, TaskOutcome::Finished);
@@ -652,15 +560,13 @@ mod tests {
         let mut b = SimBuilder::new();
         let p0 = b.add_process("p0");
         for t in 0..2 {
-            b.add_task(p0, &format!("t{t}"), move |env| loop {
-                env.observe("task", 0, t as i64);
-                env.tick()?;
-            });
+            b.add_stepper(p0, &format!("t{t}"), Box::new(Tagger(t)));
         }
         let report = b.build().run(RunConfig::new(10, RoundRobin::new()));
         report.assert_no_panics();
         let series = report.trace.obs_series(ProcId(0), "task", 0);
         let vals: Vec<i64> = series.iter().map(|(_, v)| *v).collect();
+        assert_eq!(vals.len(), 10);
         // strict alternation 0,1,0,1,...
         for w in vals.windows(2) {
             assert_ne!(w[0], w[1], "tasks must alternate: {vals:?}");
@@ -668,36 +574,11 @@ mod tests {
     }
 
     #[test]
-    fn panic_is_reported_not_propagated() {
-        let mut b = SimBuilder::new();
-        let p0 = b.add_process("p0");
-        b.add_task(p0, "bad", |env| {
-            env.tick()?;
-            panic!("boom");
-        });
-        let p1 = b.add_process("p1");
-        b.add_task(p1, "good", |env| loop {
-            env.tick()?;
-        });
-        let report = b.build().run(RunConfig::new(30, RoundRobin::new()));
-        match &report.procs[0].tasks[0].1 {
-            TaskOutcome::Panicked(m) => assert!(m.contains("boom")),
-            o => panic!("expected panic outcome, got {o:?}"),
-        }
-        assert_eq!(report.procs[1].tasks[0].1, TaskOutcome::Halted);
-    }
-
-    #[test]
     fn scripted_schedule_is_followed() {
-        let mut b = SimBuilder::new();
-        for p in 0..2 {
-            let pid = b.add_process(&format!("p{p}"));
-            b.add_task(pid, "main", move |env| loop {
-                env.tick()?;
-            });
-        }
         let script = vec![ProcId(1), ProcId(1), ProcId(0)];
-        let report = b.build().run(RunConfig::new(9, Scripted::new(script)));
+        let report = spinners(2)
+            .build()
+            .run(RunConfig::new(9, Scripted::new(script)));
         let got: Vec<usize> = report.trace.steps.iter().map(|p| p.0).collect();
         assert_eq!(got, vec![1, 1, 0, 1, 1, 0, 1, 1, 0]);
     }
@@ -706,14 +587,7 @@ mod tests {
     fn scripted_nonrunnable_decision_falls_back() {
         // A script naming a crashed process: the runner falls back to the
         // next runnable process at or after the named id, wrapping.
-        let mut b = SimBuilder::new();
-        for p in 0..3 {
-            let pid = b.add_process(&format!("p{p}"));
-            b.add_task(pid, "main", move |env| loop {
-                env.tick()?;
-            });
-        }
-        let report = b
+        let report = spinners(3)
             .build()
             .run(RunConfig::new(6, Scripted::new(vec![ProcId(1)])).crash(0, ProcId(1)));
         report.assert_no_panics();
@@ -761,76 +635,6 @@ mod tests {
     }
 
     #[test]
-    fn stepper_matches_blocking_task_exactly() {
-        // The same program on both backends: identical steps and
-        // identical observation sequences.
-        let run_stepper = || {
-            let mut b = SimBuilder::new();
-            let p0 = b.add_process("p0");
-            b.add_stepper(p0, "m", Box::new(CountingStepper { yields: 7, done: 0 }));
-            let p1 = b.add_process("p1");
-            b.add_task(p1, "spin", |env| loop {
-                env.tick()?;
-            });
-            b.build().run(RunConfig::new(40, RoundRobin::new()))
-        };
-        let run_blocking = || {
-            let mut b = SimBuilder::new();
-            let p0 = b.add_process("p0");
-            b.add_task(p0, "m", |env| {
-                for i in 0..7 {
-                    env.observe("i", 0, i);
-                    env.tick()?;
-                }
-                env.observe("final", 0, -1);
-                Ok(())
-            });
-            let p1 = b.add_process("p1");
-            b.add_task(p1, "spin", |env| loop {
-                env.tick()?;
-            });
-            b.build().run(RunConfig::new(40, RoundRobin::new()))
-        };
-        let rs = run_stepper();
-        let rb = run_blocking();
-        rs.assert_no_panics();
-        rb.assert_no_panics();
-        assert_eq!(rs.trace.steps, rb.trace.steps);
-        assert_eq!(rs.trace.obs, rb.trace.obs);
-        assert_eq!(rs.procs[0].tasks[0].1, rb.procs[0].tasks[0].1);
-    }
-
-    #[test]
-    fn stepper_and_thread_tasks_rotate_within_a_process() {
-        struct Tagger;
-        impl Stepper for Tagger {
-            fn step(&mut self, ctx: &mut StepCtx<'_>) -> Control {
-                ctx.observe("task", 0, 0);
-                Control::Yield
-            }
-        }
-        let mut b = SimBuilder::new();
-        let p0 = b.add_process("p0");
-        b.add_stepper(p0, "poll", Box::new(Tagger));
-        b.add_task(p0, "thread", |env| loop {
-            env.observe("task", 0, 1);
-            env.tick()?;
-        });
-        let report = b.build().run(RunConfig::new(10, RoundRobin::new()));
-        report.assert_no_panics();
-        let vals: Vec<i64> = report
-            .trace
-            .obs_series(ProcId(0), "task", 0)
-            .iter()
-            .map(|(_, v)| *v)
-            .collect();
-        assert_eq!(vals.len(), 10);
-        for w in vals.windows(2) {
-            assert_ne!(w[0], w[1], "backends must interleave: {vals:?}");
-        }
-    }
-
-    #[test]
     fn stepper_panic_is_reported_not_propagated() {
         struct Bomb;
         impl Stepper for Bomb {
@@ -842,9 +646,7 @@ mod tests {
         let p0 = b.add_process("p0");
         b.add_stepper(p0, "bomb", Box::new(Bomb));
         let p1 = b.add_process("p1");
-        b.add_task(p1, "good", |env| loop {
-            env.tick()?;
-        });
+        b.add_stepper(p1, "good", Box::new(Spin));
         let report = b.build().run(RunConfig::new(30, RoundRobin::new()));
         match &report.procs[0].tasks[0].1 {
             TaskOutcome::Panicked(m) => assert!(m.contains("fizzle")),
@@ -857,12 +659,6 @@ mod tests {
     fn runnable_mask_tracks_crashes_and_exits_in_the_same_slot() {
         use crate::nemesis::{FaultAction, FaultPlan, FaultTarget, Trigger};
         use crate::schedule::{DecisionLog, Tapped};
-        struct Spin;
-        impl Stepper for Spin {
-            fn step(&mut self, _ctx: &mut StepCtx<'_>) -> Control {
-                Control::Yield
-            }
-        }
         let mut b = SimBuilder::new();
         let p0 = b.add_process("p0");
         b.add_stepper(p0, "m", Box::new(CountingStepper { yields: 2, done: 0 }));
@@ -874,12 +670,7 @@ mod tests {
         );
         b.add_stepper(p1, "long", Box::new(CountingStepper { yields: 4, done: 0 }));
         let p2 = b.add_process("p2");
-        b.add_task(p2, "thread", |env| {
-            for _ in 0..3 {
-                env.tick()?;
-            }
-            Ok(())
-        });
+        b.add_stepper(p2, "countdown", Box::new(Countdown(3)));
         for p in 3..5 {
             let pid = b.add_process(&format!("p{p}"));
             b.add_stepper(pid, "spin", Box::new(Spin));
@@ -887,7 +678,7 @@ mod tests {
         // Slot 10: the plan crashes p3 while p0's only task finishes.
         // Slot 11: p1's short task finishes, its long task takes the step,
         // and that step's observation makes the nemesis crash p4 post-step.
-        // Slot 14: p2's thread-compat task returns.
+        // Slot 14: p2's countdown task returns.
         let plan = FaultPlan::new().with(
             Trigger::OnObs {
                 at: 11,
@@ -940,12 +731,7 @@ mod tests {
         let mut b = SimBuilder::new();
         for p in 0..2 {
             let pid = b.add_process(&format!("p{p}"));
-            b.add_task(pid, "main", move |env| {
-                for _ in 0..5 {
-                    env.tick()?;
-                }
-                Ok(())
-            });
+            b.add_stepper(pid, "main", Box::new(Countdown(5)));
         }
         let report = b.build().run(RunConfig::new(10_000, RoundRobin::new()));
         report.assert_no_panics();

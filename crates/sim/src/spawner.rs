@@ -1,56 +1,22 @@
 //! The [`TaskSpawner`] abstraction: where algorithm tasks get attached.
 //!
-//! The paper's algorithms are written as task bodies over
-//! [`Env`](crate::Env); *who runs them* is orthogonal. The deterministic
-//! simulator attaches them to [`SimBuilder`] processes; the native
-//! harness (in the `tbwf` crate) spawns one OS thread per task. Mesh and
-//! Ω∆ installers accept `&mut dyn TaskSpawner` and therefore work on
-//! both backends unchanged.
+//! The paper's algorithms are written as [`Stepper`]s; *who runs them*
+//! is orthogonal. The deterministic simulator attaches them to
+//! [`SimBuilder`] processes; the native harness (in the `tbwf` crate)
+//! polls each one on an OS thread of its own. Mesh and Ω∆ installers
+//! accept `&mut dyn TaskSpawner` and therefore work on both unchanged.
 
-use crate::env::Env;
-use crate::halt::SimResult;
 use crate::ids::ProcId;
 use crate::runner::SimBuilder;
-use crate::step::{Control, StepCtx, Stepper};
-
-/// A task body: runs forever against an [`Env`], returning on halt.
-pub type TaskBody = Box<dyn FnOnce(&dyn Env) -> SimResult<()> + Send + 'static>;
+use crate::step::Stepper;
 
 /// Something that can host algorithm tasks for processes `0..n`.
 pub trait TaskSpawner {
-    /// Attaches `body` as a task of process `pid`.
-    fn spawn_task(&mut self, pid: ProcId, name: &str, body: TaskBody);
-
-    /// Attaches a poll-driven [`Stepper`] as a task of process `pid`.
-    ///
-    /// The default implementation wraps the stepper in a blocking task
-    /// body (each `Yield` becomes an `Env::tick`), so any spawner that
-    /// can host blocking tasks can host steppers. Backends with a native
-    /// poll loop — [`SimBuilder`] — override this to skip the thread
-    /// entirely.
-    fn spawn_stepper(&mut self, pid: ProcId, name: &str, stepper: Box<dyn Stepper>) {
-        self.spawn_task(pid, name, stepper_as_blocking_task(stepper));
-    }
-}
-
-/// Adapts a [`Stepper`] to a blocking [`TaskBody`]: runs one segment per
-/// `tick`. The tick sits *after* the segment, exactly where the poll
-/// backend counts the `Yield`, so both backends consume steps at
-/// identical points.
-pub fn stepper_as_blocking_task(mut stepper: Box<dyn Stepper>) -> TaskBody {
-    Box::new(move |env| loop {
-        match stepper.step(&mut StepCtx::new(env)) {
-            Control::Yield => env.tick()?,
-            Control::Done => return Ok(()),
-        }
-    })
+    /// Attaches `stepper` as a task of process `pid`.
+    fn spawn_stepper(&mut self, pid: ProcId, name: &str, stepper: Box<dyn Stepper>);
 }
 
 impl TaskSpawner for SimBuilder {
-    fn spawn_task(&mut self, pid: ProcId, name: &str, body: TaskBody) {
-        self.add_task(pid, name, move |env| body(&env));
-    }
-
     fn spawn_stepper(&mut self, pid: ProcId, name: &str, stepper: Box<dyn Stepper>) {
         self.add_stepper(pid, name, stepper);
     }
@@ -60,31 +26,8 @@ impl TaskSpawner for SimBuilder {
 mod tests {
     use super::*;
     use crate::schedule::RoundRobin;
+    use crate::step::{Control, StepCtx};
     use crate::RunConfig;
-
-    fn generic_install(spawner: &mut dyn TaskSpawner, pid: ProcId) {
-        spawner.spawn_task(
-            pid,
-            "generic",
-            Box::new(|env| {
-                for i in 0..5 {
-                    env.observe("i", 0, i);
-                    env.tick()?;
-                }
-                Ok(())
-            }),
-        );
-    }
-
-    #[test]
-    fn sim_builder_hosts_generic_tasks() {
-        let mut b = SimBuilder::new();
-        let p = b.add_process("p0");
-        generic_install(&mut b, p);
-        let report = b.build().run(RunConfig::new(100, RoundRobin::new()));
-        report.assert_no_panics();
-        assert_eq!(report.trace.obs_series(p, "i", 0).len(), 5);
-    }
 
     struct FiveSteps {
         i: i64,
@@ -102,34 +45,18 @@ mod tests {
         }
     }
 
-    /// A spawner relying on the default (blocking-adapter) impl of
-    /// `spawn_stepper`: the stepper runs on a gate-backed thread but
-    /// behaves identically to the poll backend.
-    struct DefaultOnly<'a>(&'a mut SimBuilder);
-
-    impl TaskSpawner for DefaultOnly<'_> {
-        fn spawn_task(&mut self, pid: ProcId, name: &str, body: TaskBody) {
-            self.0.spawn_task(pid, name, body);
-        }
+    fn generic_install(spawner: &mut dyn TaskSpawner, pid: ProcId) {
+        spawner.spawn_stepper(pid, "generic", Box::new(FiveSteps { i: 0 }));
     }
 
     #[test]
-    fn default_spawn_stepper_adapts_to_blocking() {
-        let run = |native: bool| {
-            let mut b = SimBuilder::new();
-            let p = b.add_process("p0");
-            if native {
-                b.spawn_stepper(p, "s", Box::new(FiveSteps { i: 0 }));
-            } else {
-                DefaultOnly(&mut b).spawn_stepper(p, "s", Box::new(FiveSteps { i: 0 }));
-            }
-            b.build().run(RunConfig::new(100, RoundRobin::new()))
-        };
-        let rn = run(true);
-        let rt = run(false);
-        rn.assert_no_panics();
-        rt.assert_no_panics();
-        assert_eq!(rn.trace.steps, rt.trace.steps);
-        assert_eq!(rn.trace.obs, rt.trace.obs);
+    fn sim_builder_hosts_generic_tasks() {
+        let mut b = SimBuilder::new();
+        let p = b.add_process("p0");
+        generic_install(&mut b, p);
+        let report = b.build().run(RunConfig::new(100, RoundRobin::new()));
+        report.assert_no_panics();
+        assert_eq!(report.trace.obs_series(p, "i", 0).len(), 5);
+        assert_eq!(report.trace.len(), 5);
     }
 }

@@ -54,7 +54,7 @@ use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use tbwf_registers::{OpToken, ReadOutcome, RegisterFactory, SharedAbortable};
-use tbwf_sim::{Env, ProcId, SimResult};
+use tbwf_sim::{Env, ProcId};
 
 /// A log entry: one operation instance of one process.
 #[derive(Clone, PartialEq, Debug)]
@@ -92,9 +92,16 @@ struct SlotRegs<Op> {
 /// let obj = QaObject::new(Counter, 2, factory);
 /// let mut session = obj.session(ProcId(0));
 /// let env = FreeRunEnv::new(ProcId(0));
-/// // Solo, fresh slot: the very first attempt succeeds.
-/// assert_eq!(session.apply(&env, CounterOp::Inc)?, Outcome::Done(1));
-/// # Ok::<(), tbwf_sim::Halted>(())
+/// // Solo, fresh slot: the very first attempt succeeds. The caller
+/// // takes one step whenever the invocation is still running.
+/// session.begin_apply(CounterOp::Inc);
+/// let out = loop {
+///     if let Some(out) = session.poll_op(&env) {
+///         break out;
+///     }
+///     env.advance();
+/// };
+/// assert_eq!(out, Outcome::Done(1));
 /// ```
 pub struct QaObject<T: ObjectType> {
     ty: Arc<T>,
@@ -579,9 +586,15 @@ impl<T: ObjectType> QaSession<T> {
         }
     }
 
-    /// Starts an `apply` invocation in poll form (see
-    /// [`QaSession::poll_op`]). Performs the same bookkeeping as the
-    /// first segment of the blocking [`QaSession::apply`].
+    /// Starts an `apply(op)` invocation (one bounded attempt), driven by
+    /// [`QaSession::poll_op`].
+    ///
+    /// The invocation ends with [`Outcome::Done`] and the response if the
+    /// operation took effect during it, or [`Outcome::Bot`] if it aborted
+    /// — in which case the caller must `query` its fate before doing
+    /// anything else, exactly as in Figure 8. Applying the *same*
+    /// operation again resumes the attempt; this is what a caller that
+    /// does not care about `⊥` semantics may do, and it is also safe.
     ///
     /// # Panics
     ///
@@ -613,8 +626,20 @@ impl<T: ObjectType> QaSession<T> {
         self.inflight = Some(OpProgress::new(InvKind::Apply));
     }
 
-    /// Starts a `query` invocation in poll form (see
-    /// [`QaSession::poll_op`]).
+    /// Starts a `query` invocation (one bounded attempt), driven by
+    /// [`QaSession::poll_op`]: it determines the fate of the last
+    /// `apply` and ends with `Done(resp)` if the operation took effect,
+    /// `NoEffect` if it can never take effect, and `Bot` if undetermined
+    /// (try again).
+    ///
+    /// Besides reading the log, `query` *participates* in one consensus
+    /// round of the slot the pending operation is exposed to. This is
+    /// what makes the Figure 8 driver live: a solo process looping on
+    /// `query` pushes the exposed slot to a decision, after which the
+    /// fate is determined (`Done` or `F`). It cannot create *new*
+    /// exposures: a fresh proposal is only made in a slot the entry was
+    /// already exposed to — if all exposures are closed, `query` answers
+    /// `F` before proposing anywhere.
     ///
     /// # Panics
     ///
@@ -633,10 +658,8 @@ impl<T: ObjectType> QaSession<T> {
     /// runs the local code up to the next register invocation (invoking
     /// it), and returns `Some` when the invocation finishes.
     ///
-    /// This is the step-engine form of [`QaSession::apply`] and
-    /// [`QaSession::query`]; the blocking forms are derived from it by
-    /// inserting one [`Env::tick`] per `None`, so both consume steps at
-    /// identical points.
+    /// The caller takes one step per `None` before polling again; a
+    /// `Some` ends the invocation within the current segment.
     ///
     /// # Panics
     ///
@@ -711,35 +734,6 @@ impl<T: ObjectType> QaSession<T> {
         out
     }
 
-    /// Applies `op` to the object (one bounded attempt).
-    ///
-    /// Returns [`Outcome::Done`] with the response if the operation took
-    /// effect during this invocation, or [`Outcome::Bot`] if it aborted —
-    /// in which case the caller must use [`QaSession::query`] to learn its
-    /// fate before doing anything else, exactly as in Figure 8.
-    ///
-    /// Calling `apply` again with the *same* operation resumes the
-    /// attempt; this is what a caller that does not care about `⊥`
-    /// semantics may do, and it is also safe.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Halted`](tbwf_sim::Halted) when the run ends.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a *different* operation is still pending (protocol
-    /// misuse: its fate must be resolved through `query` first).
-    pub fn apply(&mut self, env: &dyn Env, op: T::Op) -> SimResult<Outcome<T::Resp>> {
-        self.begin_apply(op);
-        loop {
-            if let Some(out) = self.poll_op(env) {
-                return Ok(out);
-            }
-            env.tick()?;
-        }
-    }
-
     /// Whether the fate of the pending op is already determined as
     /// "never takes effect": every exposed slot is decided (necessarily
     /// against the entry — otherwise [`QaSession::check_resolved`] would
@@ -749,33 +743,6 @@ impl<T: ObjectType> QaSession<T> {
         match &self.pending {
             None => true,
             Some(pend) => pend.exposed.iter().all(|s| *s < self.cursor),
-        }
-    }
-
-    /// Determines the fate of the last `apply` (one bounded attempt).
-    ///
-    /// Returns `Done(resp)` if the operation took effect, `NoEffect` if it
-    /// can never take effect, and `Bot` if undetermined (try again).
-    ///
-    /// Besides reading the log, `query` *participates* in one consensus
-    /// round of the slot the pending operation is exposed to. This is
-    /// what makes the Figure 8 driver live: a solo process looping on
-    /// `query` pushes the exposed slot to a decision, after which the
-    /// fate is determined (`Done` or `F`). It cannot create *new*
-    /// exposures: a fresh proposal is only made in a slot the entry was
-    /// already exposed to — if all exposures are closed, `query` answers
-    /// `F` before proposing anywhere.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Halted`](tbwf_sim::Halted) when the run ends.
-    pub fn query(&mut self, env: &dyn Env) -> SimResult<Outcome<T::Resp>> {
-        self.begin_query();
-        loop {
-            if let Some(out) = self.poll_op(env) {
-                return Ok(out);
-            }
-            env.tick()?;
         }
     }
 }
@@ -793,6 +760,26 @@ mod tests {
         (obj, FreeRunEnv::new(ProcId(0)))
     }
 
+    /// Runs one invocation solo: poll, one step of the caller, poll …
+    fn finish(session: &mut QaSession<Counter>, env: &FreeRunEnv) -> Outcome<i64> {
+        loop {
+            if let Some(out) = session.poll_op(env) {
+                return out;
+            }
+            env.advance();
+        }
+    }
+
+    fn apply(session: &mut QaSession<Counter>, env: &FreeRunEnv, op: CounterOp) -> Outcome<i64> {
+        session.begin_apply(op);
+        finish(session, env)
+    }
+
+    fn query(session: &mut QaSession<Counter>, env: &FreeRunEnv) -> Outcome<i64> {
+        session.begin_query();
+        finish(session, env)
+    }
+
     /// Drives one logical operation to completion in a solo run,
     /// following the Figure 8 state machine.
     fn complete(
@@ -804,9 +791,9 @@ mod tests {
         let mut next_is_query = false;
         for _ in 0..max_attempts {
             let out = if next_is_query {
-                session.query(env).unwrap()
+                query(session, env)
             } else {
-                session.apply(env, op).unwrap()
+                apply(session, env, op)
             };
             match out {
                 Outcome::Done(v) => return v,
@@ -834,7 +821,7 @@ mod tests {
         let (obj, env) = solo_setup();
         let mut s = obj.session(ProcId(0));
         // Fresh object, solo: the very first apply must succeed.
-        let out = s.apply(&env, CounterOp::Inc).unwrap();
+        let out = apply(&mut s, &env, CounterOp::Inc);
         assert_eq!(out, Outcome::Done(1));
     }
 
@@ -885,7 +872,7 @@ mod tests {
     fn query_without_pending_is_no_effect() {
         let (obj, env) = solo_setup();
         let mut s = obj.session(ProcId(0));
-        assert_eq!(s.query(&env).unwrap(), Outcome::NoEffect);
+        assert_eq!(query(&mut s, &env), Outcome::NoEffect);
     }
 
     #[test]
@@ -894,11 +881,11 @@ mod tests {
         // operation — including after it completed normally.
         let (obj, env) = solo_setup();
         let mut s = obj.session(ProcId(0));
-        assert_eq!(s.apply(&env, CounterOp::Inc).unwrap(), Outcome::Done(1));
-        assert_eq!(s.query(&env).unwrap(), Outcome::Done(1));
-        assert_eq!(s.query(&env).unwrap(), Outcome::Done(1));
-        assert_eq!(s.apply(&env, CounterOp::Inc).unwrap(), Outcome::Done(2));
-        assert_eq!(s.query(&env).unwrap(), Outcome::Done(2));
+        assert_eq!(apply(&mut s, &env, CounterOp::Inc), Outcome::Done(1));
+        assert_eq!(query(&mut s, &env), Outcome::Done(1));
+        assert_eq!(query(&mut s, &env), Outcome::Done(1));
+        assert_eq!(apply(&mut s, &env, CounterOp::Inc), Outcome::Done(2));
+        assert_eq!(query(&mut s, &env), Outcome::Done(2));
     }
 
     #[test]
@@ -912,7 +899,7 @@ mod tests {
         // manual first apply that succeeds, then a second one that also
         // succeeds — to really get a pending op we need an abort, which a
         // solo run never produces. So we simulate misuse directly:
-        let _ = s.apply(&env, CounterOp::Get).unwrap();
+        let _ = apply(&mut s, &env, CounterOp::Get);
         // Pending is now None (it resolved); create a fresh pending and
         // misuse:
         s.pending = Some(PendingOp {
@@ -920,7 +907,7 @@ mod tests {
             op: CounterOp::Get,
             exposed: BTreeSet::new(),
         });
-        let _ = s.apply(&env, CounterOp::Inc);
+        s.begin_apply(CounterOp::Inc);
     }
 
     #[test]

@@ -16,10 +16,17 @@ use tbwf_universal::{Outcome, QaObject, QaSession};
 fn complete(session: &mut QaSession<Counter>, env: &FreeRunEnv, op: CounterOp) -> i64 {
     let mut query_next = false;
     for _ in 0..200 {
-        let out = if query_next {
-            session.query(env).unwrap()
+        if query_next {
+            session.begin_query();
         } else {
-            session.apply(env, op).unwrap()
+            session.begin_apply(op);
+        }
+        // One invocation: poll, one step of the caller, poll …
+        let out = loop {
+            if let Some(out) = session.poll_op(env) {
+                break out;
+            }
+            env.advance();
         };
         match out {
             Outcome::Done(v) => return v,

@@ -10,8 +10,7 @@
 //!
 //! * [`sim`] — deterministic partial-synchrony simulator (Section 3's
 //!   model: steps, schedules, crashes, measured timeliness);
-//! * [`registers`] — atomic / safe / **abortable** registers, simulated
-//!   and native backends;
+//! * [`registers`] — atomic / safe / **abortable** registers;
 //! * [`monitor`] — activity monitors `A(p, q)` (Figure 2);
 //! * [`omega`] — the dynamic leader elector Ω∆ from atomic registers
 //!   (Figure 3) and from abortable registers (Figures 4–6);

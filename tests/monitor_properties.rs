@@ -7,6 +7,25 @@ use tbwf_monitor::fig2::{activity_monitor, OBS_FAULT, OBS_STATUS};
 use tbwf_monitor::props::{check_pair, CheckParams, PairRun};
 use tbwf_sim::schedule::GapGrowth;
 
+/// Records one input observation in its first segment, then runs `inner`.
+struct ObserveInput {
+    key: &'static str,
+    idx: u32,
+    on: bool,
+    observed: bool,
+    inner: Box<dyn Stepper>,
+}
+
+impl Stepper for ObserveInput {
+    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Control {
+        if !self.observed {
+            self.observed = true;
+            ctx.observe(self.key, self.idx, self.on as i64);
+        }
+        self.inner.step(ctx)
+    }
+}
+
 struct PairSetup {
     monitoring_on: bool,
     active_on: bool,
@@ -23,18 +42,23 @@ fn run_pair(s: PairSetup) -> PairRun {
 
     let mut b = SimBuilder::new();
     let p0 = b.add_process("p0");
-    let ms = pair.monitoring_side;
-    let (m_on, a_on) = (s.monitoring_on, s.active_on);
-    b.add_task(p0, "monitoring", move |env| {
-        env.observe("monitoring", 1, m_on as i64);
-        ms.run(&env)
-    });
+    let monitoring = ObserveInput {
+        key: "monitoring",
+        idx: 1,
+        on: s.monitoring_on,
+        observed: false,
+        inner: Box::new(pair.monitoring_side.into_stepper()),
+    };
+    b.add_stepper(p0, "monitoring", Box::new(monitoring));
     let p1 = b.add_process("p1");
-    let md = pair.monitored_side;
-    b.add_task(p1, "monitored", move |env| {
-        env.observe("active_for", 0, a_on as i64);
-        md.run(&env)
-    });
+    let monitored = ObserveInput {
+        key: "active_for",
+        idx: 0,
+        on: s.active_on,
+        observed: false,
+        inner: Box::new(pair.monitored_side.into_stepper()),
+    };
+    b.add_stepper(p1, "monitored", Box::new(monitored));
 
     let schedule: Box<dyn tbwf_sim::Schedule> = if s.q_timely {
         Box::new(RoundRobin::new())

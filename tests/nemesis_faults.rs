@@ -2,7 +2,7 @@
 //! landing *inside* a register operation must not corrupt shared state
 //! or wedge the survivors, and a fault plan is part of the deterministic
 //! run description — identical (seed, schedule, plan) triples replay the
-//! exact same run on both execution backends.
+//! exact same run.
 
 use tbwf::prelude::*;
 use tbwf_omega::harness::install_omega;
@@ -10,8 +10,7 @@ use tbwf_omega::{add_external_candidate_driver, OBS_LEADER};
 use tbwf_registers::{DIAL_ABORT_STORM, DIAL_BASE};
 use tbwf_sim::analysis::value_at;
 use tbwf_sim::{
-    FaultAction, FaultPlan, FaultTarget, Nemesis, NemesisSchedule, Obs, ScheduleCtl, TaskBody,
-    TaskSpawner, Trigger,
+    FaultAction, FaultPlan, FaultTarget, Nemesis, NemesisSchedule, Obs, ScheduleCtl, Trigger,
 };
 
 /// Crash a process *between* `invoke_` and `complete_` of a register
@@ -97,18 +96,8 @@ fn crash_mid_operation_never_wedges_survivors() {
     );
 }
 
-/// A spawner that deliberately hosts every task on the blocking (thread
-/// + gate) backend by relying on the default `spawn_stepper` adapter.
-struct BlockingOnly<'a>(&'a mut SimBuilder);
-
-impl TaskSpawner for BlockingOnly<'_> {
-    fn spawn_task(&mut self, pid: ProcId, name: &str, body: TaskBody) {
-        self.0.spawn_task(pid, name, body);
-    }
-}
-
-/// Everything a backend-equivalence comparison needs from one run:
-/// steps, observations, crashes, and the injection log.
+/// Everything a replay comparison needs from one run: steps,
+/// observations, crashes, and the injection log.
 struct RunFingerprint {
     steps: Vec<ProcId>,
     obs: Vec<Obs>,
@@ -116,7 +105,7 @@ struct RunFingerprint {
     injections: Vec<String>,
 }
 
-fn omega_under_faults(blocking: bool) -> RunFingerprint {
+fn omega_under_faults() -> RunFingerprint {
     let n = 3;
     let factory = RegisterFactory::new(RegisterFactoryConfig {
         seed: 77,
@@ -126,27 +115,15 @@ fn omega_under_faults(blocking: bool) -> RunFingerprint {
     for p in 0..n {
         b.add_process(&format!("p{p}"));
     }
-    fn wire(
-        spawner: &mut dyn TaskSpawner,
-        factory: &RegisterFactory,
-        n: usize,
-    ) -> Vec<(String, Local<bool>)> {
-        let handles = install_omega(spawner, factory, n, OmegaKind::Abortable);
-        handles
-            .iter()
-            .enumerate()
-            .map(|(p, h)| {
-                let sw = add_external_candidate_driver(spawner, ProcId(p), h, true);
-                (format!("cand[{p}]"), sw)
-            })
-            .collect()
-    }
-    let switches = if blocking {
-        let mut shim = BlockingOnly(&mut b);
-        wire(&mut shim, &factory, n)
-    } else {
-        wire(&mut b, &factory, n)
-    };
+    let handles = install_omega(&mut b, &factory, n, OmegaKind::Abortable);
+    let switches: Vec<(String, Local<bool>)> = handles
+        .iter()
+        .enumerate()
+        .map(|(p, h)| {
+            let sw = add_external_candidate_driver(&mut b, ProcId(p), h, true);
+            (format!("cand[{p}]"), sw)
+        })
+        .collect();
 
     // One fault of every flavor: crash, candidacy churn, schedule
     // perturbation, register-adversary burst.
@@ -223,30 +200,20 @@ fn omega_under_faults(blocking: bool) -> RunFingerprint {
 
 /// The same program under the same seed, schedule, and fault plan takes
 /// the exact same steps, records the exact same observations, and fires
-/// the exact same injections — whether the tasks run on the poll-driven
-/// step engine or on gate-backed OS threads.
+/// the exact same injections in two independent runs.
 #[test]
-fn identical_plan_replays_identically_across_backends() {
-    let poll = omega_under_faults(false);
-    let thread = omega_under_faults(true);
+fn identical_plan_replays_identically() {
+    let first = omega_under_faults();
+    let second = omega_under_faults();
+    assert_eq!(first.steps, second.steps, "step sequences differ");
+    assert_eq!(first.obs, second.obs, "observations differ");
+    assert_eq!(first.crashes, second.crashes, "crash times differ");
+    assert_eq!(first.injections, second.injections, "injection logs differ");
+    // The plan actually did something.
     assert_eq!(
-        poll.steps, thread.steps,
-        "step sequences differ across backends"
-    );
-    assert_eq!(poll.obs, thread.obs, "observations differ across backends");
-    assert_eq!(
-        poll.crashes, thread.crashes,
-        "crash times differ across backends"
-    );
-    assert_eq!(
-        poll.injections, thread.injections,
-        "injection logs differ across backends"
-    );
-    // The plan actually did something in both runs.
-    assert_eq!(
-        poll.injections.len(),
+        first.injections.len(),
         7,
         "all seven fault events should fire"
     );
-    assert_eq!(poll.crashes.len(), 1, "the leader-aimed crash should land");
+    assert_eq!(first.crashes.len(), 1, "the leader-aimed crash should land");
 }
