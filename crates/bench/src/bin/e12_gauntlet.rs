@@ -23,8 +23,8 @@
 use std::path::Path;
 use std::process::ExitCode;
 use tbwf_bench::gauntlet::{
-    ablation_scenario, artifact_json, campaign_list, run_campaigns, run_scenario,
-    scenario_from_artifact, shrink, write_artifact, SystemKind,
+    ablation_scenario, artifact_json, campaign_list, read_artifact, run_campaigns, run_scenario,
+    shrink, write_artifact, SystemKind,
 };
 use tbwf_bench::print_table;
 use tbwf_sim::{resolve_jobs, Executor};
@@ -96,8 +96,8 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
 }
 
 fn repro(path: &str) -> ExitCode {
-    let sc = match scenario_from_artifact(Path::new(path)) {
-        Ok(sc) => sc,
+    let sc = match read_artifact(Path::new(path)) {
+        Ok((_, sc)) => sc,
         Err(e) => {
             eprintln!("cannot load artifact: {e}");
             return ExitCode::FAILURE;
