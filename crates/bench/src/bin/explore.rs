@@ -8,11 +8,12 @@
 use std::process::ExitCode;
 use tbwf::prelude::*;
 use tbwf_omega::OBS_LEADER;
+use tbwf_sim::StepLog;
 
 const USAGE: &str = "\
 usage: explore [n] [steps] [schedule] [omega]
 
-  n         number of processes            (default 4; at least 2)
+  n         number of processes            (default 4; 2 to 256)
   steps     run length in global steps     (default 200000; at least 1)
   schedule  rr | partial:<k> | flicker | random:<seed> | solo:<p>
                                            (default rr)
@@ -51,6 +52,12 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     };
     if n < 2 {
         return Err("n must be at least 2".into());
+    }
+    if n > StepLog::MAX_PROCS {
+        return Err(format!(
+            "n = {n} exceeds the simulator's limit of {} processes",
+            StepLog::MAX_PROCS
+        ));
     }
     let steps: u64 = match args.get(1) {
         Some(raw) => positive(raw, "steps")?,
@@ -156,4 +163,23 @@ fn main() -> ExitCode {
     assert_run_linearizable(&Counter, &run);
     println!("\nhistory linearizable ok");
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(v: &[&str]) -> Vec<String> {
+        v.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn n_is_bounded_by_the_simulator_limit() {
+        assert_eq!(parse_args(&args(&["256"])).map(|c| c.n), Ok(256));
+        let err = parse_args(&args(&["257"]))
+            .err()
+            .expect("n = 257 is refused");
+        assert!(err.contains("limit of 256"), "{err}");
+        assert!(parse_args(&args(&["1"])).is_err());
+    }
 }

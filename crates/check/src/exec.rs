@@ -206,7 +206,7 @@ pub fn fingerprint(sc: &Scenario, report: &RunReport) -> u64 {
     let trace = &report.trace;
     let mut h = Fnv::new();
     h.u64(trace.steps.len() as u64);
-    for p in &trace.steps {
+    for p in trace.steps.iter() {
         h.byte(p.0 as u8);
     }
     h.u64(trace.obs.len() as u64);

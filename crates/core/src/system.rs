@@ -11,8 +11,7 @@ use tbwf_universal::qa::{QaObject, QaSession};
 use tbwf_universal::tbwf::TbwfCall;
 use tbwf_universal::ObjectType;
 
-/// Observation key: completed-operation count of a worker.
-pub const OBS_COMPLETED: &str = "completed";
+pub use tbwf_universal::harness::OBS_COMPLETED;
 
 /// The operation script of one process.
 pub enum Workload<T: ObjectType> {

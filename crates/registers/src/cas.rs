@@ -31,15 +31,13 @@ pub trait CasRegister<T: Clone + PartialEq>: Send + Sync {
 
 /// Simulated CAS register: two-step operation, linearizes at the response.
 pub struct SimCasReg<T> {
-    name: Arc<str>,
     value: Mutex<T>,
     log: Arc<OpLog>,
 }
 
 impl<T: Clone + PartialEq + Send> SimCasReg<T> {
-    pub(crate) fn new(name: String, init: T, log: Arc<OpLog>) -> Self {
+    pub(crate) fn new(init: T, log: Arc<OpLog>) -> Self {
         SimCasReg {
-            name: name.into(),
             value: Mutex::new(init),
             log,
         }
@@ -48,13 +46,10 @@ impl<T: Clone + PartialEq + Send> SimCasReg<T> {
     fn record(&self, env: &dyn Env, tok: OpToken, kind: OpKind) {
         self.log.push(OpEvent {
             invoked: tok.raw(),
-            responded: env.now(),
             proc: env.pid(),
-            reg: self.name.clone(),
             kind,
             overlapped: false,
             aborted: false,
-            effect: true,
         });
     }
 }
@@ -89,6 +84,7 @@ pub type SharedCas<T> = Arc<dyn CasRegister<T>>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use tbwf_sim::{FreeRunEnv, ProcId};
 
     fn cas<T: Clone + PartialEq>(r: &dyn CasRegister<T>, env: &FreeRunEnv, e: &T, new: T) -> bool {
@@ -106,7 +102,7 @@ mod tests {
     #[test]
     fn cas_succeeds_on_match() {
         let log = Arc::new(OpLog::new());
-        let r = SimCasReg::new("C".into(), 0i64, log);
+        let r = SimCasReg::new(0i64, log);
         let env = FreeRunEnv::new(ProcId(0));
         assert!(cas(&r, &env, &0, 5));
         assert_eq!(read(&r, &env), 5);
@@ -115,7 +111,7 @@ mod tests {
     #[test]
     fn cas_fails_on_mismatch() {
         let log = Arc::new(OpLog::new());
-        let r = SimCasReg::new("C".into(), 0i64, log);
+        let r = SimCasReg::new(0i64, log);
         let env = FreeRunEnv::new(ProcId(0));
         assert!(!cas(&r, &env, &3, 5));
         assert_eq!(read(&r, &env), 0);
@@ -124,12 +120,16 @@ mod tests {
     #[test]
     fn cas_on_option_values() {
         let log = Arc::new(OpLog::new());
-        let r: SimCasReg<Option<u32>> = SimCasReg::new("C".into(), None, log.clone());
+        let r: SimCasReg<Option<u32>> = SimCasReg::new(None, log.clone());
         let env = FreeRunEnv::new(ProcId(0));
         assert!(cas(&r, &env, &None, Some(7)));
         assert!(!cas(&r, &env, &None, Some(9)));
         assert_eq!(read(&r, &env), Some(7));
-        // Each operation spans its invocation and response steps.
-        assert!(log.events().iter().all(|e| e.responded == e.invoked + 1));
+        // Three operations, none overlapped or aborted; both CAS
+        // attempts (failed or not) count as writes, dated by invocation:
+        // the second was invoked at time 1, the read at 2.
+        assert_eq!(log.abort_stats(), (3, 0, 0));
+        assert_eq!(log.writers_since(1), BTreeSet::from([ProcId(0)]));
+        assert!(log.writers_since(2).is_empty());
     }
 }

@@ -71,7 +71,7 @@ struct CoreState<T> {
 
 /// Shared core of one simulated register.
 pub(crate) struct RegCore<T> {
-    name: Arc<str>,
+    name: String,
     state: Mutex<CoreState<T>>,
     log: Arc<OpLog>,
     gauges: Arc<InflightGauges>,
@@ -96,7 +96,7 @@ struct Resolution<T> {
 impl<T: Clone + Send> RegCore<T> {
     fn new(name: String, init: T, seed: u64, log: Arc<OpLog>, gauges: Arc<InflightGauges>) -> Self {
         RegCore {
-            name: name.into(),
+            name,
             state: Mutex::new(CoreState {
                 value: init,
                 inflight: Vec::new(),
@@ -214,24 +214,13 @@ impl<T: Clone + Send> RegCore<T> {
         self.resolve_apply(id, |_, _| ()).0
     }
 
-    fn record(
-        &self,
-        env: &dyn Env,
-        invoked: u64,
-        kind: OpKind,
-        res: &Resolution<T>,
-        aborted: bool,
-        effect: bool,
-    ) {
+    fn record(&self, kind: OpKind, res: &Resolution<T>, aborted: bool) {
         self.log.push(OpEvent {
-            invoked,
-            responded: env.now(),
+            invoked: res.invoked,
             proc: res.proc,
-            reg: self.name.clone(),
             kind,
             overlapped: res.overlapped,
             aborted,
-            effect,
         });
     }
 }
@@ -263,12 +252,11 @@ impl<T: Clone + Send + Sync> AtomicRegister<T> for SimAtomicReg<T> {
         )
     }
 
-    fn complete_write(&self, env: &dyn Env, tok: OpToken) {
+    fn complete_write(&self, _env: &dyn Env, tok: OpToken) {
         let (res, ()) = self.core.resolve_apply(tok.raw(), |res, value| {
             *value = res.payload.take().expect("write resolved without payload");
         });
-        self.core
-            .record(env, res.invoked, OpKind::Write, &res, false, true);
+        self.core.record(OpKind::Write, &res, false);
     }
 
     fn invoke_read(&self, env: &dyn Env) -> OpToken {
@@ -278,10 +266,9 @@ impl<T: Clone + Send + Sync> AtomicRegister<T> for SimAtomicReg<T> {
         )
     }
 
-    fn complete_read(&self, env: &dyn Env, tok: OpToken) -> T {
+    fn complete_read(&self, _env: &dyn Env, tok: OpToken) -> T {
         let (res, v) = self.core.resolve_apply(tok.raw(), |_, value| value.clone());
-        self.core
-            .record(env, res.invoked, OpKind::Read, &res, false, false);
+        self.core.record(OpKind::Read, &res, false);
         v
     }
 }
@@ -346,23 +333,18 @@ impl<T: Clone + Send + Sync> AbortableRegister<T> for SimAbortableReg<T> {
         )
     }
 
-    fn complete_write(&self, env: &dyn Env, tok: OpToken) -> WriteOutcome {
+    fn complete_write(&self, _env: &dyn Env, tok: OpToken) -> WriteOutcome {
         let (abort_policy, effect_policy) = self.policies();
-        let (res, (aborted, effect)) = self.core.resolve_apply(tok.raw(), |res, value| {
+        let (res, aborted) = self.core.resolve_apply(tok.raw(), |res, value| {
             let v = res.payload.take().expect("write resolved without payload");
-            if res.overlapped && abort_policy.aborts(res.u_abort) {
-                let effect = effect_policy.takes_effect(res.u_effect);
-                if effect {
-                    *value = v;
-                }
-                (true, effect)
-            } else {
+            let aborted = res.overlapped && abort_policy.aborts(res.u_abort);
+            // An aborted write takes effect only if the effect policy says so.
+            if !aborted || effect_policy.takes_effect(res.u_effect) {
                 *value = v;
-                (false, true)
             }
+            aborted
         });
-        self.core
-            .record(env, res.invoked, OpKind::Write, &res, aborted, effect);
+        self.core.record(OpKind::Write, &res, aborted);
         if aborted {
             WriteOutcome::Aborted
         } else {
@@ -385,7 +367,7 @@ impl<T: Clone + Send + Sync> AbortableRegister<T> for SimAbortableReg<T> {
         )
     }
 
-    fn complete_read(&self, env: &dyn Env, tok: OpToken) -> ReadOutcome<T> {
+    fn complete_read(&self, _env: &dyn Env, tok: OpToken) -> ReadOutcome<T> {
         let (abort_policy, _) = self.policies();
         let (res, v) = self.core.resolve_apply(tok.raw(), |res, value| {
             if res.overlapped && abort_policy.aborts(res.u_abort) {
@@ -396,13 +378,11 @@ impl<T: Clone + Send + Sync> AbortableRegister<T> for SimAbortableReg<T> {
         });
         match v {
             Some(v) => {
-                self.core
-                    .record(env, res.invoked, OpKind::Read, &res, false, false);
+                self.core.record(OpKind::Read, &res, false);
                 ReadOutcome::Value(v)
             }
             None => {
-                self.core
-                    .record(env, res.invoked, OpKind::Read, &res, true, false);
+                self.core.record(OpKind::Read, &res, true);
                 ReadOutcome::Aborted
             }
         }
@@ -436,12 +416,11 @@ impl SafeRegister for SimSafeReg {
         )
     }
 
-    fn complete_write(&self, env: &dyn Env, tok: OpToken) {
+    fn complete_write(&self, _env: &dyn Env, tok: OpToken) {
         let (res, ()) = self.core.resolve_apply(tok.raw(), |res, value| {
             *value = res.payload.take().expect("write resolved without payload");
         });
-        self.core
-            .record(env, res.invoked, OpKind::Write, &res, false, true);
+        self.core.record(OpKind::Write, &res, false);
     }
 
     fn invoke_read(&self, env: &dyn Env) -> OpToken {
@@ -451,7 +430,7 @@ impl SafeRegister for SimSafeReg {
         )
     }
 
-    fn complete_read(&self, env: &dyn Env, tok: OpToken) -> u64 {
+    fn complete_read(&self, _env: &dyn Env, tok: OpToken) -> u64 {
         let (res, stored) = self.core.resolve_apply(tok.raw(), |_, value| *value);
         let v = if res.overlapped_write {
             // Arbitrary value: safe semantics under read/write overlap.
@@ -459,8 +438,7 @@ impl SafeRegister for SimSafeReg {
         } else {
             stored
         };
-        self.core
-            .record(env, res.invoked, OpKind::Read, &res, false, false);
+        self.core.record(OpKind::Read, &res, false);
         v
     }
 }
@@ -468,6 +446,7 @@ impl SafeRegister for SimSafeReg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use tbwf_sim::FreeRunEnv;
 
     fn log() -> Arc<OpLog> {
@@ -603,15 +582,38 @@ mod tests {
         let env = FreeRunEnv::new(ProcId(2));
         let l = log();
         let r = SimAtomicReg::new("Reg".into(), 0i64, 1, Arc::clone(&l), gauges());
-        write(&r, &env, 1);
-        read(&r, &env);
-        let evs = l.events();
-        assert_eq!(evs.len(), 2);
-        assert_eq!(evs[0].kind, OpKind::Write);
-        assert_eq!(evs[1].kind, OpKind::Read);
-        assert_eq!(evs[0].proc, ProcId(2));
-        assert_eq!(&*evs[0].reg, "Reg");
-        assert!(evs[0].responded > evs[0].invoked);
+        write(&r, &env, 1); // invoked at 0
+        read(&r, &env); // invoked at 1
+        assert_eq!(l.abort_stats(), (2, 0, 0));
+        // Only the write makes p2 a writer, dated by its invocation.
+        assert_eq!(l.writers_since(0), BTreeSet::from([ProcId(2)]));
+        assert!(l.writers_since(1).is_empty());
+    }
+
+    #[test]
+    fn overlapped_and_aborted_ops_are_counted() {
+        let env = FreeRunEnv::new(ProcId(0));
+        let l = log();
+        let r = SimAbortableReg::new(
+            "R".into(),
+            0i64,
+            1,
+            Arc::clone(&l),
+            gauges(),
+            AbortPolicy::AlwaysOnOverlap,
+            EffectPolicy::Never,
+            PolicyDial::new(),
+            None,
+            None,
+        );
+        let t1 = r.invoke_write(&env, 1);
+        let t2 = r.invoke_read(&env);
+        assert_eq!(r.complete_write(&env, t1), WriteOutcome::Aborted);
+        assert_eq!(r.complete_read(&env, t2), ReadOutcome::Aborted);
+        assert_eq!(try_read(&r, &env), ReadOutcome::Value(0));
+        assert_eq!(l.abort_stats(), (3, 2, 2));
+        // The aborted write (which did not take effect) still counts.
+        assert_eq!(l.writers_since(0), BTreeSet::from([ProcId(0)]));
     }
 
     #[test]

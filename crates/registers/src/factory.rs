@@ -71,8 +71,8 @@ impl RegisterFactory {
     }
 
     /// Creates a factory whose operation log is disabled (for the native
-    /// harness: full-speed threads would otherwise record millions of
-    /// events).
+    /// harness: full-speed threads would otherwise contend on the log's
+    /// lock).
     pub fn new_unlogged(config: RegisterFactoryConfig) -> Self {
         RegisterFactory {
             config,
@@ -206,16 +206,15 @@ impl RegisterFactory {
 
     /// Creates a compare-and-swap register (used only by the strong-
     /// primitive baseline, never by the paper's constructions).
+    ///
+    /// The name is accepted like every other register's but not kept: a
+    /// CAS register has no owner whose check could name it in a panic.
     pub fn cas<T: Clone + PartialEq + Send + Sync + 'static>(
         &self,
-        name: &str,
+        _name: &str,
         init: T,
     ) -> crate::SharedCas<T> {
-        Arc::new(crate::cas::SimCasReg::new(
-            name.to_string(),
-            init,
-            self.log(),
-        ))
+        Arc::new(crate::cas::SimCasReg::new(init, self.log()))
     }
 }
 
@@ -229,6 +228,7 @@ impl Default for RegisterFactory {
 mod tests {
     use super::*;
     use crate::{AbortableRegister, ReadOutcome, WriteOutcome};
+    use std::collections::BTreeSet;
     use tbwf_sim::FreeRunEnv;
 
     fn try_write(r: &dyn AbortableRegister<i64>, env: &FreeRunEnv, v: i64) -> WriteOutcome {
@@ -283,14 +283,17 @@ mod tests {
     }
 
     #[test]
-    fn logged_operation_spans_invoke_to_response() {
+    fn logged_write_is_dated_by_its_invocation() {
         let f = RegisterFactory::default();
         let env = FreeRunEnv::new(ProcId(0));
         let a = f.atomic("A", 0i64);
         let t = a.invoke_write(&env, 1);
         env.advance();
         a.complete_write(&env, t);
-        let ev = &f.log().events()[0];
-        assert_eq!((ev.invoked, ev.responded), (0, 1));
+        // Invoked at 0, responded at 1: a writer since 0, not since 1.
+        let log = f.log();
+        assert_eq!(log.writers_since(0), BTreeSet::from([ProcId(0)]));
+        assert!(log.writers_since(1).is_empty());
+        assert_eq!(log.abort_stats(), (1, 0, 0));
     }
 }

@@ -31,10 +31,13 @@
 //! crate: their overlap detection is lock-based, so genuinely concurrent
 //! operations overlap (and abortable ones may abort) there too.
 //!
-//! All registers are created through a [`RegisterFactory`], which tags each
-//! register with a name and records every operation into a shared
-//! [`OpLog`] — the write-efficiency experiment (E6) and the abort-rate
-//! ablation (E8) read the log.
+//! All registers are created through a [`RegisterFactory`], which names
+//! each register (ownership-violation panics quote the name) and folds
+//! every completed operation into a shared [`OpLog`]. The log keeps
+//! counts and each process's latest write time, not a per-operation
+//! history, so its size does not grow with the run: the abort-rate
+//! ablation (E8) reads the counts, the write-efficiency experiment (E6)
+//! the writers after a given time.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

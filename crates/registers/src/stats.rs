@@ -1,9 +1,14 @@
-//! The shared operation log: every register operation of a run, with
-//! timestamps, for the write-efficiency (E6) and abort-rate (E8) analyses.
+//! The shared operation log: what the analyses read about a run's
+//! register operations, folded as the operations complete.
+//!
+//! The log keeps no per-operation history. It keeps the `(total,
+//! overlapped, aborted)` counts (the abort-rate ablation E8, E3 and the
+//! benchmark) and, per process, the invocation time of its latest write
+//! (the write-efficiency experiment E6 asks which processes wrote after a
+//! given time). So its size does not grow with the run.
 
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::collections::BTreeSet;
 use tbwf_sim::ProcId;
 
 /// Kind of a register operation.
@@ -15,41 +20,42 @@ pub enum OpKind {
     Write,
 }
 
-/// One completed register operation.
-#[derive(Clone, Debug)]
+/// One completed register operation, as a register reports it to the
+/// [`OpLog`].
+#[derive(Clone, Copy, Debug)]
 pub struct OpEvent {
     /// Global time of the invocation step.
     pub invoked: u64,
-    /// Global time of the response step.
-    pub responded: u64,
     /// The process that performed the operation.
     pub proc: ProcId,
-    /// Name the register was created with (e.g. `"CounterRegister[3]"`).
-    ///
-    /// An `Arc<str>` shared with the register itself: recording an event
-    /// must not allocate on the hot path.
-    pub reg: Arc<str>,
     /// Read or write.
     pub kind: OpKind,
     /// Whether the operation overlapped another operation on the register.
     pub overlapped: bool,
     /// Whether the operation aborted (always false on atomic registers).
     pub aborted: bool,
-    /// For aborted writes: whether the write took effect anyway.
-    pub effect: bool,
 }
 
-/// Append-only log of register operations shared by all registers of one
+#[derive(Default)]
+struct Tally {
+    total: u64,
+    overlapped: u64,
+    aborted: u64,
+    /// `last_write[p]`: invocation time of `p`'s latest completed write.
+    last_write: Vec<Option<u64>>,
+}
+
+/// Operation counts and latest write times shared by all registers of one
 /// [`RegisterFactory`](crate::RegisterFactory).
 pub struct OpLog {
-    events: Mutex<Vec<OpEvent>>,
+    tally: Mutex<Tally>,
     enabled: bool,
 }
 
 impl Default for OpLog {
     fn default() -> Self {
         OpLog {
-            events: Mutex::new(Vec::new()),
+            tally: Mutex::new(Tally::default()),
             enabled: true,
         }
     }
@@ -62,12 +68,12 @@ impl OpLog {
     }
 
     /// Creates a log that silently drops every event. Used by the native
-    /// harness, where full-speed threads would otherwise accumulate
-    /// millions of events.
+    /// harness, where full-speed threads would otherwise contend on the
+    /// log's lock.
     pub fn disabled() -> Self {
         OpLog {
-            events: Mutex::new(Vec::new()),
             enabled: false,
+            ..Self::default()
         }
     }
 
@@ -77,62 +83,51 @@ impl OpLog {
     }
 
     pub(crate) fn push(&self, e: OpEvent) {
-        if self.enabled {
-            self.events.lock().push(e);
+        if !self.enabled {
+            return;
+        }
+        let mut t = self.tally.lock();
+        t.total += 1;
+        t.overlapped += e.overlapped as u64;
+        t.aborted += e.aborted as u64;
+        if e.kind == OpKind::Write {
+            if t.last_write.len() <= e.proc.0 {
+                t.last_write.resize(e.proc.0 + 1, None);
+            }
+            let last = &mut t.last_write[e.proc.0];
+            *last = (*last).max(Some(e.invoked));
         }
     }
 
-    /// Snapshot of all events so far.
-    pub fn events(&self) -> Vec<OpEvent> {
-        self.events.lock().clone()
-    }
-
-    /// Number of events recorded.
+    /// Number of operations recorded.
     pub fn len(&self) -> usize {
-        self.events.lock().len()
+        self.tally.lock().total as usize
     }
 
-    /// Whether the log is empty.
+    /// Whether no operation was recorded.
     pub fn is_empty(&self) -> bool {
-        self.events.lock().is_empty()
+        self.len() == 0
     }
 
     /// Processes that performed at least one *write* invoked at or after
-    /// time `t0`, with their write counts.
+    /// time `t0` (aborted writes included: the writer cannot tell whether
+    /// they took effect).
     ///
     /// This is the measurement behind the paper's closing remark of
     /// Section 5.2: after stabilization "the only processes that write to
     /// shared registers are the leader and processes in Rcandidates".
-    pub fn writers_since(&self, t0: u64) -> BTreeMap<ProcId, u64> {
-        let mut map = BTreeMap::new();
-        for e in self.events.lock().iter() {
-            if e.kind == OpKind::Write && e.invoked >= t0 {
-                *map.entry(e.proc).or_insert(0) += 1;
-            }
-        }
-        map
+    pub fn writers_since(&self, t0: u64) -> BTreeSet<ProcId> {
+        let t = self.tally.lock();
+        (0..t.last_write.len())
+            .filter(|&p| t.last_write[p].is_some_and(|w| w >= t0))
+            .map(ProcId)
+            .collect()
     }
 
     /// `(total, overlapped, aborted)` counts over all operations.
     pub fn abort_stats(&self) -> (u64, u64, u64) {
-        let evs = self.events.lock();
-        let total = evs.len() as u64;
-        let overlapped = evs.iter().filter(|e| e.overlapped).count() as u64;
-        let aborted = evs.iter().filter(|e| e.aborted).count() as u64;
-        (total, overlapped, aborted)
-    }
-
-    /// Abort fraction among operations invoked in `[t0, t1)`.
-    pub fn abort_rate_in(&self, t0: u64, t1: u64) -> f64 {
-        let evs = self.events.lock();
-        let in_window: Vec<_> = evs
-            .iter()
-            .filter(|e| e.invoked >= t0 && e.invoked < t1)
-            .collect();
-        if in_window.is_empty() {
-            return 0.0;
-        }
-        in_window.iter().filter(|e| e.aborted).count() as f64 / in_window.len() as f64
+        let t = self.tally.lock();
+        (t.total, t.overlapped, t.aborted)
     }
 }
 
@@ -143,46 +138,61 @@ mod tests {
     fn ev(invoked: u64, proc: usize, kind: OpKind, aborted: bool) -> OpEvent {
         OpEvent {
             invoked,
-            responded: invoked + 1,
             proc: ProcId(proc),
-            reg: "R".into(),
             kind,
             overlapped: aborted,
             aborted,
-            effect: false,
         }
+    }
+
+    fn ids(v: &[usize]) -> BTreeSet<ProcId> {
+        v.iter().copied().map(ProcId).collect()
     }
 
     #[test]
     fn writers_since_filters_by_time_and_kind() {
         let log = OpLog::new();
-        log.push(ev(5, 0, OpKind::Write, false));
-        log.push(ev(15, 1, OpKind::Write, false));
-        log.push(ev(20, 1, OpKind::Read, false));
-        log.push(ev(25, 1, OpKind::Write, false));
-        let w = log.writers_since(10);
-        assert_eq!(w.get(&ProcId(0)), None);
-        assert_eq!(w.get(&ProcId(1)), Some(&2));
+        log.push(ev(9, 0, OpKind::Write, false)); // just before t0
+        log.push(ev(10, 1, OpKind::Write, false)); // exactly at t0
+        log.push(ev(20, 2, OpKind::Read, false)); // reads never count
+        log.push(ev(30, 3, OpKind::Write, true)); // aborted writes count
+        assert_eq!(log.writers_since(10), ids(&[1, 3]));
+        assert_eq!(log.writers_since(11), ids(&[3]));
+        assert_eq!(log.writers_since(0), ids(&[0, 1, 3]));
+        assert_eq!(log.writers_since(31), ids(&[]));
+    }
+
+    #[test]
+    fn writers_since_keeps_the_latest_write() {
+        // Completion order need not follow invocation order (two tasks of
+        // one process): an earlier invocation completing later must not
+        // hide the later one.
+        let log = OpLog::new();
+        log.push(ev(50, 0, OpKind::Write, false));
+        log.push(ev(40, 0, OpKind::Write, false));
+        assert_eq!(log.writers_since(50), ids(&[0]));
+        assert_eq!(log.writers_since(51), ids(&[]));
     }
 
     #[test]
     fn abort_stats_counts() {
         let log = OpLog::new();
+        assert!(log.is_empty());
         log.push(ev(0, 0, OpKind::Read, true));
         log.push(ev(1, 0, OpKind::Read, false));
-        assert_eq!(log.abort_stats(), (2, 1, 1));
-        assert_eq!(log.len(), 2);
+        log.push(ev(2, 1, OpKind::Write, true));
+        log.push(ev(3, 1, OpKind::Write, false));
+        assert_eq!(log.abort_stats(), (4, 2, 2));
+        assert_eq!(log.len(), 4);
         assert!(!log.is_empty());
     }
 
     #[test]
-    fn abort_rate_windows() {
-        let log = OpLog::new();
-        for t in 0..10 {
-            log.push(ev(t, 0, OpKind::Read, t < 5));
-        }
-        assert!((log.abort_rate_in(0, 5) - 1.0).abs() < 1e-9);
-        assert!((log.abort_rate_in(5, 10) - 0.0).abs() < 1e-9);
-        assert_eq!(log.abort_rate_in(100, 200), 0.0);
+    fn disabled_log_counts_nothing() {
+        let log = OpLog::disabled();
+        log.push(ev(0, 0, OpKind::Write, true));
+        assert!(!log.is_enabled());
+        assert_eq!(log.abort_stats(), (0, 0, 0));
+        assert_eq!(log.writers_since(0), ids(&[]));
     }
 }

@@ -101,4 +101,4 @@ pub use schedule::{
 };
 pub use spawner::TaskSpawner;
 pub use step::{Control, StepCtx, Stepper};
-pub use trace::{Obs, Trace};
+pub use trace::{Obs, StepLog, Trace};

@@ -5,7 +5,7 @@ use crate::ids::ProcId;
 use crate::nemesis::Nemesis;
 use crate::schedule::{Schedule, ScheduleView};
 use crate::step::{Control, StepCtx, StepEnv, Stepper};
-use crate::trace::{ObsBuf, ObsSeq, Trace};
+use crate::trace::{ObsBuf, ObsSeq, StepLog, Trace};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -70,8 +70,16 @@ impl SimBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if any process has no tasks.
+    /// Panics if any process has no tasks, or if there are more than
+    /// [`StepLog::MAX_PROCS`] (256) processes: the run record stores each
+    /// step's process id in one byte.
     pub fn build(self) -> Sim {
+        assert!(
+            self.procs.len() <= StepLog::MAX_PROCS,
+            "{} processes exceed the simulator's limit of {}",
+            self.procs.len(),
+            StepLog::MAX_PROCS
+        );
         let clock = Arc::new(AtomicU64::new(0));
         let obs_seq = ObsSeq::new();
         let crash_flags = Arc::new(CrashFlags::new(self.procs.len()));
@@ -290,19 +298,11 @@ impl Sim {
                 panic!("invalid fault plan: {e}");
             }
         }
-        // Pre-size the trace buffers from the step budget so steady-state
-        // recording never reallocates. Both reserves are capped: huge
-        // budgets (the E11 n = 64 sweep asks for ~1.6e8 steps) would
-        // otherwise pre-commit gigabytes before the first step runs.
-        let steps_cap = (config.max_steps as usize).min(1 << 22);
-        let total_tasks: usize = self.procs.iter().map(|p| p.tasks.len()).sum();
-        let per_task = ((config.max_steps as usize) / total_tasks.max(1)).min(1 << 16);
-        for proc in &self.procs {
-            for task in &proc.tasks {
-                task.env.obs.reserve(per_task);
-            }
-        }
-        let mut steps: Vec<ProcId> = Vec::with_capacity(steps_cap);
+        // Pre-size the step record from the step budget, capped at 4 MiB:
+        // huge budgets (the E11 n = 64 sweep asks for ~1.6e8 steps) grow it
+        // as they go. Observations are rare next to steps, so their
+        // per-task buffers are not pre-sized at all.
+        let mut steps = StepLog::with_capacity((config.max_steps as usize).min(1 << 22));
         let mut step_counts = vec![0u64; n];
         let mut crashes_applied: Vec<(u64, ProcId)> = Vec::new();
         config.crashes.sort_by_key(|(t, _)| *t);
@@ -724,6 +724,22 @@ mod tests {
         );
         let crashed: Vec<bool> = report.procs.iter().map(|pr| pr.crashed).collect();
         assert_eq!(crashed, vec![false, false, false, true, true]);
+    }
+
+    #[test]
+    fn build_accepts_256_processes() {
+        let report = spinners(256)
+            .build()
+            .run(RunConfig::new(512, RoundRobin::new()));
+        report.assert_no_panics();
+        assert_eq!(report.trace.step_counts(256), vec![2; 256]);
+        assert_eq!(report.trace.steps.iter().next_back(), Some(ProcId(255)));
+    }
+
+    #[test]
+    #[should_panic(expected = "257 processes exceed the simulator's limit of 256")]
+    fn build_refuses_257_processes() {
+        let _ = spinners(257).build();
     }
 
     #[test]

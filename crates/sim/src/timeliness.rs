@@ -10,11 +10,16 @@
 //! the last window's decide the verdict, together with whether the process
 //! steps in the trace's tail (its last `ceil(len / windows)` steps, which
 //! may reach back past the start of a short last window). So
-//! [`measured_timely_set`] reads just those three stretches, once for all
-//! processes: O(T + n) for a trace of T steps (about T/2 steps read), not
-//! the O(n·T) of running [`is_timely_windowed`] per process.
+//! [`measured_timely_set`] reads just those three stretches of the run's
+//! one-byte-per-step [`StepLog`], once for all processes: O(T + n) for a
+//! trace of T steps (about T/2 bytes read), not the O(n·T) of running
+//! [`is_timely_windowed`] per process.
+//!
+//! The per-process functions take a plain `&[ProcId]`; they are the
+//! definitions that `measured_timely_set` is tested against.
 
 use crate::ids::ProcId;
+use crate::trace::StepLog;
 
 /// The minimal `i ≥ 1` such that, in this trace, every time interval
 /// containing `i` steps of `q` has at least one step of `p` (Definition 1).
@@ -108,8 +113,9 @@ pub fn is_timely_windowed(steps: &[ProcId], p: ProcId, windows: usize, growth_fa
 /// Computes the same set as calling [`is_timely_windowed`] per process,
 /// but for all processes at once: only the first window, the last window
 /// and the last `ceil(len / 4)` steps are read, each once.
-pub fn measured_timely_set(steps: &[ProcId], n: usize, crashed: &[ProcId]) -> Vec<ProcId> {
+pub fn measured_timely_set(steps: &StepLog, n: usize, crashed: &[ProcId]) -> Vec<ProcId> {
     const WINDOWS: usize = 4;
+    let steps = steps.as_bytes();
     let len = steps.len();
     if len == 0 {
         // No step in the tail: nobody is timely.
@@ -119,8 +125,8 @@ pub fn measured_timely_set(steps: &[ProcId], n: usize, crashed: &[ProcId]) -> Ve
     let first = timely_bounds_all(&steps[..w], n);
     let last = timely_bounds_all(&steps[(len - 1) / w * w..], n);
     let mut stepped_late = vec![false; n];
-    for s in &steps[len - w..] {
-        if let Some(flag) = stepped_late.get_mut(s.0) {
+    for &s in &steps[len - w..] {
+        if let Some(flag) = stepped_late.get_mut(s as usize) {
             *flag = true;
         }
     }
@@ -131,16 +137,17 @@ pub fn measured_timely_set(steps: &[ProcId], n: usize, crashed: &[ProcId]) -> Ve
         .collect()
 }
 
-/// [`timely_bound`] of every process `0..n` over `steps`, in one pass.
-/// Step ids `>= n` only count as gap steps.
-fn timely_bounds_all(steps: &[ProcId], n: usize) -> Vec<u64> {
+/// [`timely_bound`] of every process `0..n` over the step bytes, in one
+/// pass. Step ids `>= n` only count as gap steps.
+fn timely_bounds_all(steps: &[u8], n: usize) -> Vec<u64> {
     // `next[p]`: index just past p's latest step (0 before its first).
     let mut next = vec![0usize; n];
     let mut max_gap = vec![0usize; n];
-    for (i, s) in steps.iter().enumerate() {
-        if let Some(gap) = max_gap.get_mut(s.0) {
-            *gap = (*gap).max(i - next[s.0]);
-            next[s.0] = i + 1;
+    for (i, &s) in steps.iter().enumerate() {
+        let s = s as usize;
+        if let Some(gap) = max_gap.get_mut(s) {
+            *gap = (*gap).max(i - next[s]);
+            next[s] = i + 1;
         }
     }
     max_gap
@@ -207,7 +214,7 @@ mod tests {
 
     #[test]
     fn measured_set_excludes_crashed() {
-        let steps = seq(&[0, 1, 0, 1, 0, 1, 0, 1]);
+        let steps = seq(&[0, 1, 0, 1, 0, 1, 0, 1]).into_iter().collect();
         let set = measured_timely_set(&steps, 2, &[ProcId(1)]);
         assert_eq!(set, vec![ProcId(0)]);
     }

@@ -1,4 +1,10 @@
 //! Run traces: step sequences and observations of local output variables.
+//!
+//! A run's record is exact but compact. The step sequence is a
+//! [`StepLog`] of one byte per step (so a system has at most
+//! [`StepLog::MAX_PROCS`] processes), and the observations, which are
+//! rare next to steps, grow on demand: nothing is reserved from the step
+//! budget.
 
 use crate::ids::ProcId;
 use parking_lot::Mutex;
@@ -104,12 +110,6 @@ impl ObsBuf {
         self.items.borrow_mut().push((self.seq.next(), obs));
     }
 
-    /// Grows the buffer's capacity ahead of the run (sized from the step
-    /// budget by the runner, so steady-state records never reallocate).
-    pub(crate) fn reserve(&self, additional: usize) {
-        self.items.borrow_mut().reserve(additional);
-    }
-
     /// Number of observations recorded so far (used by the runner to
     /// mark a position before granting a step).
     pub(crate) fn mark(&self) -> usize {
@@ -163,11 +163,83 @@ impl TraceSink {
     }
 }
 
+/// The step sequence of a run: entry `t` is the process that took the
+/// step at time `t`, stored as one byte.
+///
+/// ```
+/// use tbwf_sim::{trace::StepLog, ProcId};
+///
+/// let steps: StepLog = [2, 0, 2].into_iter().map(ProcId).collect();
+/// assert_eq!(steps.len(), 3);
+/// assert_eq!(steps.iter().collect::<Vec<_>>(), [ProcId(2), ProcId(0), ProcId(2)]);
+/// ```
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct StepLog(Vec<u8>);
+
+impl StepLog {
+    /// The most processes a step can name: ids `0..=255` fit in a byte.
+    pub const MAX_PROCS: usize = 1 << u8::BITS;
+
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        StepLog(Vec::with_capacity(capacity))
+    }
+
+    /// Appends a step of `p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is not below [`StepLog::MAX_PROCS`].
+    pub(crate) fn push(&mut self, p: ProcId) {
+        let b = u8::try_from(p.0)
+            .unwrap_or_else(|_| panic!("step of process {} does not fit in a byte", p.0));
+        self.0.push(b);
+    }
+
+    /// Number of steps.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether no step was taken.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The steps in time order.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = ProcId> + ExactSizeIterator + '_ {
+        self.0.iter().map(|&b| ProcId(b as usize))
+    }
+
+    /// The raw step bytes (entry `t` is the id of the process of step `t`).
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+/// # Panics
+///
+/// Panics on a process id not below [`StepLog::MAX_PROCS`].
+impl FromIterator<ProcId> for StepLog {
+    fn from_iter<I: IntoIterator<Item = ProcId>>(iter: I) -> Self {
+        let mut log = StepLog::default();
+        for p in iter {
+            log.push(p);
+        }
+        log
+    }
+}
+
+impl std::fmt::Debug for StepLog {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// The complete record of a run.
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
     /// `steps[t]` is the process that took the step at time `t`.
-    pub steps: Vec<ProcId>,
+    pub steps: StepLog,
     /// All observations, in recording order (which is also time order).
     pub obs: Vec<Obs>,
     /// Crash events `(time, process)` that were applied during the run
@@ -219,7 +291,7 @@ impl Trace {
     /// Number of steps each process took, indexed by process id.
     pub fn step_counts(&self, n: usize) -> Vec<u64> {
         let mut counts = vec![0u64; n];
-        for p in &self.steps {
+        for p in self.steps.iter() {
             counts[p.0] += 1;
         }
         counts
@@ -282,7 +354,7 @@ mod tests {
 
     fn mk_trace() -> Trace {
         Trace {
-            steps: vec![ProcId(0), ProcId(1), ProcId(0), ProcId(1), ProcId(1)],
+            steps: [0, 1, 0, 1, 1].into_iter().map(ProcId).collect(),
             obs: vec![
                 Obs {
                     time: 0,
@@ -379,8 +451,7 @@ mod tests {
 
     #[test]
     fn ascii_timeline_shapes() {
-        let mut steps = vec![ProcId(0); 10];
-        steps.extend(vec![ProcId(1); 10]);
+        let steps = [0; 10].into_iter().chain([1; 10]).map(ProcId).collect();
         let t = Trace {
             steps,
             obs: vec![],

@@ -1,13 +1,14 @@
 //! Property tests: the timeliness analyzer against brute-force
-//! enumerations of Definition 1, and the one-pass measured timely set
-//! against its per-process definition.
+//! enumerations of Definition 1, the one-pass measured timely set over a
+//! one-byte-per-step `StepLog` against its per-process definition over a
+//! `Vec<ProcId>`, and the `StepLog` round trip.
 
 use proptest::prelude::*;
 use proptest::strategy::TestRng;
 use tbwf_sim::timeliness::{
     is_timely_windowed, measured_timely_set, q_timely_bound, timely_bound, windowed_bounds,
 };
-use tbwf_sim::ProcId;
+use tbwf_sim::{ProcId, StepLog};
 
 /// Brute force for Definition 1: the minimal `i ≥ 1` such that every
 /// contiguous interval containing `i` steps of `q` has at least one step
@@ -106,7 +107,8 @@ proptest! {
 }
 
 /// The definition `measured_timely_set` must reproduce: every process not
-/// crashed that `is_timely_windowed` (4 windows, factor 2) accepts.
+/// crashed that `is_timely_windowed` (4 windows, factor 2) accepts, read
+/// from the plain `Vec<ProcId>` rather than the byte record.
 fn reference_timely_set(steps: &[ProcId], n: usize, crashed: &[ProcId]) -> Vec<ProcId> {
     (0..n)
         .map(ProcId)
@@ -176,11 +178,39 @@ proptest! {
     /// The one-pass measured timely set equals the per-process reference.
     #[test]
     fn measured_timely_set_matches_reference((n, steps, crashed) in trace_case_strategy()) {
+        let log: StepLog = steps.iter().copied().collect();
         prop_assert_eq!(
-            measured_timely_set(&steps, n, &crashed),
+            measured_timely_set(&log, n, &crashed),
             reference_timely_set(&steps, n, &crashed)
         );
     }
+
+    /// A `StepLog` gives back exactly the ids it was built from.
+    #[test]
+    fn step_log_round_trips(ids in prop::collection::vec(0usize..256, 0..300)) {
+        let steps: Vec<ProcId> = ids.iter().copied().map(ProcId).collect();
+        let log: StepLog = steps.iter().copied().collect();
+        prop_assert_eq!(log.len(), steps.len());
+        prop_assert_eq!(log.is_empty(), steps.is_empty());
+        prop_assert_eq!(log.iter().collect::<Vec<_>>(), steps.clone());
+        prop_assert_eq!(log.iter().rev().collect::<Vec<_>>(), steps.iter().rev().copied().collect::<Vec<_>>());
+        prop_assert_eq!(&log, &log.clone());
+        prop_assert_eq!(log.iter().collect::<StepLog>(), log.clone());
+        prop_assert_eq!(format!("{log:?}"), format!("{steps:?}"));
+        // Changing any one step makes the logs differ.
+        if let Some(&first) = ids.first() {
+            let changed: StepLog = std::iter::once(ProcId((first + 1) % 256))
+                .chain(steps[1..].iter().copied())
+                .collect();
+            prop_assert_ne!(changed, log);
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "step of process 256 does not fit in a byte")]
+fn step_log_refuses_ids_past_a_byte() {
+    let _: StepLog = [ProcId(255), ProcId(256)].into_iter().collect();
 }
 
 /// The generated traces reach both verdicts and crash processes, so the
@@ -211,12 +241,13 @@ fn measured_timely_set_edge_cases() {
     let ids = |v: &[usize]| v.iter().map(|&i| ProcId(i)).collect::<Vec<_>>();
     // p0's last-window bound (4) is exactly twice its first (2): accepted
     // by the f64 `<=`.
+    let log = |v: &[ProcId]| v.iter().copied().collect::<StepLog>();
     let exact = ids(&[0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 1, 1]);
-    assert_eq!(measured_timely_set(&exact, 2, &[]), ids(&[0, 1]));
+    assert_eq!(measured_timely_set(&log(&exact), 2, &[]), ids(&[0, 1]));
     // w = 3 but the last window has 1 step: p0's only tail step lies in
     // the window before it.
     let reach_back = ids(&[0, 1, 0, 1, 0, 1, 0, 0, 1, 1]);
-    assert_eq!(measured_timely_set(&reach_back, 2, &[]), ids(&[0, 1]));
+    assert_eq!(measured_timely_set(&log(&reach_back), 2, &[]), ids(&[0, 1]));
     let cases = [
         // empty trace: nobody is timely
         (3, vec![]),
@@ -233,7 +264,7 @@ fn measured_timely_set_edge_cases() {
     for (n, steps) in &cases {
         for crashed in [vec![], vec![ProcId(0)]] {
             assert_eq!(
-                measured_timely_set(steps, *n, &crashed),
+                measured_timely_set(&log(steps), *n, &crashed),
                 reference_timely_set(steps, *n, &crashed),
                 "n = {n}, steps = {steps:?}, crashed = {crashed:?}"
             );

@@ -3,8 +3,9 @@
 //! EXPERIMENTS.md exactly reproducible.
 
 use tbwf::prelude::*;
+use tbwf_sim::StepLog;
 
-fn run_once(seed: u64, sched_seed: u64) -> (Vec<u64>, Vec<ProcId>, usize) {
+fn run_once(seed: u64, sched_seed: u64) -> (Vec<u64>, StepLog, usize) {
     // A probabilistic abort policy so the register seed has bite (the
     // default always-abort policy never consults its RNG for aborts).
     let run = TbwfSystemBuilder::new(Counter)

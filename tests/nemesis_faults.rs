@@ -10,7 +10,8 @@ use tbwf_omega::{add_external_candidate_driver, OBS_LEADER};
 use tbwf_registers::{DIAL_ABORT_STORM, DIAL_BASE};
 use tbwf_sim::analysis::value_at;
 use tbwf_sim::{
-    FaultAction, FaultPlan, FaultTarget, Nemesis, NemesisSchedule, Obs, ScheduleCtl, Trigger,
+    FaultAction, FaultPlan, FaultTarget, Nemesis, NemesisSchedule, Obs, ScheduleCtl, StepLog,
+    Trigger,
 };
 
 /// Crash a process *between* `invoke_` and `complete_` of a register
@@ -99,7 +100,7 @@ fn crash_mid_operation_never_wedges_survivors() {
 /// Everything a replay comparison needs from one run: steps,
 /// observations, crashes, and the injection log.
 struct RunFingerprint {
-    steps: Vec<ProcId>,
+    steps: StepLog,
     obs: Vec<Obs>,
     crashes: Vec<(u64, ProcId)>,
     injections: Vec<String>,
