@@ -3,11 +3,11 @@
 //! Each leaf is run to the scenario's full horizon under a spliced
 //! schedule: the background [`NemesisSchedule`] everywhere, overridden
 //! by the leaf's step script inside the decision window, the whole thing
-//! wrapped in a [`Tapped`] recorder. After the run the recorder's
-//! decisions are compared against the enumerator's analytic prediction
-//! (chosen process and full runnable mask per slot) — any divergence is
-//! a checker bug and panics rather than silently exploring the wrong
-//! tree.
+//! wrapped in a [`Tapped`] recorder whose [`DecisionLog`] covers exactly
+//! that window. After the run the recorder's decisions are compared
+//! against the enumerator's analytic prediction (chosen process and full
+//! runnable mask per slot) — any divergence is a checker bug and panics
+//! rather than silently exploring the wrong tree.
 //!
 //! Terminal runs are fingerprinted (FNV-1a over the step sequence,
 //! every observation, the crash record, and the oracle-relevant plan
@@ -75,9 +75,9 @@ pub fn materialize(cfg: &CheckConfig, leaf: &Leaf) -> Scenario {
 /// prediction — the exploration would be unsound, so this is fatal.
 pub fn run_leaf(cfg: &CheckConfig, leaf: &Leaf) -> LeafRun {
     let sc = materialize(cfg, leaf);
-    let log = DecisionLog::new();
-    let script = leaf.steps.clone();
     let w0 = cfg.window_start;
+    let log = DecisionLog::new(w0..w0 + cfg.depth as u64);
+    let script = leaf.steps.clone();
     let (mut outcome, report) = run_scenario_under(&sc, &mut |ctl| {
         Box::new(Tapped::new(
             ScriptedWindow::new(w0, script.clone(), NemesisSchedule::new(ctl)),
@@ -340,11 +340,11 @@ fn shrink_leaf(cfg: &CheckConfig, leaf: &Leaf) -> Counterexample {
 /// under its serialized window script and returns the outcome.
 pub fn replay_counterexample(sc: &Scenario, window_start: u64, script: &[usize]) -> Outcome {
     let steps: Vec<ProcId> = script.iter().map(|&p| ProcId(p)).collect();
-    let log = DecisionLog::new();
     let (mut outcome, report) = run_scenario_under(sc, &mut |ctl| {
-        Box::new(Tapped::new(
-            ScriptedWindow::new(window_start, steps.clone(), NemesisSchedule::new(ctl)),
-            log.clone(),
+        Box::new(ScriptedWindow::new(
+            window_start,
+            steps.clone(),
+            NemesisSchedule::new(ctl),
         ))
     });
     agreement_oracle_at(
@@ -354,4 +354,97 @@ pub fn replay_counterexample(sc: &Scenario, window_start: u64, script: &[usize])
         &mut outcome,
     );
     outcome
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::suite::{suite, SuiteScale};
+    use std::ops::Range;
+    use tbwf_sim::schedule::RoundRobin;
+    use tbwf_sim::{Schedule, ScheduleView};
+
+    /// monitor_n2 (window of 4 slots at 5000) and a leaf that crashes p1
+    /// before slot 2.
+    fn crash_leaf() -> (CheckConfig, Leaf) {
+        let cfg = suite(SuiteScale::Full).remove(0);
+        assert_eq!((cfg.name.as_str(), cfg.depth), ("monitor_n2", 4));
+        let crash = cfg
+            .catalogue
+            .iter()
+            .position(|c| c.crashes == Some(1))
+            .expect("monitor_n2 can crash p1");
+        let leaf = Leaf {
+            steps: vec![ProcId(0), ProcId(1), ProcId(0), ProcId(0)],
+            injections: vec![(2, crash)],
+        };
+        (cfg, leaf)
+    }
+
+    /// Taps the leaf's window script (round-robin around it) at `times`
+    /// into a log of the checker's window; `mask(t)` is the runnable set
+    /// the engine shows at `t`.
+    fn tap(
+        cfg: &CheckConfig,
+        leaf: &Leaf,
+        times: Range<u64>,
+        mask: impl Fn(u64) -> u64,
+    ) -> DecisionLog {
+        let w0 = cfg.window_start;
+        let log = DecisionLog::new(w0..w0 + cfg.depth as u64);
+        let script = ScriptedWindow::new(w0, leaf.steps.clone(), RoundRobin::new());
+        let mut tapped = Tapped::new(script, log.clone());
+        let n = cfg.scenario.n;
+        for time in times {
+            let m = mask(time);
+            let runnable: Vec<bool> = (0..n).map(|p| m & (1 << p) != 0).collect();
+            tapped.next(&ScheduleView {
+                n,
+                runnable: &runnable,
+                time,
+            });
+        }
+        log
+    }
+
+    /// The runnable set the enumerator predicts for `crash_leaf`.
+    fn predicted(cfg: &CheckConfig) -> impl Fn(u64) -> u64 {
+        let crash_at = cfg.window_start + 2;
+        move |t| if t < crash_at { 0b11 } else { 0b01 }
+    }
+
+    #[test]
+    fn validate_window_accepts_a_log_holding_only_the_window() {
+        let (cfg, leaf) = crash_leaf();
+        let w0 = cfg.window_start;
+        let log = tap(&cfg, &leaf, w0 - 100..w0 + 100, predicted(&cfg));
+        let times: Vec<u64> = log.snapshot().iter().map(|d| d.time).collect();
+        assert_eq!(times, vec![w0, w0 + 1, w0 + 2, w0 + 3]);
+        validate_window(&cfg, &leaf, &log);
+    }
+
+    #[test]
+    #[should_panic(expected = "expected one decision per window slot, got 3")]
+    fn validate_window_panics_on_a_missing_slot() {
+        let (cfg, leaf) = crash_leaf();
+        let w0 = cfg.window_start;
+        let log = tap(&cfg, &leaf, w0 - 100..w0 + 3, predicted(&cfg));
+        validate_window(&cfg, &leaf, &log);
+    }
+
+    #[test]
+    #[should_panic(expected = "slot 3 runnable-mask prediction diverged")]
+    fn validate_window_panics_on_a_wrong_runnable_mask() {
+        let (cfg, leaf) = crash_leaf();
+        let w0 = cfg.window_start;
+        let want = predicted(&cfg);
+        let log = tap(&cfg, &leaf, w0..w0 + 4, |t| {
+            if t == w0 + 3 {
+                0b11
+            } else {
+                want(t)
+            }
+        });
+        validate_window(&cfg, &leaf, &log);
+    }
 }

@@ -24,6 +24,13 @@
 //! [`Trigger::OnGauge`] watches an externally registered gauge such as a
 //! register's in-flight-operation counter, which is how a crash lands
 //! exactly between `invoke_` and `complete_` of an operation.
+//!
+//! The runner polls every step, but a poll scans the plan only when
+//! something can be due: the [`Nemesis`] caches the earliest unfired
+//! [`Trigger::At`] time and whether any [`Trigger::AfterProcSteps`],
+//! [`Trigger::OnObs`] or [`Trigger::OnGauge`] event is still armed, and
+//! recomputes these only when an event fires. Requested crashes go into a
+//! buffer the runner owns and reuses, so a quiet poll allocates nothing.
 
 use crate::ids::ProcId;
 use crate::json::Json;
@@ -355,15 +362,50 @@ pub struct Nemesis {
     gauges: BTreeMap<String, Arc<AtomicI64>>,
     sched: Option<ScheduleCtl>,
     injections: Vec<InjectionRecord>,
-    /// Cached: any unfired post-step (OnObs/OnGauge) triggers left?
-    post_armed: bool,
+    /// What the polls must look at; recomputed whenever an event fires.
+    armed: Armed,
+}
+
+/// What of a plan's unfired events a poll has to look at.
+struct Armed {
+    /// Earliest unfired [`Trigger::At`] time (`u64::MAX` if none).
+    next_at: u64,
+    /// Any unfired [`Trigger::AfterProcSteps`]?
+    steps: bool,
+    /// Any unfired [`Trigger::OnObs`]?
+    obs: bool,
+    /// Any unfired [`Trigger::OnGauge`]?
+    gauge: bool,
+}
+
+impl Armed {
+    fn of(plan: &FaultPlan, fired: &[bool]) -> Armed {
+        let mut armed = Armed {
+            next_at: u64::MAX,
+            steps: false,
+            obs: false,
+            gauge: false,
+        };
+        for (e, &f) in plan.events.iter().zip(fired) {
+            if f {
+                continue;
+            }
+            match e.trigger {
+                Trigger::At(at) => armed.next_at = armed.next_at.min(at),
+                Trigger::AfterProcSteps { .. } => armed.steps = true,
+                Trigger::OnObs { .. } => armed.obs = true,
+                Trigger::OnGauge { .. } => armed.gauge = true,
+            }
+        }
+        armed
+    }
 }
 
 impl Nemesis {
     /// Creates the runtime for `plan` with no registrations.
     pub fn new(plan: FaultPlan) -> Self {
         let fired = vec![false; plan.events.len()];
-        let post_armed = plan.events.iter().any(|e| e.trigger.is_post_step());
+        let armed = Armed::of(&plan, &fired);
         Nemesis {
             plan,
             fired,
@@ -372,7 +414,7 @@ impl Nemesis {
             gauges: BTreeMap::new(),
             sched: None,
             injections: Vec::new(),
-            post_armed,
+            armed,
         }
     }
 
@@ -464,18 +506,20 @@ impl Nemesis {
     /// Whether an unfired [`Trigger::OnObs`] remains: only then does the
     /// runner pay for collecting the granted step's observations.
     pub(crate) fn wants_obs(&self) -> bool {
-        self.plan
-            .events
-            .iter()
-            .zip(&self.fired)
-            .any(|(e, f)| !f && matches!(e.trigger, Trigger::OnObs { .. }))
+        self.armed.obs
     }
 
     /// Pre-step poll: fires [`Trigger::At`] / [`Trigger::AfterProcSteps`]
     /// events. Non-crash actions are applied internally; requested
-    /// crashes are returned for the runner to apply.
-    pub(crate) fn poll_pre(&mut self, t: u64, step_counts: &[u64]) -> Vec<ProcId> {
-        let mut crashes = Vec::new();
+    /// crashes are appended to `crashes` for the runner to apply.
+    #[inline]
+    pub(crate) fn poll_pre(&mut self, t: u64, step_counts: &[u64], crashes: &mut Vec<ProcId>) {
+        if t >= self.armed.next_at || self.armed.steps {
+            self.scan_pre(t, step_counts, crashes);
+        }
+    }
+
+    fn scan_pre(&mut self, t: u64, step_counts: &[u64], crashes: &mut Vec<ProcId>) {
         for i in 0..self.plan.events.len() {
             if self.fired[i] {
                 continue;
@@ -488,20 +532,30 @@ impl Nemesis {
                 _ => false,
             };
             if due {
-                self.fire(i, t, None, &mut crashes);
+                self.fire(i, t, None, crashes);
             }
         }
-        crashes
     }
 
     /// Post-step poll: fires [`Trigger::OnObs`] / [`Trigger::OnGauge`]
     /// events after `stepper` took the step at time `t`, with the
-    /// observations that step recorded. Returns requested crashes.
-    pub(crate) fn poll_post(&mut self, t: u64, stepper: ProcId, new_obs: &[Obs]) -> Vec<ProcId> {
-        let mut crashes = Vec::new();
-        if !self.post_armed {
-            return crashes;
+    /// observations that step recorded. Requested crashes are appended to
+    /// `crashes`.
+    #[inline]
+    pub(crate) fn poll_post(
+        &mut self,
+        t: u64,
+        stepper: ProcId,
+        new_obs: &[Obs],
+        crashes: &mut Vec<ProcId>,
+    ) {
+        // An OnObs trigger can only fire on a step that observed something.
+        if self.armed.gauge || (self.armed.obs && !new_obs.is_empty()) {
+            self.scan_post(t, stepper, new_obs, crashes);
         }
+    }
+
+    fn scan_post(&mut self, t: u64, stepper: ProcId, new_obs: &[Obs], crashes: &mut Vec<ProcId>) {
         for i in 0..self.plan.events.len() {
             if self.fired[i] {
                 continue;
@@ -515,25 +569,18 @@ impl Nemesis {
                         .find(|o| o.time >= *at && o.key == key && (!wants_value || o.value >= 0));
                     if let Some(o) = hit {
                         let named = usize::try_from(o.value).ok();
-                        self.fire_with(i, t, Some(stepper), named, &mut crashes);
+                        self.fire_with(i, t, Some(stepper), named, crashes);
                     }
                 }
                 Trigger::OnGauge { at, gauge, min } => {
                     let val = self.gauges.get(gauge).map(|g| g.load(Ordering::SeqCst));
                     if t >= *at && val.is_some_and(|v| v >= *min) {
-                        self.fire(i, t, Some(stepper), &mut crashes);
+                        self.fire(i, t, Some(stepper), crashes);
                     }
                 }
                 _ => {}
             }
         }
-        self.post_armed = self
-            .plan
-            .events
-            .iter()
-            .zip(&self.fired)
-            .any(|(e, f)| !f && e.trigger.is_post_step());
-        crashes
     }
 
     fn fire(&mut self, i: usize, t: u64, stepper: Option<ProcId>, crashes: &mut Vec<ProcId>) {
@@ -549,6 +596,7 @@ impl Nemesis {
         crashes: &mut Vec<ProcId>,
     ) {
         self.fired[i] = true;
+        self.armed = Armed::of(&self.plan, &self.fired);
         let action = self.plan.events[i].action.clone();
         let resolve = |target: FaultTarget| -> Option<ProcId> {
             match target {
@@ -623,6 +671,20 @@ impl Nemesis {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Runs the pre-step poll and returns the crashes it requested.
+    fn pre(nem: &mut Nemesis, t: u64, step_counts: &[u64]) -> Vec<ProcId> {
+        let mut crashes = Vec::new();
+        nem.poll_pre(t, step_counts, &mut crashes);
+        crashes
+    }
+
+    /// Runs the post-step poll and returns the crashes it requested.
+    fn post(nem: &mut Nemesis, t: u64, stepper: ProcId, new_obs: &[Obs]) -> Vec<ProcId> {
+        let mut crashes = Vec::new();
+        nem.poll_post(t, stepper, new_obs, &mut crashes);
+        crashes
+    }
 
     fn sample_plan() -> FaultPlan {
         FaultPlan::new()
@@ -731,13 +793,13 @@ mod tests {
             );
         let mut nem = Nemesis::new(plan);
         nem.validate(2).unwrap();
-        assert!(nem.poll_pre(4, &[0, 0]).is_empty());
-        assert_eq!(nem.poll_pre(5, &[0, 0]), vec![ProcId(1)]);
+        assert!(pre(&mut nem, 4, &[0, 0]).is_empty());
+        assert_eq!(pre(&mut nem, 5, &[0, 0]), vec![ProcId(1)]);
         assert!(
-            nem.poll_pre(6, &[2, 0]).is_empty(),
+            pre(&mut nem, 6, &[2, 0]).is_empty(),
             "fired events stay fired"
         );
-        assert_eq!(nem.poll_pre(7, &[3, 0]), vec![ProcId(0)]);
+        assert_eq!(pre(&mut nem, 7, &[3, 0]), vec![ProcId(0)]);
         assert_eq!(nem.take_injections().len(), 2);
     }
 
@@ -753,10 +815,13 @@ mod tests {
             value,
         };
         // Too early, and `?` (-1) never names a victim.
-        assert!(nem.poll_post(40, ProcId(0), &[obs(40, 1)]).is_empty());
-        assert!(nem.poll_post(60, ProcId(0), &[obs(60, -1)]).is_empty());
+        assert!(post(&mut nem, 40, ProcId(0), &[obs(40, 1)]).is_empty());
+        assert!(post(&mut nem, 60, ProcId(0), &[obs(60, -1)]).is_empty());
         // A real announcement names the victim.
-        assert_eq!(nem.poll_post(70, ProcId(0), &[obs(70, 1)]), vec![ProcId(1)]);
+        assert_eq!(
+            post(&mut nem, 70, ProcId(0), &[obs(70, 1)]),
+            vec![ProcId(1)]
+        );
     }
 
     #[test]
@@ -773,9 +838,9 @@ mod tests {
         let g = Arc::new(AtomicI64::new(0));
         nem.register_gauge("g", Arc::clone(&g));
         nem.validate(3).unwrap();
-        assert!(nem.poll_post(1, ProcId(2), &[]).is_empty());
+        assert!(post(&mut nem, 1, ProcId(2), &[]).is_empty());
         g.store(1, Ordering::SeqCst);
-        assert_eq!(nem.poll_post(2, ProcId(2), &[]), vec![ProcId(2)]);
+        assert_eq!(post(&mut nem, 2, ProcId(2), &[]), vec![ProcId(2)]);
         let inj = nem.take_injections();
         assert_eq!(inj.len(), 1);
         assert_eq!(inj[0].desc, "crash p2");
@@ -804,8 +869,108 @@ mod tests {
         nem.register_switch("s", s.clone());
         nem.register_dial("d", Arc::clone(&d));
         nem.validate(1).unwrap();
-        assert!(nem.poll_pre(0, &[0]).is_empty());
+        assert!(pre(&mut nem, 0, &[0]).is_empty());
         assert!(!s.get());
         assert_eq!(d.load(Ordering::SeqCst), 7);
+    }
+
+    fn dial_plan(triggers: &[Trigger]) -> (Nemesis, Arc<AtomicI64>) {
+        let mut plan = FaultPlan::new();
+        for (i, trig) in triggers.iter().enumerate() {
+            plan = plan.with(
+                trig.clone(),
+                FaultAction::SetDial {
+                    dial: "d".to_string(),
+                    value: i as i64 + 1,
+                },
+            );
+        }
+        let mut nem = Nemesis::new(plan);
+        let d = Arc::new(AtomicI64::new(0));
+        nem.register_dial("d", Arc::clone(&d));
+        nem.register_gauge("g", Arc::new(AtomicI64::new(1)));
+        nem.validate(2).unwrap();
+        (nem, d)
+    }
+
+    #[test]
+    fn at_fires_exactly_at_its_time() {
+        let (mut nem, d) = dial_plan(&[Trigger::At(5), Trigger::At(9)]);
+        for t in 0..5 {
+            assert!(pre(&mut nem, t, &[0, 0]).is_empty());
+            assert_eq!(d.load(Ordering::SeqCst), 0, "fired early at t = {t}");
+        }
+        pre(&mut nem, 5, &[0, 0]);
+        assert_eq!(d.load(Ordering::SeqCst), 1);
+        for t in 6..9 {
+            pre(&mut nem, t, &[0, 0]);
+            assert_eq!(d.load(Ordering::SeqCst), 1, "second event early at t = {t}");
+        }
+        pre(&mut nem, 9, &[0, 0]);
+        assert_eq!(d.load(Ordering::SeqCst), 2);
+        let times: Vec<u64> = nem.take_injections().iter().map(|r| r.time).collect();
+        assert_eq!(times, vec![5, 9]);
+    }
+
+    #[test]
+    fn after_proc_steps_fires_exactly_at_its_count() {
+        let (mut nem, d) = dial_plan(&[Trigger::AfterProcSteps { proc: 1, count: 3 }]);
+        for (t, c) in [(0, 0), (1, 1), (2, 2)] {
+            pre(&mut nem, t, &[100, c]);
+            assert_eq!(d.load(Ordering::SeqCst), 0, "fired at count {c}");
+        }
+        pre(&mut nem, 3, &[100, 3]);
+        assert_eq!(d.load(Ordering::SeqCst), 1);
+        assert_eq!(nem.take_injections()[0].time, 3);
+    }
+
+    #[test]
+    fn wants_obs_turns_false_once_the_last_on_obs_fires() {
+        let on = |key: &str| Trigger::OnObs {
+            at: 0,
+            key: key.to_string(),
+        };
+        let (mut nem, _) = dial_plan(&[on("a"), Trigger::At(1_000), on("b")]);
+        let obs = |key| Obs {
+            time: 3,
+            proc: ProcId(0),
+            key,
+            idx: 0,
+            value: 0,
+        };
+        assert!(nem.wants_obs());
+        post(&mut nem, 3, ProcId(0), &[obs("a")]);
+        assert!(nem.wants_obs(), "the OnObs(b) event is still armed");
+        post(&mut nem, 4, ProcId(0), &[]);
+        assert!(nem.wants_obs());
+        post(&mut nem, 5, ProcId(0), &[obs("b")]);
+        assert!(!nem.wants_obs());
+        assert_eq!(nem.take_injections().len(), 2);
+    }
+
+    #[test]
+    fn disarmed_poll_pre_fires_nothing() {
+        let (mut nem, d) = dial_plan(&[
+            Trigger::At(2),
+            Trigger::AfterProcSteps { proc: 0, count: 1 },
+            Trigger::OnGauge {
+                at: 0,
+                gauge: "g".to_string(),
+                min: 1,
+            },
+        ]);
+        pre(&mut nem, 2, &[1, 0]);
+        assert_eq!(nem.take_injections().len(), 2);
+        // Every pre-step trigger has fired: no time or count re-arms them,
+        // and the pre-step poll leaves the post-step event alone.
+        for (t, c) in [(3, 1), (1 << 40, 1 << 40), (u64::MAX, u64::MAX)] {
+            let mut crashes = vec![ProcId(7)];
+            nem.poll_pre(t, &[c, c], &mut crashes);
+            assert_eq!(crashes, vec![ProcId(7)], "the buffer is only appended to");
+        }
+        assert!(nem.take_injections().is_empty());
+        assert_eq!(d.load(Ordering::SeqCst), 2);
+        post(&mut nem, 4, ProcId(1), &[]);
+        assert_eq!(d.load(Ordering::SeqCst), 3);
     }
 }

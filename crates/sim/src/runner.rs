@@ -141,6 +141,7 @@ struct TaskRt {
 struct ProcRt {
     name: String,
     tasks: Vec<TaskRt>,
+    /// The task to try first at the process's next step (`< tasks.len()`).
     cursor: usize,
     crashed: bool,
 }
@@ -320,9 +321,11 @@ impl Sim {
                 crashes_applied.push((t, cp));
             }
         };
-        // Scratch buffer reused across steps (the hot loop allocates
-        // nothing per iteration).
+        // Scratch buffers reused across steps (the hot loop allocates
+        // nothing per iteration): the granted step's observations and the
+        // crashes a nemesis poll requests.
         let mut step_obs: Vec<crate::trace::Obs> = Vec::new();
+        let mut nem_crashes: Vec<ProcId> = Vec::new();
 
         for t in 0..config.max_steps {
             while let Some(&&(ct, cp)) = crash_iter.peek() {
@@ -333,7 +336,8 @@ impl Sim {
                 crash_iter.next();
             }
             if let Some(nem) = config.nemesis.as_mut() {
-                for cp in nem.poll_pre(t, &step_counts) {
+                nem.poll_pre(t, &step_counts, &mut nem_crashes);
+                for cp in nem_crashes.drain(..) {
                     crash(&mut self.procs, &mut runnable, t, cp);
                 }
             }
@@ -354,9 +358,7 @@ impl Sim {
             }
             let mut p = config.schedule.next(&view);
             if p.0 >= n || !runnable[p.0] {
-                p = view
-                    .next_runnable_from(p.0 % n)
-                    .expect("some process runnable");
+                p = view.next_runnable_from(p.0).expect("some process runnable");
             }
             // Rotate to the process's next live task and grant one step.
             let watch_obs = config.nemesis.as_ref().is_some_and(|nm| nm.wants_obs());
@@ -364,8 +366,10 @@ impl Sim {
             let ntasks = proc.tasks.len();
             let mut granted = false;
             step_obs.clear();
-            for k in 0..ntasks {
-                let ti = (proc.cursor + k) % ntasks;
+            let mut next_ti = proc.cursor;
+            for _ in 0..ntasks {
+                let ti = next_ti;
+                next_ti = if ti + 1 == ntasks { 0 } else { ti + 1 };
                 let task = &mut proc.tasks[ti];
                 if task.exited {
                     continue;
@@ -380,7 +384,7 @@ impl Sim {
                 }));
                 match step {
                     Ok(Control::Yield) => {
-                        proc.cursor = ti + 1;
+                        proc.cursor = next_ti;
                         granted = true;
                         if watch_obs {
                             task.env.obs.since_into(obs_mark, &mut step_obs);
@@ -401,7 +405,8 @@ impl Sim {
                 steps.push(p);
                 step_counts[p.0] += 1;
                 if let Some(nem) = config.nemesis.as_mut() {
-                    for cp in nem.poll_post(t, p, &step_obs) {
+                    nem.poll_post(t, p, &step_obs, &mut nem_crashes);
+                    for cp in nem_crashes.drain(..) {
                         crash(&mut self.procs, &mut runnable, t, cp);
                     }
                 }
@@ -686,7 +691,7 @@ mod tests {
             },
             FaultAction::Crash(FaultTarget::Proc(4)),
         );
-        let log = DecisionLog::new();
+        let log = DecisionLog::new(0..1000);
         let config = RunConfig::new(1000, Tapped::new(RoundRobin::new(), log.clone()))
             .crash(10, ProcId(3))
             .with_nemesis(Nemesis::new(plan));

@@ -21,12 +21,22 @@
 //!   perturbed *mid-run* through a [`ScheduleCtl`] handle, which is how
 //!   the nemesis (see the [`nemesis`](crate::nemesis) module) demotes and
 //!   flickers processes.
+//!
+//! Schedules run once per simulated step, so the ones on the hot path do
+//! work only on change. A [`ScheduleCtl`] carries a version that every
+//! mutation bumps; [`NemesisSchedule`] re-reads the control sets only
+//! when that version (or `n`) moved, and otherwise walks cached lists of
+//! its demoted and flickering processes. Cursors wrap with a compare, not
+//! a division. The model checker's [`Tapped`] recorder writes only the
+//! decision window its [`DecisionLog`] was built for.
 
 use crate::ids::ProcId;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// What a schedule may inspect when choosing the next process.
@@ -42,10 +52,20 @@ pub struct ScheduleView<'a> {
 
 impl ScheduleView<'_> {
     /// First runnable process at or after `start` (wrapping), if any.
+    /// A `start` of `n` or more is taken modulo `n`.
     pub fn next_runnable_from(&self, start: usize) -> Option<ProcId> {
-        (0..self.n)
-            .map(|k| (start + k) % self.n)
-            .find(|&p| self.runnable[p])
+        let runnable = &self.runnable[..self.n];
+        let start = if start < self.n {
+            start
+        } else {
+            start % self.n.max(1)
+        };
+        // Scan [start, n) and then [0, start): a wrap without a division.
+        runnable[start..]
+            .iter()
+            .position(|&r| r)
+            .map(|k| start + k)
+            .or_else(|| runnable[..start].iter().position(|&r| r))
             .map(ProcId)
     }
 
@@ -105,6 +125,7 @@ impl Schedule for Box<dyn Schedule> {
 /// Every process steps in turn: the fully synchronous regime.
 #[derive(Clone, Debug, Default)]
 pub struct RoundRobin {
+    /// The last chosen process plus one, so at most `n`.
     cursor: usize,
 }
 
@@ -117,9 +138,8 @@ impl RoundRobin {
 
 impl Schedule for RoundRobin {
     fn next(&mut self, view: &ScheduleView<'_>) -> ProcId {
-        let p = view
-            .next_runnable_from(self.cursor % view.n.max(1))
-            .unwrap_or(ProcId(0));
+        let start = if self.cursor < view.n { self.cursor } else { 0 };
+        let p = view.next_runnable_from(start).unwrap_or(ProcId(0));
         self.cursor = p.0 + 1;
         p
     }
@@ -448,22 +468,30 @@ pub struct Decision {
     pub chosen: ProcId,
 }
 
-/// Shared log of scheduler decision points, filled by [`Tapped`].
+/// Shared log of scheduler decision points inside one window of times,
+/// filled by [`Tapped`].
 ///
 /// This is the model checker's *validation tap*: the checker predicts the
 /// runnable set at every decision slot of its enumerated window
 /// analytically, and after the run asserts the prediction against what
-/// the engine actually saw. Cloning yields another handle to the same
+/// the engine actually saw. Only decisions at times inside the log's
+/// window are recorded, so a tapped run pays for the window and not for
+/// the rest of its horizon. Cloning yields another handle to the same
 /// log.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct DecisionLog {
+    window: Range<u64>,
     inner: Arc<Mutex<Vec<Decision>>>,
 }
 
 impl DecisionLog {
-    /// Creates an empty log.
-    pub fn new() -> Self {
-        Self::default()
+    /// Creates an empty log that records the decisions at times in
+    /// `window`.
+    pub fn new(window: Range<u64>) -> Self {
+        DecisionLog {
+            window,
+            inner: Arc::default(),
+        }
     }
 
     /// Number of recorded decisions.
@@ -486,12 +514,14 @@ impl DecisionLog {
     }
 }
 
-/// Wraps a schedule and records every decision point into a
-/// [`DecisionLog`] — the decision-point hook of the model checker.
+/// Wraps a schedule and records the decision points inside its
+/// [`DecisionLog`]'s window — the decision-point hook of the model
+/// checker.
 ///
 /// The wrapper is transparent: it delegates `next` to the inner schedule
-/// and records `(time, runnable mask, chosen)` on the way out, so a
-/// tapped run is step-for-step identical to an untapped one.
+/// and, for a time inside the window, records `(time, runnable mask,
+/// chosen)` on the way out, so a tapped run is step-for-step identical
+/// to an untapped one.
 pub struct Tapped<S> {
     inner: S,
     log: DecisionLog,
@@ -507,11 +537,13 @@ impl<S> Tapped<S> {
 impl<S: Schedule> Schedule for Tapped<S> {
     fn next(&mut self, view: &ScheduleView<'_>) -> ProcId {
         let p = self.inner.next(view);
-        self.log.push(Decision {
-            time: view.time,
-            runnable: view.runnable_mask(),
-            chosen: p,
-        });
+        if self.log.window.contains(&view.time) {
+            self.log.push(Decision {
+                time: view.time,
+                runnable: view.runnable_mask(),
+                chosen: p,
+            });
+        }
         p
     }
 
@@ -571,6 +603,14 @@ struct CtlState {
     flickering: BTreeSet<usize>,
 }
 
+#[derive(Default)]
+struct CtlShared {
+    sets: Mutex<CtlState>,
+    /// Bumped by every mutation while `sets` is locked, so a schedule
+    /// that sees an unchanged version can skip re-reading the sets.
+    version: AtomicU64,
+}
+
 /// Shared control handle of a [`NemesisSchedule`].
 ///
 /// Cloning yields another handle to the same state; the nemesis holds
@@ -579,7 +619,7 @@ struct CtlState {
 /// points, so they are deterministic.
 #[derive(Clone, Default)]
 pub struct ScheduleCtl {
-    inner: Arc<Mutex<CtlState>>,
+    inner: Arc<CtlShared>,
 }
 
 impl ScheduleCtl {
@@ -588,38 +628,51 @@ impl ScheduleCtl {
         Self::default()
     }
 
+    fn update(&self, f: impl FnOnce(&mut CtlState)) {
+        let mut sets = self.inner.sets.lock();
+        f(&mut sets);
+        // SeqCst, and bumped before the lock is released: a reader that
+        // loads the new version and then locks sees the new sets.
+        self.inner.version.fetch_add(1, Ordering::SeqCst);
+    }
+
     /// Removes `p` from the timely set: its step gaps start doubling, so
     /// it stays correct but stops being timely.
     pub fn demote(&self, p: ProcId) {
-        self.inner.lock().demoted.insert(p.0);
+        self.update(|st| {
+            st.demoted.insert(p.0);
+        });
     }
 
     /// Undoes [`ScheduleCtl::demote`]: `p` rejoins the round-robin.
     pub fn promote(&self, p: ProcId) {
-        self.inner.lock().demoted.remove(&p.0);
+        self.update(|st| {
+            st.demoted.remove(&p.0);
+        });
     }
 
     /// Starts flickering `p`: bursts of regular steps separated by
     /// silences that double in length.
     pub fn flicker_start(&self, p: ProcId) {
-        self.inner.lock().flickering.insert(p.0);
+        self.update(|st| {
+            st.flickering.insert(p.0);
+        });
     }
 
     /// Stops flickering `p`.
     pub fn flicker_stop(&self, p: ProcId) {
-        self.inner.lock().flickering.remove(&p.0);
+        self.update(|st| {
+            st.flickering.remove(&p.0);
+        });
     }
 
     /// Snapshot of the currently perturbed (demoted or flickering)
     /// processes.
     pub fn perturbed(&self) -> Vec<ProcId> {
-        let st = self.inner.lock();
+        let st = self.inner.sets.lock();
         st.demoted
-            .iter()
-            .chain(st.flickering.iter())
+            .union(&st.flickering)
             .copied()
-            .collect::<BTreeSet<_>>()
-            .into_iter()
             .map(ProcId)
             .collect()
     }
@@ -650,11 +703,24 @@ struct FlickState {
 /// alternates bursts of round-robin participation with silences that
 /// double in length. Everyone else round-robins. The schedule is a pure
 /// state machine over `(time, ctl state)`, so runs remain deterministic.
+///
+/// A perturbation takes effect at the first decision after the control
+/// changed. The schedule notices a change by the control's version, so a
+/// step without one costs a version load, a walk over the (usually
+/// empty) demoted and flickering lists, and the round-robin scan.
 pub struct NemesisSchedule {
     ctl: ScheduleCtl,
+    /// The control version and system size the per-process state was
+    /// last synced at; `None` before the first decision.
+    synced: Option<(u64, usize)>,
+    /// The last round-robin choice plus one, so at most `n`.
     cursor: usize,
     slow: Vec<SlowState>,
     flick: Vec<FlickState>,
+    /// The processes with `slow[p].active`, in id order.
+    demoted: Vec<usize>,
+    /// The processes with `flick[p].active`, in id order.
+    flickering: Vec<usize>,
 }
 
 /// Initial gap of a freshly demoted process (doubles from there).
@@ -669,40 +735,74 @@ impl NemesisSchedule {
     pub fn new(ctl: ScheduleCtl) -> Self {
         NemesisSchedule {
             ctl,
+            synced: None,
             cursor: 0,
             slow: Vec::new(),
             flick: Vec::new(),
+            demoted: Vec::new(),
+            flickering: Vec::new(),
         }
     }
 
+    /// Brings the per-process state in line with the control sets if the
+    /// control changed (or `n` did) since the last decision: a newly
+    /// demoted or flickering process starts its pacing at `t`, a
+    /// released one stops.
     fn sync(&mut self, n: usize, t: u64) {
-        self.slow.resize(n, SlowState::default());
-        self.flick.resize(n, FlickState::default());
-        let st = self.ctl.inner.lock();
+        let version = self.ctl.inner.version.load(Ordering::SeqCst);
+        if self.synced == Some((version, n)) {
+            return;
+        }
+        if self.synced.map(|(_, m)| m) != Some(n) {
+            // Only the cursor's residue matters; reduce it once here so
+            // the per-step wrap stays a compare.
+            self.cursor %= n.max(1);
+            self.slow.resize(n, SlowState::default());
+            self.flick.resize(n, FlickState::default());
+        }
+        self.synced = Some((version, n));
+        self.demoted.clear();
+        self.flickering.clear();
+        let st = self.ctl.inner.sets.lock();
         for p in 0..n {
-            let demoted = st.demoted.contains(&p);
-            if demoted && !self.slow[p].active {
-                self.slow[p] = SlowState {
+            let s = &mut self.slow[p];
+            if !st.demoted.contains(&p) {
+                s.active = false;
+            } else if !s.active {
+                *s = SlowState {
                     active: true,
                     next_due: t + DEMOTE_GAP0,
                     gap: DEMOTE_GAP0,
                 };
-            } else if !demoted {
-                self.slow[p].active = false;
             }
-            let flickering = st.flickering.contains(&p);
-            if flickering && !self.flick[p].active {
-                self.flick[p] = FlickState {
+            if s.active {
+                self.demoted.push(p);
+            }
+            let f = &mut self.flick[p];
+            if !st.flickering.contains(&p) {
+                f.active = false;
+            } else if !f.active {
+                *f = FlickState {
                     active: true,
                     on: true,
                     until: t + FLICKER_BURST,
                     quiet: FLICKER_QUIET0,
                 };
-            } else if !flickering {
-                self.flick[p].active = false;
             }
+            if f.active {
+                self.flickering.push(p);
+            }
+        }
+    }
+}
+
+impl Schedule for NemesisSchedule {
+    fn next(&mut self, view: &ScheduleView<'_>) -> ProcId {
+        let (n, t) = (view.n, view.time);
+        self.sync(n, t);
+        for &p in &self.flickering {
             let f = &mut self.flick[p];
-            if f.active && t >= f.until {
+            if t >= f.until {
                 if f.on {
                     f.on = false;
                     f.until = t + f.quiet;
@@ -713,26 +813,20 @@ impl NemesisSchedule {
                 }
             }
         }
-    }
-}
-
-impl Schedule for NemesisSchedule {
-    fn next(&mut self, view: &ScheduleView<'_>) -> ProcId {
-        let (n, t) = (view.n, view.time);
-        self.sync(n, t);
         // A demoted process whose gap has elapsed takes priority: it must
         // keep stepping (it is correct!), just ever more rarely.
-        for p in 0..n {
+        for &p in &self.demoted {
             let s = &mut self.slow[p];
-            if s.active && view.runnable[p] && t >= s.next_due {
+            if view.runnable[p] && t >= s.next_due {
                 s.gap = (s.gap * 2).min(1 << 40);
                 s.next_due = t + s.gap;
                 return ProcId(p);
             }
         }
         // Round-robin over the unperturbed (and currently-bursting) rest.
-        for k in 0..n {
-            let p = (self.cursor + k) % n;
+        let start = if self.cursor < n { self.cursor } else { 0 };
+        let mut p = start;
+        for _ in 0..n {
             let eligible = view.runnable[p]
                 && !self.slow[p].active
                 && (!self.flick[p].active || self.flick[p].on);
@@ -740,11 +834,14 @@ impl Schedule for NemesisSchedule {
                 self.cursor = p + 1;
                 return ProcId(p);
             }
+            p += 1;
+            if p == n {
+                p = 0;
+            }
         }
         // Everyone is perturbed or blocked: fall back to any runnable
         // process so the run never stalls.
-        view.next_runnable_from(self.cursor % n.max(1))
-            .unwrap_or(ProcId(0))
+        view.next_runnable_from(start).unwrap_or(ProcId(0))
     }
 
     fn intended_timely(&self, n: usize) -> Vec<ProcId> {
@@ -851,7 +948,7 @@ mod tests {
 
     #[test]
     fn tapped_records_decisions_transparently() {
-        let log = DecisionLog::new();
+        let log = DecisionLog::new(0..4);
         let mut tapped = Tapped::new(RoundRobin::new(), log.clone());
         let mut plain = RoundRobin::new();
         let r = [true, false, true];
@@ -870,6 +967,33 @@ mod tests {
         );
         assert_eq!(ds[1].chosen, ProcId(2));
         assert!(ds.iter().all(|d| d.runnable == 0b101));
+    }
+
+    #[test]
+    fn tapped_records_only_its_window() {
+        let log = DecisionLog::new(2..5);
+        let mut tapped = Tapped::new(RoundRobin::new(), log.clone());
+        let r = [true, true, true];
+        let seq: Vec<usize> = (0..8).map(|t| tapped.next(&view(&r, t)).0).collect();
+        assert_eq!(seq, vec![0, 1, 2, 0, 1, 2, 0, 1]);
+        let recorded: Vec<(u64, usize)> = log
+            .snapshot()
+            .iter()
+            .map(|d| (d.time, d.chosen.0))
+            .collect();
+        assert_eq!(recorded, vec![(2, 2), (3, 0), (4, 1)]);
+    }
+
+    #[test]
+    fn next_runnable_from_wraps() {
+        let v = view(&[false, true, false, true], 0);
+        let from = |s| v.next_runnable_from(s).map(|p| p.0);
+        assert_eq!(
+            (0..9).map(from).collect::<Vec<_>>(),
+            [1, 1, 3, 3, 1, 1, 3, 3, 1].map(Some)
+        );
+        assert_eq!(view(&[false, false], 0).next_runnable_from(1), None);
+        assert_eq!(view(&[], 0).next_runnable_from(3), None);
     }
 
     #[test]
