@@ -7,6 +7,7 @@
 
 use std::process::ExitCode;
 use tbwf::prelude::*;
+use tbwf_bench::gauntlet::counter_history_violations;
 use tbwf_omega::OBS_LEADER;
 use tbwf_sim::StepLog;
 
@@ -112,6 +113,20 @@ fn parse_schedule(spec: &str, n: usize, steps: u64) -> Result<Box<dyn Schedule>,
     }
 }
 
+/// Runs the counter workload on every process.
+fn run_counter(cli: &Cli, schedule: Box<dyn Schedule>) -> TbwfRun<Counter> {
+    TbwfSystemBuilder::new(Counter)
+        .processes(cli.n)
+        .omega(cli.omega)
+        .workload_all(Workload::Unlimited(CounterOp::Inc))
+        .run(RunConfig {
+            max_steps: cli.steps,
+            crashes: Vec::new(),
+            schedule,
+            nemesis: None,
+        })
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (cli, schedule) = match parse_args(&args)
@@ -129,16 +144,7 @@ fn main() -> ExitCode {
         "explore: n={n} steps={steps} schedule={} omega={:?}\n",
         cli.sched_spec, cli.omega
     );
-    let run = TbwfSystemBuilder::new(Counter)
-        .processes(n)
-        .omega(cli.omega)
-        .workload_all(Workload::Unlimited(CounterOp::Inc))
-        .run(RunConfig {
-            max_steps: steps,
-            crashes: Vec::new(),
-            schedule,
-            nemesis: None,
-        });
+    let run = run_counter(&cli, schedule);
     run.report.assert_no_panics();
 
     println!("completed operations per process: {:?}", run.completed);
@@ -160,7 +166,16 @@ fn main() -> ExitCode {
         let who = if *v < 0 { "?".into() } else { format!("p{v}") };
         println!("  t={t:<8} leader = {who}");
     }
-    assert_run_linearizable(&Counter, &run);
+    // The step budget can cut off an increment that has taken effect
+    // before its response is reported, so the history is checked with the
+    // counter oracle, which is sound on such a history.
+    let violations = counter_history_violations(&run, n);
+    for v in &violations {
+        eprintln!("explore: {}: {}", v.invariant, v.detail);
+    }
+    if !violations.is_empty() {
+        return ExitCode::FAILURE;
+    }
     println!("\nhistory linearizable ok");
     ExitCode::SUCCESS
 }
@@ -181,5 +196,15 @@ mod tests {
             .expect("n = 257 is refused");
         assert!(err.contains("limit of 256"), "{err}");
         assert!(parse_args(&args(&["1"])).is_err());
+    }
+
+    #[test]
+    fn default_config_passes_the_counter_oracle() {
+        let cli = parse_args(&[]).expect("no arguments is the default config");
+        let schedule = parse_schedule(&cli.sched_spec, cli.n, cli.steps).unwrap();
+        let run = run_counter(&cli, schedule);
+        run.report.assert_no_panics();
+        let violations = counter_history_violations(&run, cli.n);
+        assert!(violations.is_empty(), "{violations:?}");
     }
 }

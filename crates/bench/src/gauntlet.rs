@@ -29,7 +29,7 @@ use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
 use tbwf::linearize::check_run_linearizable;
 use tbwf::prelude::OBS_COMPLETED;
-use tbwf::{TbwfSystemBuilder, Workload};
+use tbwf::{TbwfRun, TbwfSystemBuilder, Workload};
 use tbwf_monitor::fig2::{OBS_FAULT, OBS_STATUS};
 use tbwf_monitor::props::{check_pair, CheckParams, PairRun};
 use tbwf_monitor::MonitorMesh;
@@ -463,6 +463,65 @@ fn run_omega(sc: &Scenario, mk_schedule: MkSchedule<'_>) -> (Outcome, RunReport)
     (out, report)
 }
 
+/// The counter-history oracle of a TBWF counter run of `n` processes:
+/// its `linearizable` violations, empty on a sound history.
+///
+/// Sound on a history cut off by a crash, a halt or the end of the run:
+/// the Wing & Gong search, which needs a complete history, runs only
+/// when every effective increment was reported.
+pub fn counter_history_violations(run: &TbwfRun<Counter>, n: usize) -> Vec<Violation> {
+    let mut violations = Vec::new();
+    // Each increment's response is its rank in the linearization order,
+    // so reported responses must be distinct (a duplicate rank means two
+    // increments linearized at the same point — a genuine safety
+    // violation). The ranks need not be contiguous: a process crashed or
+    // halted between an increment taking effect and its response being
+    // reported leaves a hole, at most one per process.
+    let mut resp: Vec<i64> = run.results.iter().flatten().map(|r| r.resp).collect();
+    let total_ops = resp.len();
+    resp.sort_unstable();
+    if resp.windows(2).any(|w| w[0] == w[1]) {
+        violations.push(Violation::new(
+            "linearizable",
+            format!("duplicate increment rank among {total_ops} responses"),
+        ));
+    }
+    let max_resp = resp.last().copied().unwrap_or(0);
+    if max_resp - total_ops as i64 > n as i64 {
+        violations.push(Violation::new(
+            "linearizable",
+            format!(
+                "{} unreported effective increments (max rank {max_resp}, {total_ops} responses) \
+                 exceeds one in-flight operation per process (n = {n})",
+                max_resp - total_ops as i64,
+            ),
+        ));
+    }
+    for (p, r) in run.results.iter().enumerate() {
+        if r.iter().any(|op| op.time < op.invoked) {
+            violations.push(Violation::new(
+                "linearizable",
+                format!("p{p} reports an inverted operation interval"),
+            ));
+        }
+    }
+
+    // On small *complete* histories — every effective increment reported,
+    // i.e. the ranks are exactly 1..=total — run the full Wing & Gong
+    // search on top of the rank tests. Gauntlet-scale campaigns produce
+    // thousands of operations and skip this; the model checker's short
+    // horizons land under the cap.
+    if total_ops <= 256 && max_resp == total_ops as i64 {
+        if let Err(e) = check_run_linearizable(&Counter, run) {
+            violations.push(Violation::new(
+                "linearizable",
+                format!("no linearization of the {total_ops}-operation history exists ({e:?})"),
+            ));
+        }
+    }
+    violations
+}
+
 fn run_tbwf(sc: &Scenario, mk_schedule: MkSchedule<'_>) -> (Outcome, RunReport) {
     let ctl = ScheduleCtl::new();
     let run = TbwfSystemBuilder::new(Counter)
@@ -478,55 +537,8 @@ fn run_tbwf(sc: &Scenario, mk_schedule: MkSchedule<'_>) -> (Outcome, RunReport) 
     let (mut out, measured, _) = outcome_from_report(&run.report, sc.n);
     let trace = &run.report.trace;
 
-    // Each increment's response is its rank in the linearization order,
-    // so reported responses must be distinct (a duplicate rank means two
-    // increments linearized at the same point — a genuine safety
-    // violation). The ranks need not be contiguous: a process crashed or
-    // halted between an increment taking effect and its response being
-    // reported leaves a hole, at most one per process.
-    let mut resp: Vec<i64> = run.results.iter().flatten().map(|r| r.resp).collect();
-    let total_ops = resp.len();
-    resp.sort_unstable();
-    if resp.windows(2).any(|w| w[0] == w[1]) {
-        out.violations.push(Violation::new(
-            "linearizable",
-            format!("duplicate increment rank among {total_ops} responses"),
-        ));
-    }
-    let max_resp = resp.last().copied().unwrap_or(0);
-    if max_resp - total_ops as i64 > sc.n as i64 {
-        out.violations.push(Violation::new(
-            "linearizable",
-            format!(
-                "{} unreported effective increments (max rank {max_resp}, {total_ops} responses) \
-                 exceeds one in-flight operation per process (n = {})",
-                max_resp - total_ops as i64,
-                sc.n
-            ),
-        ));
-    }
-    for (p, r) in run.results.iter().enumerate() {
-        if r.iter().any(|op| op.time < op.invoked) {
-            out.violations.push(Violation::new(
-                "linearizable",
-                format!("p{p} reports an inverted operation interval"),
-            ));
-        }
-    }
-
-    // On small *complete* histories — every effective increment reported,
-    // i.e. the ranks are exactly 1..=total — run the full Wing & Gong
-    // search on top of the rank tests. Gauntlet-scale campaigns produce
-    // thousands of operations and skip this; the model checker's short
-    // horizons land under the cap.
-    if total_ops <= 256 && max_resp == total_ops as i64 {
-        if let Err(e) = check_run_linearizable(&Counter, &run) {
-            out.violations.push(Violation::new(
-                "linearizable",
-                format!("no linearization of the {total_ops}-operation history exists ({e:?})"),
-            ));
-        }
-    }
+    out.violations
+        .extend(counter_history_violations(&run, sc.n));
 
     // Timeliness-based wait-freedom: every measured-timely process keeps
     // completing operations after the settle point.
@@ -1002,5 +1014,49 @@ mod tests {
                 out.violations
             );
         }
+    }
+
+    /// A fault-free two-process counter run under round-robin.
+    fn counter_run() -> TbwfRun<Counter> {
+        TbwfSystemBuilder::new(Counter)
+            .processes(2)
+            .workload_all(Workload::Unlimited(CounterOp::Inc))
+            .run(RunConfig::new(5_000, tbwf_sim::schedule::RoundRobin::new()))
+    }
+
+    fn max_rank(run: &TbwfRun<Counter>) -> i64 {
+        run.results.iter().flatten().map(|r| r.resp).max().unwrap()
+    }
+
+    #[test]
+    fn counter_oracle_accepts_a_truncated_history() {
+        let mut run = counter_run();
+        assert!(counter_history_violations(&run, 2).is_empty());
+        // The process whose last increment is not the latest one loses
+        // that response, as if the run had been cut off before reporting
+        // it: the increment took effect, so its rank leaves a hole.
+        let top = max_rank(&run);
+        let p = (0..2)
+            .find(|&p| run.results[p].last().is_some_and(|r| r.resp != top))
+            .unwrap();
+        run.results[p].pop();
+        assert_eq!(max_rank(&run), top);
+        let total = run.results.iter().map(Vec::len).sum::<usize>() as i64;
+        assert_eq!(top, total + 1, "one hole in the ranks");
+        let violations = counter_history_violations(&run, 2);
+        assert!(violations.is_empty(), "{violations:?}");
+    }
+
+    #[test]
+    fn counter_oracle_flags_a_duplicated_rank() {
+        let mut run = counter_run();
+        run.results[0][0].resp = run.results[1][0].resp;
+        let violations = counter_history_violations(&run, 2);
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.detail.starts_with("duplicate increment rank")),
+            "{violations:?}"
+        );
     }
 }

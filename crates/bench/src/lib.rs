@@ -1,6 +1,8 @@
-//! Shared helpers for the E1–E8 experiment binaries and the Criterion
-//! benches. See `EXPERIMENTS.md` at the workspace root for the mapping
-//! from experiments to paper claims.
+//! Shared helpers for the experiment binaries (E1–E12 and `explore`).
+//! See `EXPERIMENTS.md` at the workspace root for the mapping from
+//! experiments to paper claims.
+
+#![forbid(unsafe_code)]
 
 pub mod gauntlet;
 

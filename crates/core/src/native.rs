@@ -12,8 +12,7 @@
 //!
 //! Timeliness becomes a property of the OS scheduler: on an unloaded
 //! machine every thread is timely, so the TBWF object behaves wait-free.
-//! The Criterion benches use this harness to measure real-time
-//! throughput; it is an extension beyond the paper's model, demonstrating
+//! The harness is an extension beyond the paper's model, demonstrating
 //! that the algorithms are not simulator-bound.
 //!
 //! # Example

@@ -2,41 +2,8 @@
 //! observations and crash flags.
 
 use crate::ids::ProcId;
-use crate::trace::TraceSink;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-/// Shared crash flags: one bit per process, set by the runner the moment
-/// a crash (from the static plan or a nemesis injection) takes effect.
-///
-/// Registers consult these through [`Env::is_crashed`]: a crashed
-/// process takes no further steps, so its pending operations can no
-/// longer interfere with operations invoked after the crash (see
-/// `RegCore` in `tbwf-registers`). Out-of-range ids read as not crashed.
-#[derive(Debug, Default)]
-pub struct CrashFlags {
-    bits: Vec<AtomicBool>,
-}
-
-impl CrashFlags {
-    /// Creates flags for `n` processes, all alive.
-    pub fn new(n: usize) -> Self {
-        CrashFlags {
-            bits: (0..n).map(|_| AtomicBool::new(false)).collect(),
-        }
-    }
-
-    /// Marks `p` as crashed (idempotent).
-    pub fn set(&self, p: ProcId) {
-        if let Some(b) = self.bits.get(p.0) {
-            b.store(true, Ordering::SeqCst);
-        }
-    }
-
-    /// Whether `p` has crashed.
-    pub fn get(&self, p: ProcId) -> bool {
-        self.bits.get(p.0).is_some_and(|b| b.load(Ordering::SeqCst))
-    }
-}
+use crate::trace::Obs;
+use std::cell::{Cell, RefCell};
 
 /// The interface between algorithm code and its runtime.
 ///
@@ -51,7 +18,12 @@ impl CrashFlags {
 /// returns [`Control::Yield`](crate::Control::Yield). A register
 /// operation spans two steps by invoking at the end of one segment and
 /// completing at the start of the next.
-pub trait Env: Send + Sync {
+///
+/// An env belongs to the thread polling its task: the trait asks for
+/// neither `Send` nor `Sync`. The simulator's envs share the run's state
+/// through `Rc` and are confined to the thread executing `Sim::run`; the
+/// native harness moves each env onto its task's thread.
+pub trait Env {
     /// Current global time (number of steps taken by all processes so far).
     fn now(&self) -> u64;
 
@@ -68,9 +40,13 @@ pub trait Env: Send + Sync {
 
     /// Whether process `p` has crashed in this run.
     ///
-    /// Simulator environments report the runner's [`CrashFlags`];
-    /// environments with no crash model (free-running tests, the native
-    /// thread harness) use this default and report every process alive.
+    /// Simulator environments report the run's crash flags, set the
+    /// moment a crash (from the static plan or a nemesis injection)
+    /// takes effect: a crashed process takes no further steps, so its
+    /// pending operations can no longer interfere with operations invoked
+    /// after the crash (see `RegCore` in `tbwf-registers`). Environments
+    /// with no crash model (free-running tests, the native thread
+    /// harness) use this default and report every process alive.
     fn is_crashed(&self, _p: ProcId) -> bool {
         false
     }
@@ -79,14 +55,14 @@ pub trait Env: Send + Sync {
 /// A free-running environment for unit tests and micro-benchmarks.
 ///
 /// Time only moves when the caller says so ([`FreeRunEnv::advance`], one
-/// step per call); observations are recorded into an internal sink that
+/// step per call); observations are recorded into an internal log that
 /// can be drained with [`FreeRunEnv::take_obs`]. There is no scheduler
-/// and no determinism guarantee across threads — use the real simulator
-/// for anything that needs the model semantics.
+/// and, like every simulator env, it stays on the thread that made it —
+/// use the real simulator for anything that needs the model semantics.
 pub struct FreeRunEnv {
     pid: ProcId,
-    clock: AtomicU64,
-    sink: TraceSink,
+    clock: Cell<u64>,
+    obs: RefCell<Vec<Obs>>,
 }
 
 impl FreeRunEnv {
@@ -94,8 +70,8 @@ impl FreeRunEnv {
     pub fn new(pid: ProcId) -> Self {
         FreeRunEnv {
             pid,
-            clock: AtomicU64::new(0),
-            sink: TraceSink::new(),
+            clock: Cell::new(0),
+            obs: RefCell::new(Vec::new()),
         }
     }
 
@@ -103,18 +79,18 @@ impl FreeRunEnv {
     /// a register operation's invocation and its completion to give the
     /// operation the two-step extent it has in a run.
     pub fn advance(&self) {
-        self.clock.fetch_add(1, Ordering::SeqCst);
+        self.clock.set(self.clock.get() + 1);
     }
 
     /// Drains and returns all recorded observations.
-    pub fn take_obs(&self) -> Vec<crate::trace::Obs> {
-        self.sink.drain()
+    pub fn take_obs(&self) -> Vec<Obs> {
+        self.obs.take()
     }
 }
 
 impl Env for FreeRunEnv {
     fn now(&self) -> u64 {
-        self.clock.load(Ordering::SeqCst)
+        self.clock.get()
     }
 
     fn pid(&self) -> ProcId {
@@ -122,7 +98,13 @@ impl Env for FreeRunEnv {
     }
 
     fn observe(&self, key: &'static str, idx: u32, value: i64) {
-        self.sink.record(self.now(), self.pid, key, idx, value);
+        self.obs.borrow_mut().push(Obs {
+            time: self.now(),
+            proc: self.pid,
+            key,
+            idx,
+            value,
+        });
     }
 }
 

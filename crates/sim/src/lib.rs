@@ -73,6 +73,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![forbid(unsafe_code)]
 
 pub mod analysis;
 mod env;
@@ -88,7 +89,7 @@ pub mod step;
 pub mod timeliness;
 pub mod trace;
 
-pub use env::{CrashFlags, Env, FreeRunEnv};
+pub use env::{Env, FreeRunEnv};
 pub use executor::{resolve_jobs, Executor};
 pub use ids::ProcId;
 pub use json::Json;

@@ -1,14 +1,17 @@
 //! The simulation runner: builds processes/tasks and executes a run.
+//!
+//! A run is one totally ordered sequence of steps, executed on the
+//! thread calling [`Sim::run`]. Every task's env shares the run's single
+//! state (clock, crash flags, observation log), so observations are
+//! logged in execution order as they happen.
 
-use crate::env::CrashFlags;
 use crate::ids::ProcId;
 use crate::nemesis::Nemesis;
 use crate::schedule::{Schedule, ScheduleView};
-use crate::step::{Control, StepCtx, StepEnv, Stepper};
-use crate::trace::{ObsBuf, ObsSeq, StepLog, Trace};
+use crate::step::{Control, RunState, StepCtx, StepEnv, Stepper};
+use crate::trace::{StepLog, Trace};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
 struct TaskSpec {
     name: String,
@@ -23,7 +26,7 @@ struct ProcSpec {
 /// Builder for a simulated system.
 ///
 /// Add processes, then add one or more tasks to each; `build` wires them
-/// to the run's clock, observation buffers and crash flags.
+/// to the run's shared state (clock, crash flags and observation log).
 #[derive(Default)]
 pub struct SimBuilder {
     procs: Vec<ProcSpec>,
@@ -65,8 +68,8 @@ impl SimBuilder {
         self.procs.len()
     }
 
-    /// Wires every task to the run's clock, observation buffers and crash
-    /// flags, and returns the runnable system.
+    /// Wires every task to the run's shared state, and returns the
+    /// runnable system.
     ///
     /// # Panics
     ///
@@ -80,9 +83,7 @@ impl SimBuilder {
             self.procs.len(),
             StepLog::MAX_PROCS
         );
-        let clock = Arc::new(AtomicU64::new(0));
-        let obs_seq = ObsSeq::new();
-        let crash_flags = Arc::new(CrashFlags::new(self.procs.len()));
+        let run = RunState::new(self.procs.len());
         let mut procs = Vec::with_capacity(self.procs.len());
         for (pi, spec) in self.procs.into_iter().enumerate() {
             assert!(!spec.tasks.is_empty(), "process {} has no tasks", spec.name);
@@ -94,9 +95,7 @@ impl SimBuilder {
                     stepper: t.stepper,
                     env: StepEnv {
                         pid: ProcId(pi),
-                        clock: Arc::clone(&clock),
-                        obs: obs_seq.new_buf(),
-                        crashed: Arc::clone(&crash_flags),
+                        run: Rc::clone(&run),
                     },
                     exited: false,
                     finished: false,
@@ -110,11 +109,7 @@ impl SimBuilder {
                 crashed: false,
             });
         }
-        Sim {
-            procs,
-            clock,
-            crash_flags,
-        }
+        Sim { procs, run }
     }
 }
 
@@ -259,10 +254,9 @@ impl RunReport {
 /// A built system, ready to run once.
 pub struct Sim {
     procs: Vec<ProcRt>,
-    clock: Arc<AtomicU64>,
-    /// Shared with every task env so registers can tell that a process
-    /// has crashed (see [`crate::Env::is_crashed`]).
-    crash_flags: Arc<CrashFlags>,
+    /// Shared with every task env: the clock, the crash flags registers
+    /// consult (see [`crate::Env::is_crashed`]) and the observation log.
+    run: Rc<RunState>,
 }
 
 impl Sim {
@@ -301,8 +295,8 @@ impl Sim {
         }
         // Pre-size the step record from the step budget, capped at 4 MiB:
         // huge budgets (the E11 n = 64 sweep asks for ~1.6e8 steps) grow it
-        // as they go. Observations are rare next to steps, so their
-        // per-task buffers are not pre-sized at all.
+        // as they go. Observations are rare next to steps, so their log is
+        // not pre-sized at all.
         let mut steps = StepLog::with_capacity((config.max_steps as usize).min(1 << 22));
         let mut step_counts = vec![0u64; n];
         let mut crashes_applied: Vec<(u64, ProcId)> = Vec::new();
@@ -317,14 +311,12 @@ impl Sim {
             if cp.0 < n && !procs[cp.0].crashed {
                 procs[cp.0].crashed = true;
                 runnable[cp.0] = false;
-                self.crash_flags.set(cp);
+                self.run.crashed[cp.0].set(true);
                 crashes_applied.push((t, cp));
             }
         };
-        // Scratch buffers reused across steps (the hot loop allocates
-        // nothing per iteration): the granted step's observations and the
-        // crashes a nemesis poll requests.
-        let mut step_obs: Vec<crate::trace::Obs> = Vec::new();
+        // Scratch buffer reused across steps (the hot loop allocates
+        // nothing per iteration): the crashes a nemesis poll requests.
         let mut nem_crashes: Vec<ProcId> = Vec::new();
 
         for t in 0..config.max_steps {
@@ -365,7 +357,11 @@ impl Sim {
             let proc = &mut self.procs[p.0];
             let ntasks = proc.tasks.len();
             let mut granted = false;
-            step_obs.clear();
+            // Where the granted task's observations start in the log. Marked
+            // before each attempt, so a task that exits in this slot (its
+            // `Done` segment may observe) is not reported as the step's.
+            let mut obs_mark = 0;
+            self.run.now.set(t);
             let mut next_ti = proc.cursor;
             for _ in 0..ntasks {
                 let ti = next_ti;
@@ -374,10 +370,7 @@ impl Sim {
                 if task.exited {
                     continue;
                 }
-                // Relaxed is enough for the clock: tasks read it from this
-                // very thread.
-                self.clock.store(t, Ordering::Relaxed);
-                let obs_mark = if watch_obs { task.env.obs.mark() } else { 0 };
+                obs_mark = self.run.obs.borrow().len();
                 let (stepper, env) = (&mut task.stepper, &task.env);
                 let step = std::panic::catch_unwind(AssertUnwindSafe(|| {
                     stepper.step(&mut StepCtx::new(env))
@@ -386,9 +379,6 @@ impl Sim {
                     Ok(Control::Yield) => {
                         proc.cursor = next_ti;
                         granted = true;
-                        if watch_obs {
-                            task.env.obs.since_into(obs_mark, &mut step_obs);
-                        }
                         break;
                     }
                     Ok(Control::Done) => {
@@ -405,7 +395,9 @@ impl Sim {
                 steps.push(p);
                 step_counts[p.0] += 1;
                 if let Some(nem) = config.nemesis.as_mut() {
-                    nem.poll_post(t, p, &step_obs, &mut nem_crashes);
+                    let obs = self.run.obs.borrow();
+                    let step_obs = if watch_obs { &obs[obs_mark..] } else { &[] };
+                    nem.poll_post(t, p, step_obs, &mut nem_crashes);
                     for cp in nem_crashes.drain(..) {
                         crash(&mut self.procs, &mut runnable, t, cp);
                     }
@@ -438,16 +430,9 @@ impl Sim {
             });
         }
 
-        // Merge the per-task observation buffers back into one global
-        // sequence (the shared stamp counter makes the order exact).
-        let obs = ObsBuf::merge(
-            self.procs
-                .iter()
-                .flat_map(|p| p.tasks.iter().map(|t| &t.env.obs)),
-        );
         let trace = Trace {
             steps,
-            obs,
+            obs: self.run.obs.take(),
             crashes: crashes_applied,
             injections: config
                 .nemesis
@@ -729,6 +714,79 @@ mod tests {
         );
         let crashed: Vec<bool> = report.procs.iter().map(|pr| pr.crashed).collect();
         assert_eq!(crashed, vec![false, false, false, true, true]);
+    }
+
+    #[test]
+    fn trace_obs_keeps_recording_order_across_tasks_and_processes() {
+        let mut b = SimBuilder::new();
+        let p0 = b.add_process("p0");
+        b.add_stepper(p0, "tag", Box::new(Tagger(10)));
+        b.add_stepper(
+            p0,
+            "count",
+            Box::new(CountingStepper { yields: 1, done: 0 }),
+        );
+        let p1 = b.add_process("p1");
+        b.add_stepper(p1, "tag", Box::new(Tagger(20)));
+        let report = b.build().run(RunConfig::new(8, RoundRobin::new()));
+        report.assert_no_panics();
+        let got: Vec<(u64, usize, &str, i64)> = report
+            .trace
+            .obs
+            .iter()
+            .map(|o| (o.time, o.proc.0, o.key, o.value))
+            .collect();
+        // At t = 6 p0's second task observes in its `Done` segment, then
+        // its first task takes the step and observes at the same time.
+        let want = vec![
+            (0, 0, "task", 10),
+            (1, 1, "task", 20),
+            (2, 0, "i", 0),
+            (3, 1, "task", 20),
+            (4, 0, "task", 10),
+            (5, 1, "task", 20),
+            (6, 0, "final", -1),
+            (6, 0, "task", 10),
+            (7, 1, "task", 20),
+        ];
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn on_obs_sees_only_the_granted_tasks_observations() {
+        use crate::nemesis::{FaultAction, FaultPlan, FaultTarget, Trigger};
+        let mut b = SimBuilder::new();
+        let p0 = b.add_process("p0");
+        b.add_stepper(
+            p0,
+            "count",
+            Box::new(CountingStepper { yields: 1, done: 0 }),
+        );
+        b.add_stepper(p0, "tag", Box::new(Tagger(10)));
+        for p in 1..3 {
+            let pid = b.add_process(&format!("p{p}"));
+            b.add_stepper(pid, "spin", Box::new(Spin));
+        }
+        let on = |key: &str| Trigger::OnObs {
+            at: 0,
+            key: key.into(),
+        };
+        let crash = |p| FaultAction::Crash(FaultTarget::Proc(p));
+        let plan = FaultPlan::new()
+            .with(on("final"), crash(1))
+            .with(on("i"), crash(2));
+        let config = RunConfig::new(9, RoundRobin::new()).with_nemesis(Nemesis::new(plan));
+        let report = b.build().run(config);
+        report.assert_no_panics();
+        // The "i" step at t = 0 crashes p2. At t = 4 p0's counting task
+        // observes "final" as it exits and its tagging task takes the step:
+        // that step observed only "task", so the "final" trigger never fires.
+        assert!(report
+            .trace
+            .obs
+            .iter()
+            .any(|o| (o.time, o.key) == (4, "final")));
+        assert_eq!(report.trace.crashes, vec![(0, ProcId(2))]);
     }
 
     #[test]

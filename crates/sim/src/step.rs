@@ -15,11 +15,11 @@
 //! completing at the start of the next (see `tbwf-registers`). A run is
 //! a deterministic function of `(program, schedule, seed)`.
 
-use crate::env::{CrashFlags, Env};
+use crate::env::Env;
 use crate::ids::ProcId;
-use crate::trace::ObsBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use crate::trace::Obs;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 /// What a [`Stepper`] tells the scheduler after executing one segment.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -81,20 +81,43 @@ impl<'a> StepCtx<'a> {
     }
 }
 
-/// The runner-internal backing env of a task: shares the run's clock
-/// and writes observations into the task's buffer.
+/// The state every task of one run shares: the clock, the crash flags
+/// and the observation log.
+///
+/// A run is one totally ordered sequence of steps executed on the thread
+/// calling `Sim::run`, so the log is appended in execution order and
+/// needs no merging. `Rc` and `Cell` keep the state (and every
+/// [`StepEnv`] pointing at it) on that one thread.
+pub(crate) struct RunState {
+    /// Current global time, set by the runner before each slot.
+    pub(crate) now: Cell<u64>,
+    /// One flag per process, set the moment its crash takes effect.
+    pub(crate) crashed: Vec<Cell<bool>>,
+    /// Every observation of the run, in recording order.
+    pub(crate) obs: RefCell<Vec<Obs>>,
+}
+
+impl RunState {
+    /// A fresh state for a run of `n` processes at time 0, all alive.
+    pub(crate) fn new(n: usize) -> Rc<Self> {
+        Rc::new(RunState {
+            now: Cell::new(0),
+            crashed: (0..n).map(|_| Cell::new(false)).collect(),
+            obs: RefCell::new(Vec::new()),
+        })
+    }
+}
+
+/// The runner-internal backing env of a task: its process id and the
+/// run's shared [`RunState`].
 pub(crate) struct StepEnv {
     pub(crate) pid: ProcId,
-    pub(crate) clock: Arc<AtomicU64>,
-    pub(crate) obs: ObsBuf,
-    pub(crate) crashed: Arc<CrashFlags>,
+    pub(crate) run: Rc<RunState>,
 }
 
 impl Env for StepEnv {
     fn now(&self) -> u64 {
-        // Relaxed: the runner stores the clock on this same thread just
-        // before polling the stepper; there is no cross-thread read.
-        self.clock.load(Ordering::Relaxed)
+        self.run.now.get()
     }
 
     fn pid(&self) -> ProcId {
@@ -102,11 +125,18 @@ impl Env for StepEnv {
     }
 
     fn observe(&self, key: &'static str, idx: u32, value: i64) {
-        self.obs.record(self.now(), self.pid, key, idx, value);
+        self.run.obs.borrow_mut().push(Obs {
+            time: self.now(),
+            proc: self.pid,
+            key,
+            idx,
+            value,
+        });
     }
 
+    /// Out-of-range ids read as not crashed.
     fn is_crashed(&self, p: ProcId) -> bool {
-        self.crashed.get(p)
+        self.run.crashed.get(p.0).is_some_and(Cell::get)
     }
 }
 

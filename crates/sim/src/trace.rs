@@ -2,15 +2,12 @@
 //!
 //! A run's record is exact but compact. The step sequence is a
 //! [`StepLog`] of one byte per step (so a system has at most
-//! [`StepLog::MAX_PROCS`] processes), and the observations, which are
-//! rare next to steps, grow on demand: nothing is reserved from the step
-//! budget.
+//! [`StepLog::MAX_PROCS`] processes). The observations are one log that
+//! every task of the run appends to as it observes, so their order is
+//! the execution order; they are rare next to steps and grow on demand:
+//! nothing is reserved from the step budget.
 
 use crate::ids::ProcId;
-use parking_lot::Mutex;
-use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// One observation of a local output variable.
 ///
@@ -31,136 +28,6 @@ pub struct Obs {
     pub idx: u32,
     /// Observed value.
     pub value: i64,
-}
-
-/// The run-global observation stamp counter, shared by every task's
-/// [`ObsBuf`].
-///
-/// A run is single-threaded by construction: the scheduler calls
-/// `Stepper::step` directly from `Sim::run`, so every `record` and every
-/// runner-side read happens on the one thread driving the run. The
-/// `Sync` assertion below exists only because [`crate::Env`] (which the
-/// runner's `StepEnv` implements) is a `Send + Sync` trait; it is never
-/// exercised across threads.
-///
-/// # Safety
-///
-/// Constructed only by `SimBuilder::build`, and only ever touched from
-/// the thread executing `Sim::run`. Nothing hands a task's env to another
-/// thread: `StepCtx` borrows it for the duration of one synchronous
-/// `step` call.
-pub(crate) struct ObsSeq(Cell<u64>);
-
-// SAFETY: see the type-level invariant above — all access is confined to
-// the thread driving `Sim::run`.
-unsafe impl Sync for ObsSeq {}
-
-impl ObsSeq {
-    /// A fresh counter for one run.
-    pub(crate) fn new() -> Arc<Self> {
-        Arc::new(ObsSeq(Cell::new(0)))
-    }
-
-    fn next(&self) -> u64 {
-        let v = self.0.get();
-        self.0.set(v + 1);
-        v
-    }
-
-    /// A fresh per-task buffer drawing stamps from this counter.
-    pub(crate) fn new_buf(self: &Arc<Self>) -> ObsBuf {
-        ObsBuf {
-            seq: Arc::clone(self),
-            items: RefCell::new(Vec::new()),
-        }
-    }
-}
-
-/// Per-task observation buffer with a run-global sequence stamp.
-///
-/// Each task appends into its own buffer, but every record draws a stamp
-/// from the [`ObsSeq`] shared by all buffers of a run; merging the
-/// buffers sorted by stamp reproduces the exact global recording order.
-/// The stamp (not `Obs::time`) is what orders observations: several
-/// tasks can observe at the same time `t` when an exiting task's final
-/// segment and its successor run in the same slot.
-///
-/// Same confinement invariant (and the same reason for the `Sync`
-/// assertion) as [`ObsSeq`]; the `RefCell` turns any violation of the
-/// aliasing discipline into a deterministic panic instead of UB.
-pub(crate) struct ObsBuf {
-    seq: Arc<ObsSeq>,
-    items: RefCell<Vec<(u64, Obs)>>,
-}
-
-// SAFETY: `items` is a `RefCell` that, like the counter behind `seq`,
-// is only touched from the thread driving `Sim::run` (see `ObsSeq`);
-// `seq` is an `Arc<ObsSeq>`, `Sync` by the assertion above.
-unsafe impl Sync for ObsBuf {}
-
-impl ObsBuf {
-    pub(crate) fn record(&self, time: u64, proc: ProcId, key: &'static str, idx: u32, value: i64) {
-        let obs = Obs {
-            time,
-            proc,
-            key,
-            idx,
-            value,
-        };
-        self.items.borrow_mut().push((self.seq.next(), obs));
-    }
-
-    /// Number of observations recorded so far (used by the runner to
-    /// mark a position before granting a step).
-    pub(crate) fn mark(&self) -> usize {
-        self.items.borrow().len()
-    }
-
-    /// Appends the observations recorded since `mark` into `out` (what
-    /// one granted step observed; fed to the nemesis for trace-aware
-    /// triggers). `out` is a runner-owned scratch buffer reused across
-    /// steps.
-    pub(crate) fn since_into(&self, mark: usize, out: &mut Vec<Obs>) {
-        out.extend(self.items.borrow()[mark..].iter().map(|(_, o)| *o));
-    }
-
-    /// Merges buffers into one observation list in global recording order,
-    /// releasing each buffer's storage as it goes.
-    pub(crate) fn merge<'a>(bufs: impl IntoIterator<Item = &'a ObsBuf>) -> Vec<Obs> {
-        let mut all: Vec<(u64, Obs)> = Vec::new();
-        for buf in bufs {
-            all.extend(std::mem::take(&mut *buf.items.borrow_mut()));
-        }
-        all.sort_by_key(|(stamp, _)| *stamp);
-        all.into_iter().map(|(_, o)| o).collect()
-    }
-}
-
-/// Thread-safe sink the tasks append observations to while running.
-pub(crate) struct TraceSink {
-    obs: Mutex<Vec<Obs>>,
-}
-
-impl TraceSink {
-    pub(crate) fn new() -> Self {
-        TraceSink {
-            obs: Mutex::new(Vec::new()),
-        }
-    }
-
-    pub(crate) fn record(&self, time: u64, proc: ProcId, key: &'static str, idx: u32, value: i64) {
-        self.obs.lock().push(Obs {
-            time,
-            proc,
-            key,
-            idx,
-            value,
-        });
-    }
-
-    pub(crate) fn drain(&self) -> Vec<Obs> {
-        std::mem::take(&mut self.obs.lock())
-    }
 }
 
 /// The step sequence of a run: entry `t` is the process that took the
@@ -240,7 +107,9 @@ impl std::fmt::Debug for StepLog {
 pub struct Trace {
     /// `steps[t]` is the process that took the step at time `t`.
     pub steps: StepLog,
-    /// All observations, in recording order (which is also time order).
+    /// All observations, in execution order (which is also time order;
+    /// several can share a time when a task exits and its successor
+    /// steps in the same slot).
     pub obs: Vec<Obs>,
     /// Crash events `(time, process)` that were applied during the run
     /// (from the static crash plan and from nemesis injections alike).
@@ -295,15 +164,6 @@ impl Trace {
             counts[p.0] += 1;
         }
         counts
-    }
-
-    /// The distinct `(key, idx)` pairs observed by `proc` (diagnostics).
-    pub fn observed_keys(&self, proc: ProcId) -> Vec<(&'static str, u32)> {
-        let mut set = BTreeMap::new();
-        for o in self.obs.iter().filter(|o| o.proc == proc) {
-            set.insert((o.key, o.idx), ());
-        }
-        set.into_keys().collect()
     }
 
     /// Renders an ASCII timeline of the run: one row per process, one
@@ -391,35 +251,6 @@ mod tests {
     }
 
     #[test]
-    fn obs_buf_merge_restores_recording_order() {
-        let seq = ObsSeq::new();
-        let a = seq.new_buf();
-        let b = seq.new_buf();
-        // Interleave records across buffers; same `time` throughout, so
-        // only the stamp can restore the order.
-        a.record(5, ProcId(0), "x", 0, 1);
-        b.record(5, ProcId(1), "x", 0, 2);
-        a.record(5, ProcId(0), "x", 0, 3);
-        let merged = ObsBuf::merge([&b, &a]);
-        let values: Vec<i64> = merged.iter().map(|o| o.value).collect();
-        assert_eq!(values, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn obs_buf_mark_and_since_into_agree() {
-        let buf = ObsSeq::new().new_buf();
-        buf.record(0, ProcId(0), "x", 0, 1);
-        let mark = buf.mark();
-        assert_eq!(mark, 1);
-        buf.record(1, ProcId(0), "x", 0, 2);
-        buf.record(2, ProcId(0), "y", 1, 3);
-        let mut out = Vec::new();
-        buf.since_into(mark, &mut out);
-        let vals: Vec<i64> = out.iter().map(|o| o.value).collect();
-        assert_eq!(vals, vec![2, 3]);
-    }
-
-    #[test]
     fn series_filters_by_proc_key_idx() {
         let t = mk_trace();
         assert_eq!(t.obs_series(ProcId(0), "x", 0), vec![(0, 1), (2, 2)]);
@@ -441,12 +272,6 @@ mod tests {
         assert_eq!(t.crash_time(ProcId(1)), Some(4));
         assert!(t.is_correct(ProcId(0)));
         assert!(!t.is_correct(ProcId(1)));
-    }
-
-    #[test]
-    fn observed_keys_sorted_unique() {
-        let t = mk_trace();
-        assert_eq!(t.observed_keys(ProcId(1)), vec![("x", 0), ("y", 3)]);
     }
 
     #[test]

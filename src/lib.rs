@@ -19,6 +19,7 @@
 //! * [`tbwf`] — object-type library and the high-level system builder.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use tbwf;
 pub use tbwf_monitor as monitor;
