@@ -8,12 +8,13 @@
 //!
 //! Expected result: no property is ever violated (`viol` column empty).
 
+use std::rc::Rc;
 use tbwf_bench::print_table;
 use tbwf_monitor::fig2::{activity_monitor, OBS_FAULT, OBS_STATUS};
 use tbwf_monitor::props::{check_pair, CheckParams, PairRun};
 use tbwf_registers::RegisterFactory;
 use tbwf_sim::schedule::{GapGrowth, PartiallySynchronous, RoundRobin, Schedule};
-use tbwf_sim::{Control, Local, ProcId, RunConfig, SimBuilder, StepCtx, Stepper};
+use tbwf_sim::{step, Env, FutureTask, Local, ProcId, RunConfig, SimBuilder};
 
 #[derive(Clone, Copy, Debug)]
 enum InputScript {
@@ -60,26 +61,20 @@ impl QBehavior {
 /// Drives one monitor input: every step sets `cell` to the script's
 /// value at the current time, observing each change (and, first, the
 /// initial value).
-struct InputDriver {
-    key: &'static str,
-    idx: u32,
+async fn input_driver(
+    env: Rc<dyn Env>,
+    (key, idx): (&'static str, u32),
     cell: Local<bool>,
     script: InputScript,
-    started: bool,
-}
-
-impl Stepper for InputDriver {
-    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Control {
-        if !self.started {
-            self.started = true;
-            ctx.observe(self.key, self.idx, self.cell.get() as i64);
+) {
+    env.observe(key, idx, cell.get() as i64);
+    loop {
+        let v = script.value_at(env.now());
+        if cell.get() != v {
+            cell.set(v);
+            env.observe(key, idx, v as i64);
         }
-        let v = self.script.value_at(ctx.now());
-        if self.cell.get() != v {
-            self.cell.set(v);
-            ctx.observe(self.key, self.idx, v as i64);
-        }
-        Control::Yield
+        step().await;
     }
 }
 
@@ -91,13 +86,7 @@ fn add_input_driver(
     cell: Local<bool>,
     script: InputScript,
 ) {
-    let driver = InputDriver {
-        key,
-        idx,
-        cell,
-        script,
-        started: false,
-    };
+    let driver = FutureTask::new(move |env| input_driver(env, (key, idx), cell, script));
     b.add_stepper(pid, "driver", Box::new(driver));
 }
 
@@ -109,17 +98,18 @@ fn run_one(mon: InputScript, act: InputScript, beh: QBehavior, steps: u64) -> Pa
 
     let mut b = SimBuilder::new();
     let p0 = b.add_process("p0");
+    let (monitoring_side, monitored_side) = (pair.monitoring_side, pair.monitored_side);
     b.add_stepper(
         p0,
         "monitoring",
-        Box::new(pair.monitoring_side.into_stepper()),
+        Box::new(FutureTask::new(|env| monitoring_side.run(env))),
     );
     add_input_driver(&mut b, p0, "monitoring", 1, monitoring, mon);
     let p1 = b.add_process("p1");
     b.add_stepper(
         p1,
         "monitored",
-        Box::new(pair.monitored_side.into_stepper()),
+        Box::new(FutureTask::new(|env| monitored_side.run(env))),
     );
     add_input_driver(&mut b, p1, "active_for", 0, active_for, act);
 

@@ -14,66 +14,29 @@
 //! of reader polls that judge the writer timely, for a timely and for a
 //! slow writer, under both detector rules.
 
+use std::rc::Rc;
 use std::sync::Arc;
 use tbwf_bench::print_table;
-use tbwf_registers::{OpToken, ReadOutcome, RegisterFactory, SharedAbortable};
+use tbwf_registers::{RegisterFactory, SharedAbortable};
 use tbwf_sim::schedule::{RoundRobin, Weighted};
-use tbwf_sim::{Control, ProcId, RunConfig, Schedule, SimBuilder, StepCtx, Stepper};
+use tbwf_sim::{step, Env, FutureTask, ProcId, RunConfig, Schedule, SimBuilder};
 
 /// Part A's task: write `i`, read, `i + 1`, … forever; every operation
 /// spans two steps.
-struct Hammer {
-    reg: SharedAbortable<i64>,
-    i: i64,
-    pending: Option<(bool, OpToken)>,
-}
-
-impl Stepper for Hammer {
-    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Control {
-        let env = ctx.env();
-        match self.pending.take() {
-            None => {}
-            // The write responds; read next.
-            Some((true, tok)) => {
-                let _ = self.reg.complete_write(env, tok);
-                self.pending = Some((false, self.reg.invoke_read(env)));
-                return Control::Yield;
-            }
-            // The read responds; write the next value.
-            Some((false, tok)) => {
-                let _ = self.reg.complete_read(env, tok);
-            }
-        }
-        self.i += 1;
-        self.pending = Some((true, self.reg.invoke_write(env, self.i)));
-        Control::Yield
+async fn hammer(env: Rc<dyn Env>, reg: SharedAbortable<i64>) {
+    for i in 1.. {
+        let _ = reg.try_write(&*env, i).await;
+        let _ = reg.try_read(&*env).await;
     }
 }
 
 /// Part B's writer: heartbeat `c` to every register in turn, then
 /// `c + 1`, … forever (write aborts are ignored).
-struct HbWriter {
-    regs: Vec<SharedAbortable<i64>>,
-    c: i64,
-    k: usize,
-    pending: Option<OpToken>,
-}
-
-impl Stepper for HbWriter {
-    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Control {
-        let env = ctx.env();
-        if let Some(tok) = self.pending.take() {
-            let _ = self.regs[self.k].complete_write(env, tok);
-            self.k += 1;
+async fn hb_writer(env: Rc<dyn Env>, regs: Vec<SharedAbortable<i64>>) {
+    for c in 1.. {
+        for reg in &regs {
+            let _ = reg.try_write(&*env, c).await;
         }
-        if self.k == self.regs.len() {
-            self.k = 0;
-        }
-        if self.k == 0 {
-            self.c += 1;
-        }
-        self.pending = Some(self.regs[self.k].invoke_write(env, self.c));
-        Control::Yield
     }
 }
 
@@ -81,58 +44,27 @@ impl Stepper for HbWriter {
 /// ablation isolates the register-count question from adaptivity).
 const POLL_EVERY: u8 = 8;
 
-/// Where Part B's reader is: waiting out `.0` more steps before the next
-/// poll, or with the read of register `i` in flight.
-enum DetectState {
-    Wait(u8),
-    Read { i: usize, tok: OpToken },
-}
-
 /// Part B's reader: every [`POLL_EVERY`] own steps, read every register;
 /// the writer is judged timely iff each read aborted or changed.
-struct Detector {
-    regs: Vec<SharedAbortable<i64>>,
-    prev: Vec<Option<i64>>,
-    fresh_all: bool,
-    timely: i64,
-    polls: i64,
-    state: DetectState,
-}
-
-impl Stepper for Detector {
-    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Control {
-        let env = ctx.env();
-        match self.state {
-            DetectState::Wait(k) if k > 0 => self.state = DetectState::Wait(k - 1),
-            DetectState::Wait(_) => {
-                self.fresh_all = true;
-                let tok = self.regs[0].invoke_read(env);
-                self.state = DetectState::Read { i: 0, tok };
-            }
-            DetectState::Read { i, tok } => {
-                let cur = match self.regs[i].complete_read(env, tok) {
-                    ReadOutcome::Aborted => None,
-                    ReadOutcome::Value(v) => Some(v),
-                };
-                let fresh = cur.is_none() || cur != self.prev[i];
-                self.fresh_all &= fresh;
-                self.prev[i] = cur;
-                if i + 1 < self.regs.len() {
-                    let tok = self.regs[i + 1].invoke_read(env);
-                    self.state = DetectState::Read { i: i + 1, tok };
-                } else {
-                    self.polls += 1;
-                    if self.fresh_all {
-                        self.timely += 1;
-                    }
-                    ctx.observe("timely_verdicts", 0, self.timely);
-                    ctx.observe("polls", 0, self.polls);
-                    // This step is the first of the next wait.
-                    self.state = DetectState::Wait(POLL_EVERY - 1);
-                }
-            }
+async fn detector(env: Rc<dyn Env>, regs: Vec<SharedAbortable<i64>>) {
+    let mut prev = vec![Some(0); regs.len()];
+    let (mut timely, mut polls) = (0, 0);
+    loop {
+        for _ in 0..POLL_EVERY {
+            step().await;
         }
-        Control::Yield
+        let mut fresh_all = true;
+        for (reg, prev) in regs.iter().zip(&mut prev) {
+            let cur = reg.try_read(&*env).await.value();
+            fresh_all &= cur.is_none() || cur != *prev;
+            *prev = cur;
+        }
+        polls += 1;
+        if fresh_all {
+            timely += 1;
+        }
+        env.observe("timely_verdicts", 0, timely);
+        env.observe("polls", 0, polls);
     }
 }
 
@@ -143,12 +75,12 @@ fn abort_rate(n: usize, steps: u64) -> (u64, u64, u64) {
     let mut b = SimBuilder::new();
     for p in 0..n {
         let pid = b.add_process(&format!("p{p}"));
-        let hammer = Hammer {
-            reg: Arc::clone(&reg),
-            i: 0,
-            pending: None,
-        };
-        b.add_stepper(pid, "hammer", Box::new(hammer));
+        let reg = Arc::clone(&reg);
+        b.add_stepper(
+            pid,
+            "hammer",
+            Box::new(FutureTask::new(|env| hammer(env, reg))),
+        );
     }
     let report = b.build().run(RunConfig::new(steps, RoundRobin::new()));
     report.assert_no_panics();
@@ -168,22 +100,17 @@ fn heartbeat_detector(slow_writer: bool, two_regs: bool, steps: u64) -> (u64, u6
     let reader = b.add_process("reader");
     let writer = b.add_process("writer");
 
-    let hb = HbWriter {
-        regs: regs.clone(),
-        c: 0,
-        k: 0,
-        pending: None,
-    };
-    b.add_stepper(writer, "hb", Box::new(hb));
-    let detect = Detector {
-        prev: vec![Some(0); regs.len()],
-        regs,
-        fresh_all: true,
-        timely: 0,
-        polls: 0,
-        state: DetectState::Wait(POLL_EVERY),
-    };
-    b.add_stepper(reader, "detect", Box::new(detect));
+    let writer_regs = regs.clone();
+    b.add_stepper(
+        writer,
+        "hb",
+        Box::new(FutureTask::new(|env| hb_writer(env, writer_regs))),
+    );
+    b.add_stepper(
+        reader,
+        "detect",
+        Box::new(FutureTask::new(|env| detector(env, regs))),
+    );
 
     let schedule: Box<dyn Schedule> = if slow_writer {
         // The writer gets a step ~once per 400 reader steps: its writes

@@ -18,7 +18,7 @@ use tbwf_monitor::fig2::{activity_monitor, OBS_FAULT};
 use tbwf_registers::RegisterFactory;
 use tbwf_sim::analysis::increases_without_bound;
 use tbwf_sim::schedule::{GapGrowth, PartiallySynchronous};
-use tbwf_sim::{ProcId, RunConfig, SimBuilder};
+use tbwf_sim::{FutureTask, ProcId, RunConfig, SimBuilder};
 
 fn run_monitor(adaptive: bool, gap: u64, steps: u64) -> (u64, bool) {
     let factory = RegisterFactory::default();
@@ -30,16 +30,17 @@ fn run_monitor(adaptive: bool, gap: u64, steps: u64) -> (u64, bool) {
 
     let mut b = SimBuilder::new();
     let p0 = b.add_process("p0");
+    let (monitoring_side, monitored_side) = (pair.monitoring_side, pair.monitored_side);
     b.add_stepper(
         p0,
         "monitoring",
-        Box::new(pair.monitoring_side.into_stepper()),
+        Box::new(FutureTask::new(|env| monitoring_side.run(env))),
     );
     let p1 = b.add_process("p1");
     b.add_stepper(
         p1,
         "monitored",
-        Box::new(pair.monitored_side.into_stepper()),
+        Box::new(FutureTask::new(|env| monitored_side.run(env))),
     );
 
     // q (= p1) is *timely*: constant gap ⇒ a bound exists (≈ gap).

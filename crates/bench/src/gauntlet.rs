@@ -466,9 +466,11 @@ fn run_omega(sc: &Scenario, mk_schedule: MkSchedule<'_>) -> (Outcome, RunReport)
 /// The counter-history oracle of a TBWF counter run of `n` processes:
 /// its `linearizable` violations, empty on a sound history.
 ///
-/// Sound on a history cut off by a crash, a halt or the end of the run:
-/// the Wing & Gong search, which needs a complete history, runs only
-/// when every effective increment was reported.
+/// Every history is checked for distinct ranks, at most one unreported
+/// increment per process, well-formed intervals, and ranks that respect
+/// real-time order. Sound on a history cut off by a crash, a halt or the
+/// end of the run: the Wing & Gong search, which needs a complete
+/// history, runs only when every effective increment was reported.
 pub fn counter_history_violations(run: &TbwfRun<Counter>, n: usize) -> Vec<Violation> {
     let mut violations = Vec::new();
     // Each increment's response is its rank in the linearization order,
@@ -477,7 +479,8 @@ pub fn counter_history_violations(run: &TbwfRun<Counter>, n: usize) -> Vec<Viola
     // violation). The ranks need not be contiguous: a process crashed or
     // halted between an increment taking effect and its response being
     // reported leaves a hole, at most one per process.
-    let mut resp: Vec<i64> = run.results.iter().flatten().map(|r| r.resp).collect();
+    let ops = || run.results.iter().flatten();
+    let mut resp: Vec<i64> = ops().map(|r| r.resp).collect();
     let total_ops = resp.len();
     resp.sort_unstable();
     if resp.windows(2).any(|w| w[0] == w[1]) {
@@ -503,6 +506,32 @@ pub fn counter_history_violations(run: &TbwfRun<Counter>, n: usize) -> Vec<Viola
                 "linearizable",
                 format!("p{p} reports an inverted operation interval"),
             ));
+        }
+    }
+    // Ranks respect real time: an increment that responded no later than
+    // another was invoked has the lower rank. One sweep in invocation
+    // order folds every increment responded by then into its maximum
+    // rank. (`>` rather than `≥`: ranks of distinct increments are
+    // distinct, checked above, and an increment never precedes itself.)
+    let mut by_invocation: Vec<(u64, i64)> = ops().map(|r| (r.invoked, r.resp)).collect();
+    let mut by_response: Vec<(u64, i64)> = ops().map(|r| (r.time, r.resp)).collect();
+    by_invocation.sort_unstable();
+    by_response.sort_unstable();
+    let (mut responded, mut max_rank) = (0, i64::MIN);
+    for &(invoked, rank) in &by_invocation {
+        while responded < by_response.len() && by_response[responded].0 <= invoked {
+            max_rank = max_rank.max(by_response[responded].1);
+            responded += 1;
+        }
+        if max_rank > rank {
+            violations.push(Violation::new(
+                "linearizable",
+                format!(
+                    "rank {rank} (invoked at {invoked}) is below rank {max_rank} of an increment \
+                     that had already responded"
+                ),
+            ));
+            break;
         }
     }
 
@@ -1016,12 +1045,17 @@ mod tests {
         }
     }
 
-    /// A fault-free two-process counter run under round-robin.
-    fn counter_run() -> TbwfRun<Counter> {
+    /// A fault-free two-process counter run of `steps` steps under
+    /// round-robin.
+    fn counter_run_of(steps: u64) -> TbwfRun<Counter> {
         TbwfSystemBuilder::new(Counter)
             .processes(2)
             .workload_all(Workload::Unlimited(CounterOp::Inc))
-            .run(RunConfig::new(5_000, tbwf_sim::schedule::RoundRobin::new()))
+            .run(RunConfig::new(steps, tbwf_sim::schedule::RoundRobin::new()))
+    }
+
+    fn counter_run() -> TbwfRun<Counter> {
+        counter_run_of(5_000)
     }
 
     fn max_rank(run: &TbwfRun<Counter>) -> i64 {
@@ -1045,6 +1079,37 @@ mod tests {
         assert_eq!(top, total + 1, "one hole in the ranks");
         let violations = counter_history_violations(&run, 2);
         assert!(violations.is_empty(), "{violations:?}");
+    }
+
+    #[test]
+    fn counter_oracle_flags_ranks_against_real_time() {
+        let mut run = counter_run_of(60_000);
+        let total = run.results.iter().map(Vec::len).sum::<usize>();
+        assert!(
+            total > 256,
+            "the Wing & Gong search must not run ({total} ops)"
+        );
+        // A hole, so the history is incomplete as well.
+        let top = max_rank(&run);
+        let p = (0..2)
+            .find(|&p| run.results[p].last().is_some_and(|r| r.resp != top))
+            .unwrap();
+        run.results[p].pop();
+        assert!(counter_history_violations(&run, 2).is_empty());
+        // p0's first increment responded before its last was invoked, so
+        // swapping their ranks breaks real-time order and nothing else.
+        let ops = &mut run.results[0];
+        let last = ops.len() - 1;
+        assert!(ops[0].time <= ops[last].invoked);
+        let (first_rank, last_rank) = (ops[0].resp, ops[last].resp);
+        ops[0].resp = last_rank;
+        ops[last].resp = first_rank;
+        let violations = counter_history_violations(&run, 2);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(
+            violations[0].detail.contains("already responded"),
+            "{violations:?}"
+        );
     }
 
     #[test]

@@ -30,6 +30,7 @@
 
 use crate::system::OBS_COMPLETED;
 use std::fmt;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -96,9 +97,14 @@ impl Env for NativeEnv {
     }
 
     fn observe(&self, _key: &'static str, _idx: u32, _value: i64) {}
+
+    fn handle(&self) -> Rc<dyn Env> {
+        Rc::new(self.clone())
+    }
 }
 
-/// A [`TaskSpawner`] that polls each task on its own OS thread.
+/// A [`TaskSpawner`] that builds and polls each task on its own OS
+/// thread.
 struct ThreadSpawner {
     envs: Vec<NativeEnv>,
     handles: Vec<JoinHandle<()>>,
@@ -117,11 +123,17 @@ impl ThreadSpawner {
 }
 
 impl TaskSpawner for ThreadSpawner {
-    fn spawn_stepper(&mut self, pid: ProcId, name: &str, mut stepper: Box<dyn Stepper>) {
+    fn spawn_stepper(
+        &mut self,
+        pid: ProcId,
+        name: &str,
+        make: Box<dyn FnOnce() -> Box<dyn Stepper> + Send>,
+    ) {
         let env = self.envs[pid.0].clone();
         let handle = std::thread::Builder::new()
             .name(format!("{pid}-{name}"))
             .spawn(move || {
+                let mut stepper = make();
                 // One segment per step until the task finishes or the
                 // system stops.
                 while stepper.step(&mut StepCtx::new(&env)) == Control::Yield && env.step().is_ok()

@@ -13,7 +13,8 @@ pub use tbwf_sim::schedule::{
     Weighted,
 };
 pub use tbwf_sim::{
-    Control, Env, Local, ProcId, RunConfig, RunReport, SimBuilder, StepCtx, Stepper,
+    step, Control, Env, FutureTask, Local, ProcId, RunConfig, RunReport, SimBuilder, StepCtx,
+    Stepper,
 };
 
 pub use tbwf_registers::{

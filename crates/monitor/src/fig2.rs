@@ -12,8 +12,9 @@
 //! Line numbers in the comments refer to Figure 2 of the paper.
 
 use crate::Status;
-use tbwf_registers::{OpToken, RegisterFactory, SharedAtomic};
-use tbwf_sim::{Control, Env, Local, ProcId, StepCtx, Stepper};
+use std::rc::Rc;
+use tbwf_registers::{RegisterFactory, SharedAtomic};
+use tbwf_sim::{step, Env, Local, ProcId};
 
 /// Observation keys used by the monitoring side.
 pub const OBS_STATUS: &str = "status";
@@ -29,86 +30,26 @@ pub struct MonitoredSide {
 }
 
 impl MonitoredSide {
-    /// The task run by `q` (Figure 2, lines 1–6), as a [`Stepper`].
-    pub fn into_stepper(self) -> MonitoredStepper {
-        MonitoredStepper {
-            side: self,
-            hb_counter: 0,
-            state: MonitoredState::Start,
-        }
-    }
-}
-
-#[derive(Clone, Copy)]
-enum MonitoredState {
-    /// At the top of the outer loop, about to write `−1`.
-    Start,
-    /// The `−1` write is in flight (line 2).
-    WriteMinus1Pending(OpToken),
-    /// Spinning in the wait loop of line 3.
-    WaitActive,
-    /// A heartbeat write is in flight (line 6).
-    WriteHbPending(OpToken),
-}
-
-/// The monitored side of `A(p, q)` (Figure 2, top), run by `q`: the
-/// `repeat forever` loop of lines 1–6, whose state names the line it is
-/// parked at between steps.
-pub struct MonitoredStepper {
-    side: MonitoredSide,
-    hb_counter: i64,
-    state: MonitoredState,
-}
-
-impl MonitoredStepper {
-    /// Lines 3–6 after a completed write: spin until active, then start
-    /// the next heartbeat write.
-    fn wait_or_beat(&mut self, env: &dyn Env) {
-        // 3: while ACTIVE-FOR[p] = off do skip (one step per iteration)
-        if self.side.active_for.get() {
-            // 4–5: while ACTIVE-FOR[p] = on do hbCounter ← hbCounter + 1
-            self.hb_counter += 1;
-            // 6: WRITE(HbRegister[q, p], hbCounter) — invocation step.
-            let tok = self.side.hb.invoke_write(env, self.hb_counter);
-            self.state = MonitoredState::WriteHbPending(tok);
-        } else {
-            self.state = MonitoredState::WaitActive;
-        }
-    }
-}
-
-impl Stepper for MonitoredStepper {
-    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Control {
-        let env = ctx.env();
-        match self.state {
-            MonitoredState::Start => {
-                // 1: repeat forever
-                // 2: WRITE(HbRegister[q, p], −1) — invocation step.
-                let tok = self.side.hb.invoke_write(env, -1);
-                self.state = MonitoredState::WriteMinus1Pending(tok);
+    /// The task run by `q` (Figure 2, lines 1–6).
+    pub async fn run(self, env: Rc<dyn Env>) {
+        let env = &*env;
+        let mut hb_counter = 0;
+        // 1: repeat forever
+        loop {
+            // 2: WRITE(HbRegister[q, p], −1)
+            self.hb.write(env, -1).await;
+            // 3: while ACTIVE-FOR[p] = off do skip
+            while !self.active_for.get() {
+                step().await;
             }
-            MonitoredState::WriteMinus1Pending(tok) => {
-                // 2: response step.
-                self.side.hb.complete_write(env, tok);
-                self.wait_or_beat(env);
-            }
-            MonitoredState::WaitActive => self.wait_or_beat(env),
-            MonitoredState::WriteHbPending(tok) => {
-                // 6: response step.
-                self.side.hb.complete_write(env, tok);
-                if self.side.active_for.get() {
-                    // 4–6: next heartbeat.
-                    self.hb_counter += 1;
-                    let tok = self.side.hb.invoke_write(env, self.hb_counter);
-                    self.state = MonitoredState::WriteHbPending(tok);
-                } else {
-                    // 4 exits: back to line 2.
-                    let tok = self.side.hb.invoke_write(env, -1);
-                    self.state = MonitoredState::WriteMinus1Pending(tok);
-                }
+            // 4: while ACTIVE-FOR[p] = on do
+            while self.active_for.get() {
+                // 5: hbCounter ← hbCounter + 1
+                hb_counter += 1;
+                // 6: WRITE(HbRegister[q, p], hbCounter)
+                self.hb.write(env, hb_counter).await;
             }
         }
-        Control::Yield
     }
 }
 
@@ -148,146 +89,71 @@ impl MonitoringSide {
         env.observe(OBS_FAULT, self.q.0 as u32, v as i64);
     }
 
-    /// The task run by `p` (Figure 2, lines 7–26), as a [`Stepper`].
-    pub fn into_stepper(self) -> MonitoringStepper {
-        // { Initial state }
-        MonitoringStepper {
-            side: self,
-            hb_timeout: 1,
-            hb_timer: 1,
-            hb_counter: 0,
-            prev_hb_counter: 0,
-            allow_increment: true,
-            state: MonitoringState::Start,
-        }
-    }
-}
-
-#[derive(Clone, Copy)]
-enum MonitoringState {
-    /// Before the initial observations.
-    Start,
-    /// Spinning in the wait loop of line 9.
-    WaitMon,
-    /// Inside the monitoring loop, right after the step line 11 takes
-    /// per iteration; about to run lines 12–13.
-    InnerBody,
-    /// The heartbeat read of line 16 is in flight.
-    ReadPending(OpToken),
-}
-
-/// The monitoring side of `A(p, q)` (Figure 2, bottom), run by `p`: the
-/// `repeat forever` loop of lines 7–26, whose state names the line it is
-/// parked at between steps.
-pub struct MonitoringStepper {
-    side: MonitoringSide,
-    hb_timeout: u64,
-    hb_timer: u64,
-    hb_counter: i64,
-    prev_hb_counter: i64,
-    allow_increment: bool,
-    state: MonitoringState,
-}
-
-impl MonitoringStepper {
-    /// Lines 9–11: spin until monitoring, then (re-)arm the timer and
-    /// enter the monitoring loop.
-    fn wait_or_enter(&mut self) {
-        // 9: while MONITORING[q] = off do skip (one step per iteration)
-        if self.side.monitoring.get() {
-            // 10: hbTimer ← hbTimeout
-            self.hb_timer = self.hb_timeout;
-            self.state = MonitoringState::InnerBody;
-        } else {
-            self.state = MonitoringState::WaitMon;
-        }
-    }
-
-    /// The bottom of a monitoring-loop iteration: either go around (line
-    /// 11) or fall out to the top of the outer loop (line 8).
-    fn continue_or_leave(&mut self, env: &dyn Env) {
-        // 11: while MONITORING[q] = on do (one step per iteration)
-        if self.side.monitoring.get() {
-            self.state = MonitoringState::InnerBody;
-        } else {
+    /// The task run by `p` (Figure 2, lines 7–26).
+    pub async fn run(self, env: Rc<dyn Env>) {
+        let env = &*env;
+        let q = self.q.0 as u32;
+        // { Initial state }, recorded into the trace. (hbTimer and
+        // prevHbCounter are set at lines 10 and 15 before any use.)
+        let mut hb_timeout: u64 = 1;
+        let mut hb_timer: u64;
+        let mut hb_counter: i64 = 0;
+        let mut prev_hb_counter: i64;
+        let mut allow_increment = true;
+        env.observe(OBS_STATUS, q, self.status.get().code());
+        env.observe(OBS_FAULT, q, self.fault_cntr.get() as i64);
+        // 7: repeat forever
+        loop {
             // 8: STATUS[q] ← ?
-            self.side.set_status(env, Status::Unknown);
-            self.wait_or_enter();
-        }
-    }
-}
-
-impl Stepper for MonitoringStepper {
-    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Control {
-        let env = ctx.env();
-        match self.state {
-            MonitoringState::Start => {
-                // { Initial state } is in `into_stepper`; record it.
-                env.observe(
-                    OBS_STATUS,
-                    self.side.q.0 as u32,
-                    self.side.status.get().code(),
-                );
-                env.observe(
-                    OBS_FAULT,
-                    self.side.q.0 as u32,
-                    self.side.fault_cntr.get() as i64,
-                );
-                // 7: repeat forever
-                // 8: STATUS[q] ← ?
-                self.side.set_status(env, Status::Unknown);
-                self.wait_or_enter();
+            self.set_status(env, Status::Unknown);
+            // 9: while MONITORING[q] = off do skip
+            while !self.monitoring.get() {
+                step().await;
             }
-            MonitoringState::WaitMon => self.wait_or_enter(),
-            MonitoringState::InnerBody => {
+            // 10: hbTimer ← hbTimeout
+            hb_timer = hb_timeout;
+            // 11: while MONITORING[q] = on do (one step per iteration)
+            while self.monitoring.get() {
+                step().await;
                 // 12: if hbTimer ≥ 1 then hbTimer ← hbTimer − 1
-                if self.hb_timer >= 1 {
-                    self.hb_timer -= 1;
+                if hb_timer >= 1 {
+                    hb_timer -= 1;
                 }
                 // 13: if hbTimer = 0 then
-                if self.hb_timer == 0 {
+                if hb_timer == 0 {
                     // 14: hbTimer ← hbTimeout
-                    self.hb_timer = self.hb_timeout;
+                    hb_timer = hb_timeout;
                     // 15: prevHbCounter ← hbCounter
-                    self.prev_hb_counter = self.hb_counter;
-                    // 16: READ(HbRegister[q, p]) — invocation step.
-                    let tok = self.side.hb.invoke_read(env);
-                    self.state = MonitoringState::ReadPending(tok);
-                } else {
-                    self.continue_or_leave(env);
-                }
-            }
-            MonitoringState::ReadPending(tok) => {
-                // 16: response step.
-                self.hb_counter = self.side.hb.complete_read(env, tok);
-                // 17: if hbCounter < 0 then STATUS[q] ← inactive
-                if self.hb_counter < 0 {
-                    self.side.set_status(env, Status::Inactive);
-                }
-                // 18–20: fresh heartbeat ⇒ active, re-arm increment
-                if self.hb_counter >= 0 && self.hb_counter > self.prev_hb_counter {
-                    self.side.set_status(env, Status::Active);
-                    self.allow_increment = true;
-                }
-                // 21–26: stale heartbeat ⇒ inactive; suspicion counts
-                // only if the register is not −1 (condition (a) of the
-                // prose) and increased since the last increment
-                // (condition (b), tracked by allow_increment).
-                if self.hb_counter >= 0 && self.hb_counter <= self.prev_hb_counter {
-                    self.side.set_status(env, Status::Inactive);
-                    if self.allow_increment {
-                        self.side.bump_fault(env);
-                        // 25 (ablatable): adapt the timeout upward.
-                        if self.side.adaptive_timeout {
-                            self.hb_timeout += 1;
+                    prev_hb_counter = hb_counter;
+                    // 16: hbCounter ← READ(HbRegister[q, p])
+                    hb_counter = self.hb.read(env).await;
+                    // 17: if hbCounter < 0 then STATUS[q] ← inactive
+                    if hb_counter < 0 {
+                        self.set_status(env, Status::Inactive);
+                    }
+                    // 18–20: fresh heartbeat ⇒ active, re-arm increment
+                    if hb_counter >= 0 && hb_counter > prev_hb_counter {
+                        self.set_status(env, Status::Active);
+                        allow_increment = true;
+                    }
+                    // 21–26: stale heartbeat ⇒ inactive; suspicion counts
+                    // only if the register is not −1 (condition (a) of the
+                    // prose) and increased since the last increment
+                    // (condition (b), tracked by allowIncrement).
+                    if hb_counter >= 0 && hb_counter <= prev_hb_counter {
+                        self.set_status(env, Status::Inactive);
+                        if allow_increment {
+                            self.bump_fault(env);
+                            // 25 (ablatable): adapt the timeout upward.
+                            if self.adaptive_timeout {
+                                hb_timeout += 1;
+                            }
+                            allow_increment = false;
                         }
-                        self.allow_increment = false;
                     }
                 }
-                self.continue_or_leave(env);
             }
         }
-        Control::Yield
     }
 }
 
@@ -306,19 +172,20 @@ pub struct ActivityMonitorPair {
 /// use tbwf_monitor::{activity_monitor, Status};
 /// use tbwf_registers::RegisterFactory;
 /// use tbwf_sim::schedule::RoundRobin;
-/// use tbwf_sim::{ProcId, RunConfig, SimBuilder};
+/// use tbwf_sim::{FutureTask, ProcId, RunConfig, SimBuilder};
 ///
 /// let factory = RegisterFactory::default();
 /// let pair = activity_monitor(&factory, ProcId(0), ProcId(1));
 /// pair.monitoring_side.monitoring.set(true);
 /// pair.monitored_side.active_for.set(true);
 /// let status = pair.monitoring_side.status.clone();
+/// let (monitoring, monitored) = (pair.monitoring_side, pair.monitored_side);
 ///
 /// let mut b = SimBuilder::new();
 /// let p0 = b.add_process("p0");
-/// b.add_stepper(p0, "monitoring", Box::new(pair.monitoring_side.into_stepper()));
+/// b.add_stepper(p0, "monitoring", Box::new(FutureTask::new(|env| monitoring.run(env))));
 /// let p1 = b.add_process("p1");
-/// b.add_stepper(p1, "monitored", Box::new(pair.monitored_side.into_stepper()));
+/// b.add_stepper(p1, "monitored", Box::new(FutureTask::new(|env| monitored.run(env))));
 /// b.build().run(RunConfig::new(3_000, RoundRobin::new())).assert_no_panics();
 /// assert_eq!(status.get(), Status::Active); // q is timely and active
 /// ```
@@ -350,7 +217,7 @@ pub fn activity_monitor(factory: &RegisterFactory, p: ProcId, q: ProcId) -> Acti
 mod tests {
     use super::*;
     use tbwf_sim::schedule::RoundRobin;
-    use tbwf_sim::{RunConfig, SimBuilder};
+    use tbwf_sim::{FutureTask, RunConfig, SimBuilder};
 
     /// Builds a two-process system in which p0 monitors p1; the driver
     /// closures configure the inputs.
@@ -368,18 +235,19 @@ mod tests {
         configure_p(&monitoring);
         configure_q(&active_for);
 
+        let (monitoring_side, monitored_side) = (pair.monitoring_side, pair.monitored_side);
         let mut b = SimBuilder::new();
         let p0 = b.add_process("p0");
         b.add_stepper(
             p0,
             "monitoring",
-            Box::new(pair.monitoring_side.into_stepper()),
+            Box::new(FutureTask::new(|env| monitoring_side.run(env))),
         );
         let p1 = b.add_process("p1");
         b.add_stepper(
             p1,
             "monitored",
-            Box::new(pair.monitored_side.into_stepper()),
+            Box::new(FutureTask::new(|env| monitored_side.run(env))),
         );
         let report = b.build().run(RunConfig::new(steps, RoundRobin::new()));
         report.assert_no_panics();

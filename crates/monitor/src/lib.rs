@@ -24,10 +24,7 @@ pub mod fig2;
 pub mod mesh;
 pub mod props;
 
-pub use fig2::{
-    activity_monitor, ActivityMonitorPair, MonitoredSide, MonitoredStepper, MonitoringSide,
-    MonitoringStepper,
-};
+pub use fig2::{activity_monitor, ActivityMonitorPair, MonitoredSide, MonitoringSide};
 pub use mesh::{MonitorMesh, ProcessMonitorHandles};
 pub use props::{check_pair, CheckParams, PairRun, PropReport, PropVerdict};
 

@@ -6,7 +6,7 @@
 use crate::fig2::activity_monitor;
 use crate::Status;
 use tbwf_registers::RegisterFactory;
-use tbwf_sim::{LocalVec, ProcId, TaskSpawner};
+use tbwf_sim::{spawn_task, LocalVec, ProcId, TaskSpawner};
 
 /// The per-process view of the monitor mesh: the four vectors of local
 /// variables of Figure 1, indexed by the peer process.
@@ -79,16 +79,12 @@ impl MonitorMesh {
                 let mut md = pair.monitored_side;
                 md.active_for = active_cell;
 
-                spawner.spawn_stepper(
-                    ProcId(p),
-                    &format!("mon[{p}->{q}]"),
-                    Box::new(ms.into_stepper()),
-                );
-                spawner.spawn_stepper(
-                    ProcId(q),
-                    &format!("hb[{q}->{p}]"),
-                    Box::new(md.into_stepper()),
-                );
+                spawn_task(spawner, ProcId(p), &format!("mon[{p}->{q}]"), |env| {
+                    ms.run(env)
+                });
+                spawn_task(spawner, ProcId(q), &format!("hb[{q}->{p}]"), |env| {
+                    md.run(env)
+                });
             }
         }
         MonitorMesh { handles }
@@ -100,15 +96,15 @@ impl MonitorMesh {
 mod tests {
     use super::*;
     use tbwf_sim::schedule::RoundRobin;
-    use tbwf_sim::{Control, RunConfig, SimBuilder, StepCtx, Stepper};
+    use tbwf_sim::{step, FutureTask, RunConfig, SimBuilder, Stepper};
 
     /// A driver task that only takes steps.
-    struct Idle;
-
-    impl Stepper for Idle {
-        fn step(&mut self, _ctx: &mut StepCtx<'_>) -> Control {
-            Control::Yield
-        }
+    fn idle() -> Box<dyn Stepper> {
+        Box::new(FutureTask::new(|_env| async {
+            loop {
+                step().await;
+            }
+        }))
     }
 
     #[test]
@@ -130,7 +126,7 @@ mod tests {
             }
         }
         for p in 0..n {
-            b.add_stepper(ProcId(p), "idle", Box::new(Idle));
+            b.add_stepper(ProcId(p), "idle", idle());
         }
         let handles = mesh.handles.clone();
         let report = b.build().run(RunConfig::new(30_000, RoundRobin::new()));
@@ -166,7 +162,7 @@ mod tests {
             }
         }
         for p in 0..n {
-            b.add_stepper(ProcId(p), "idle", Box::new(Idle));
+            b.add_stepper(ProcId(p), "idle", idle());
         }
         let handles = mesh.handles.clone();
         let report = b

@@ -1,10 +1,10 @@
 //! Figures 4–6: implementation of Ω∆ using single-writer single-reader
 //! **abortable** registers only (Theorem 13).
 //!
-//! Three pieces, exactly as in the paper, run as one task by
-//! [`AbortableOmegaStepper`] (the Figure 4/5 procedures are inlined as
-//! per-peer states of the Figure 6 loop; their local state lives in
-//! [`MsgChannels`] and [`HeartbeatChannels`]):
+//! Three pieces, exactly as in the paper, run as one task: the Figure 6
+//! loop [`AbortableOmegaProcess::run`] awaits the Figure 4/5 procedures,
+//! which are `async` methods of [`MsgChannels`] and [`HeartbeatChannels`]
+//! (their local variables are the channels' fields):
 //!
 //! * [`MsgChannels`] (Figure 4) — communicating the *final value of a
 //!   variable that stops changing*: the writer retries until one write
@@ -31,15 +31,16 @@
 
 use crate::{set_leader, OmegaHandles};
 use std::collections::BTreeSet;
-use tbwf_registers::{OpToken, ReadOutcome, SharedAbortable};
-use tbwf_sim::{Control, Env, ProcId, StepCtx, Stepper};
+use std::rc::Rc;
+use tbwf_registers::{ReadOutcome, SharedAbortable};
+use tbwf_sim::{step, Env, ProcId};
 
 /// A Figure 4/6 message: `⟨counter_p[p], actrTo_p[q]⟩`.
 pub type Msg = (i64, i64);
 
 /// The Figure 4 communication state of one process `p`: the registers
 /// and local variables of `WriteMsgs` (lines 1–7) and `ReadMsgs`
-/// (lines 8–19), whose code runs in [`AbortableOmegaStepper`].
+/// (lines 8–19).
 pub struct MsgChannels {
     /// `MsgRegister[p, q]`, written by `p`, read by `q` (index `q`).
     out: Vec<Option<SharedAbortable<Msg>>>,
@@ -72,12 +73,66 @@ impl MsgChannels {
             prev_write_done: vec![true; n],
         }
     }
+
+    /// `WriteMsgs(msgTo)` (Figure 4, lines 1–7): returns `prevWriteDone`.
+    pub async fn write_msgs(&mut self, env: &dyn Env, msg_to: &[Msg]) -> &[bool] {
+        // 2: for each q ∈ Π − {p} do (one step per q)
+        for (q, out) in self.out.iter().enumerate() {
+            let Some(out) = out else { continue };
+            step().await;
+            // 3: if (not prevWriteDone[q]) or msgCurr[q] ≠ msgTo[q] then
+            if !self.prev_write_done[q] || self.msg_curr[q] != msg_to[q] {
+                // 4: if prevWriteDone[q] then msgCurr[q] ← msgTo[q]
+                if self.prev_write_done[q] {
+                    self.msg_curr[q] = msg_to[q];
+                }
+                // 5: res ← WRITE(MsgRegister[p, q], msgCurr[q])
+                let res = out.try_write(env, self.msg_curr[q]).await;
+                // 6: prevWriteDone[q] ← (res = ok)
+                self.prev_write_done[q] = res.is_ok();
+            }
+        }
+        // 7: return prevWriteDone
+        &self.prev_write_done
+    }
+
+    /// `ReadMsgs()` (Figure 4, lines 8–19): returns `prevMsgFrom`.
+    pub async fn read_msgs(&mut self, env: &dyn Env) -> &[Msg] {
+        // 9: for each q ∈ Π − {p} do (one step per q)
+        for (q, inn) in self.inn.iter().enumerate() {
+            let Some(inn) = inn else { continue };
+            step().await;
+            // 10: if readTimer[q] ≥ 1 then readTimer[q] ← readTimer[q] − 1
+            if self.read_timer[q] >= 1 {
+                self.read_timer[q] -= 1;
+            }
+            // 11: if readTimer[q] = 0 then
+            if self.read_timer[q] == 0 {
+                // 12: readTimer[q] ← readTimeout[q]
+                self.read_timer[q] = self.read_timeout[q];
+                // 13: res[q] ← READ(MsgRegister[q, p])
+                match inn.try_read(env).await {
+                    // 14–15: abort or stale ⇒ back off.
+                    ReadOutcome::Aborted => self.read_timeout[q] += 1,
+                    ReadOutcome::Value(v) if v == self.prev_msg_from[q] => {
+                        self.read_timeout[q] += 1;
+                    }
+                    // 16–18: fresh value ⇒ record it, reset the backoff.
+                    ReadOutcome::Value(v) => {
+                        self.prev_msg_from[q] = v;
+                        self.read_timeout[q] = 1;
+                    }
+                }
+            }
+        }
+        // 19: return prevMsgFrom
+        &self.prev_msg_from
+    }
 }
 
 /// The Figure 5 heartbeat state of one process `p`: the registers and
 /// local variables of `SendHeartbeat` (lines 20–25) and
-/// `ReceiveHeartbeat` (lines 26–40), whose code runs in
-/// [`AbortableOmegaStepper`].
+/// `ReceiveHeartbeat` (lines 26–40).
 pub struct HeartbeatChannels {
     /// `HbRegister1[p, q]` / `HbRegister2[p, q]` (written by `p`).
     hb1_out: Vec<Option<SharedAbortable<i64>>>,
@@ -124,6 +179,65 @@ impl HeartbeatChannels {
             active_set,
         }
     }
+
+    /// `SendHeartbeat(dest)` (Figure 5, lines 20–25).
+    pub async fn send_heartbeat(&mut self, env: &dyn Env, dest: &[bool]) {
+        // 21: hbSendCounter ← hbSendCounter + 1
+        self.hb_send_counter += 1;
+        // 22: for each q ∈ Π − {p} do (one step per q)
+        for (q, (hb1, hb2)) in self.hb1_out.iter().zip(&self.hb2_out).enumerate() {
+            let (Some(hb1), Some(hb2)) = (hb1, hb2) else {
+                continue;
+            };
+            step().await;
+            // 23: if dest[q] then
+            if dest[q] {
+                // 24–25: write both heartbeat registers (aborts are
+                // deliberately ignored).
+                let _ = hb1.try_write(env, self.hb_send_counter).await;
+                let _ = hb2.try_write(env, self.hb_send_counter).await;
+            }
+        }
+    }
+
+    /// `ReceiveHeartbeat()` (Figure 5, lines 26–40): returns `activeSet`.
+    pub async fn receive_heartbeat(&mut self, env: &dyn Env) -> &BTreeSet<ProcId> {
+        // 27: for each q ∈ Π − {p} do (one step per q)
+        for (q, (hb1, hb2)) in self.hb1_in.iter().zip(&self.hb2_in).enumerate() {
+            let (Some(hb1), Some(hb2)) = (hb1, hb2) else {
+                continue;
+            };
+            step().await;
+            // 28: if hbTimer[q] ≥ 1 then hbTimer[q] ← hbTimer[q] − 1
+            if self.hb_timer[q] >= 1 {
+                self.hb_timer[q] -= 1;
+            }
+            // 29: if hbTimer[q] = 0 then
+            if self.hb_timer[q] == 0 {
+                // 30: hbTimer[q] ← hbTimeout[q]
+                self.hb_timer[q] = self.hb_timeout[q];
+                // 31–32: remember the previous samples.
+                self.prev_hb1[q] = self.hb1[q];
+                self.prev_hb2[q] = self.hb2[q];
+                // 33–34: read both registers (⊥ becomes None).
+                self.hb1[q] = hb1.try_read(env).await.value();
+                self.hb2[q] = hb2.try_read(env).await.value();
+                // 35: fresh-or-aborted on BOTH registers ⇒ active.
+                let fresh1 = self.hb1[q].is_none() || self.hb1[q] != self.prev_hb1[q];
+                let fresh2 = self.hb2[q].is_none() || self.hb2[q] != self.prev_hb2[q];
+                if fresh1 && fresh2 {
+                    // 36: activeSet ← activeSet ∪ {q}
+                    self.active_set.insert(ProcId(q));
+                } else {
+                    // 38–39: activeSet ← activeSet − {q}; adapt timeout.
+                    self.active_set.remove(&ProcId(q));
+                    self.hb_timeout[q] += 1;
+                }
+            }
+        }
+        // 40: return activeSet
+        &self.active_set
+    }
 }
 
 /// The per-process state of the Figure 6 main algorithm.
@@ -141,387 +255,79 @@ pub struct AbortableOmegaProcess {
 }
 
 impl AbortableOmegaProcess {
-    /// The main task of Figure 6 (with the Figure 4/5 procedures
-    /// inlined) as a [`Stepper`]: one [`step`](Stepper::step) runs the
-    /// code between two consecutive steps — the loop's own step and one
-    /// per peer inside each procedure — with register operations
-    /// straddling step boundaries (invoke at the end of one segment,
-    /// complete at the start of the next).
-    pub fn into_stepper(self) -> AbortableOmegaStepper {
-        let n = self.n;
+    /// The main task of Figure 6 (lines 41–59), which awaits the Figure 4
+    /// and 5 procedures.
+    pub async fn run(self, env: Rc<dyn Env>) {
+        let env = &*env;
+        let AbortableOmegaProcess {
+            p,
+            n,
+            handles,
+            mut msgs,
+            mut hb,
+        } = self;
         // { Initial state }
-        AbortableOmegaStepper {
-            leader: self.p,
-            counter: vec![0; n],
-            actr_to: vec![0; n],
-            write_done: vec![false; n],
-            msg_to: vec![(0, 0); n],
-            state: AbState::Start,
-            proc: self,
-        }
-    }
-}
-
-/// Where the Figure 4–6 control flow is parked between steps. `Body`
-/// variants name the per-peer segment the next step executes; `Pending`
-/// variants carry the token of an in-flight register operation.
-#[derive(Clone, Copy)]
-enum AbState {
-    /// Lines 41–43: top of the outer loop.
-    Start,
-    /// Line 43: waiting to become a candidate.
-    WaitCand,
-    /// Line 45's per-iteration step taken: start `SendHeartbeat` (line 46).
-    MainHead,
-    /// Figure 5, lines 22–25: the per-`q` body of `SendHeartbeat`.
-    SendBody { q: usize },
-    /// The `HbRegister1[p, q]` write is in flight.
-    SendHb1Pending { q: usize, tok: OpToken },
-    /// The `HbRegister2[p, q]` write is in flight.
-    SendHb2Pending { q: usize, tok: OpToken },
-    /// Figure 5, lines 28–39: the per-`q` body of `ReceiveHeartbeat`.
-    RecvBody { q: usize },
-    /// The `HbRegister1[q, p]` read is in flight.
-    RecvHb1Pending { q: usize, tok: OpToken },
-    /// The `HbRegister2[q, p]` read is in flight.
-    RecvHb2Pending { q: usize, tok: OpToken },
-    /// Figure 4, lines 3–6: the per-`q` body of `WriteMsgs`.
-    WriteBody { q: usize },
-    /// The `MsgRegister[p, q]` write is in flight.
-    WritePending { q: usize, tok: OpToken },
-    /// Figure 4, lines 10–18: the per-`q` body of `ReadMsgs`.
-    ReadBody { q: usize },
-    /// The `MsgRegister[q, p]` read is in flight.
-    ReadPending { q: usize, tok: OpToken },
-}
-
-/// The Figure 6 main loop (lines 41–59), with the Figure 4/5 procedures
-/// (lines 1–40) inlined, as a [`Stepper`] state machine. Built with
-/// [`AbortableOmegaProcess::into_stepper`].
-pub struct AbortableOmegaStepper {
-    proc: AbortableOmegaProcess,
-    leader: ProcId,
-    counter: Vec<i64>,
-    actr_to: Vec<i64>,
-    write_done: Vec<bool>,
-    msg_to: Vec<Msg>,
-    state: AbState,
-}
-
-impl AbortableOmegaStepper {
-    /// The first peer `≥ from` (skipping `p`), if any.
-    fn next_other(&self, from: usize) -> Option<usize> {
-        (from..self.proc.n).find(|&q| q != self.proc.p.0)
-    }
-
-    /// Line 42, then fall through to the line-43 check.
-    fn outer_top(&mut self, env: &dyn Env) {
+        let mut leader = p;
+        let mut counter = vec![0i64; n];
+        let mut actr_to = vec![0i64; n];
+        let mut write_done = vec![false; n];
+        let mut msg_to: Vec<Msg> = vec![(0, 0); n];
         // 41: repeat forever
-        // 42: LEADER ← ?
-        set_leader(env, &self.proc.handles.leader, None);
-        self.arm_or_wait(env);
-    }
-
-    /// Line 43; on candidacy, line 44 and entry into the line-45 loop.
-    fn arm_or_wait(&mut self, _env: &dyn Env) {
-        // 43: while CANDIDATE = false do skip (one step per iteration)
-        if !self.proc.handles.candidate.get() {
-            self.state = AbState::WaitCand;
-            return;
-        }
-        // 44: self-punishment beyond the current leader's counter.
-        let p = self.proc.p.0;
-        self.counter[p] = self.counter[p].max(self.counter[self.leader.0] + 1);
-        // 45: do … (one step per iteration)
-        self.state = AbState::MainHead;
-    }
-
-    /// Advances the `SendHeartbeat` loop past peer `q`.
-    fn advance_send(&mut self, env: &dyn Env, q: usize) {
-        match self.next_other(q + 1) {
-            Some(q) => self.state = AbState::SendBody { q },
-            None => self.begin_receive(env),
-        }
-    }
-
-    /// Line 47: enter `ReceiveHeartbeat`.
-    fn begin_receive(&mut self, env: &dyn Env) {
-        // Figure 5, 27: for each q ∈ Π − {p} (one step per q)
-        match self.next_other(0) {
-            Some(q) => self.state = AbState::RecvBody { q },
-            None => self.finish_receive(env),
-        }
-    }
-
-    /// Advances the `ReceiveHeartbeat` loop past peer `q`.
-    fn advance_recv(&mut self, env: &dyn Env, q: usize) {
-        match self.next_other(q + 1) {
-            Some(q) => self.state = AbState::RecvBody { q },
-            None => self.finish_receive(env),
-        }
-    }
-
-    /// Lines 48–53, then entry into `WriteMsgs` (line 54).
-    fn finish_receive(&mut self, env: &dyn Env) {
-        let p = self.proc.p.0;
-        // Figure 5, 40: return activeSet — 47: activeSet ← ReceiveHeartbeat()
-        // 48: pick the active process with the smallest counter.
-        self.leader = *self
-            .proc
-            .hb
-            .active_set
-            .iter()
-            .min_by_key(|&&q| (self.counter[q.0], q))
-            .expect("activeSet always contains p");
-        // 49: LEADER ← leader
-        set_leader(env, &self.proc.handles.leader, Some(self.leader));
-        // 50–53: assemble messages, punishing inactive processes.
-        for q in 0..self.proc.n {
-            if q == p {
-                continue;
+        loop {
+            // 42: LEADER ← ?
+            set_leader(env, &handles.leader, None);
+            // 43: while CANDIDATE = false do skip
+            while !handles.candidate.get() {
+                step().await;
             }
-            // 51–52: ask inactive q to raise its counter beyond the
-            // current leader's.
-            if !self.proc.hb.active_set.contains(&ProcId(q)) {
-                self.actr_to[q] = self.actr_to[q].max(self.counter[self.leader.0] + 1);
-            }
-            // 53: msgTo[q] ← ⟨counter[p], actrTo[q]⟩
-            self.msg_to[q] = (self.counter[p], self.actr_to[q]);
-        }
-        // 54: writeDone ← WriteMsgs(msgTo)
-        // Figure 4, 2: for each q ∈ Π − {p} (one step per q)
-        match self.next_other(0) {
-            Some(q) => self.state = AbState::WriteBody { q },
-            None => self.finish_writes(env),
-        }
-    }
-
-    /// Advances the `WriteMsgs` loop past peer `q`.
-    fn advance_write(&mut self, env: &dyn Env, q: usize) {
-        match self.next_other(q + 1) {
-            Some(q) => self.state = AbState::WriteBody { q },
-            None => self.finish_writes(env),
-        }
-    }
-
-    /// Figure 4 line 7 / line 54, then entry into `ReadMsgs` (line 55).
-    fn finish_writes(&mut self, env: &dyn Env) {
-        // Figure 4, 7: return prevWriteDone
-        self.write_done = self.proc.msgs.prev_write_done.clone();
-        // 55: msgFrom ← ReadMsgs()
-        // Figure 4, 9: for each q ∈ Π − {p} (one step per q)
-        match self.next_other(0) {
-            Some(q) => self.state = AbState::ReadBody { q },
-            None => self.finish_reads(env),
-        }
-    }
-
-    /// Advances the `ReadMsgs` loop past peer `q`.
-    fn advance_read(&mut self, env: &dyn Env, q: usize) {
-        match self.next_other(q + 1) {
-            Some(q) => self.state = AbState::ReadBody { q },
-            None => self.finish_reads(env),
-        }
-    }
-
-    /// Lines 56–58, then the line-59 re-check.
-    fn finish_reads(&mut self, env: &dyn Env) {
-        let p = self.proc.p.0;
-        // Figure 4, 19: return prevMsgFrom
-        // 56–58: adopt counters and apply received punishments.
-        for q in 0..self.proc.n {
-            if q == p {
-                continue;
-            }
-            let (cq, actr_from_q) = self.proc.msgs.prev_msg_from[q];
-            self.counter[q] = cq;
-            self.counter[p] = self.counter[p].max(actr_from_q);
-        }
-        // 59: while CANDIDATE = true
-        if self.proc.handles.candidate.get() {
-            self.state = AbState::MainHead;
-        } else {
-            self.outer_top(env);
-        }
-    }
-}
-
-impl Stepper for AbortableOmegaStepper {
-    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Control {
-        let env = ctx.env();
-        match self.state {
-            AbState::Start => self.outer_top(env),
-            AbState::WaitCand => self.arm_or_wait(env),
-            AbState::MainHead => {
+            // 44: self-punishment beyond the current leader's counter.
+            counter[p.0] = counter[p.0].max(counter[leader.0] + 1);
+            // 45: do (one step per iteration)
+            loop {
+                step().await;
                 // 46: SendHeartbeat(writeDone)
-                // Figure 5, 21: hbSendCounter ← hbSendCounter + 1
-                self.proc.hb.hb_send_counter += 1;
-                // Figure 5, 22: for each q ∈ Π − {p} (one step per q)
-                match self.next_other(0) {
-                    Some(q) => self.state = AbState::SendBody { q },
-                    None => self.begin_receive(env),
-                }
-            }
-            AbState::SendBody { q } => {
-                // Figure 5, 23–25: if dest[q], write both heartbeat
-                // registers (aborts are deliberately ignored).
-                if self.write_done[q] {
-                    let hb = &self.proc.hb;
-                    let tok = hb.hb1_out[q]
-                        .as_ref()
-                        .expect("hb1 out register")
-                        .invoke_write(env, hb.hb_send_counter);
-                    self.state = AbState::SendHb1Pending { q, tok };
-                } else {
-                    self.advance_send(env, q);
-                }
-            }
-            AbState::SendHb1Pending { q, tok } => {
-                let hb = &self.proc.hb;
-                let _ = hb.hb1_out[q]
-                    .as_ref()
-                    .expect("hb1 out register")
-                    .complete_write(env, tok);
-                let tok = hb.hb2_out[q]
-                    .as_ref()
-                    .expect("hb2 out register")
-                    .invoke_write(env, hb.hb_send_counter);
-                self.state = AbState::SendHb2Pending { q, tok };
-            }
-            AbState::SendHb2Pending { q, tok } => {
-                let _ = self.proc.hb.hb2_out[q]
-                    .as_ref()
-                    .expect("hb2 out register")
-                    .complete_write(env, tok);
-                self.advance_send(env, q);
-            }
-            AbState::RecvBody { q } => {
-                let hb = &mut self.proc.hb;
-                // 28: if hbTimer[q] ≥ 1 then hbTimer[q] ← hbTimer[q] − 1
-                if hb.hb_timer[q] >= 1 {
-                    hb.hb_timer[q] -= 1;
-                }
-                // 29: if hbTimer[q] = 0 then
-                if hb.hb_timer[q] == 0 {
-                    // 30: hbTimer[q] ← hbTimeout[q]
-                    hb.hb_timer[q] = hb.hb_timeout[q];
-                    // 31–32: remember the previous samples.
-                    hb.prev_hb1[q] = hb.hb1[q];
-                    hb.prev_hb2[q] = hb.hb2[q];
-                    // 33: hb1[q] ← READ(HbRegister1[q, p]) — invocation.
-                    let tok = hb.hb1_in[q]
-                        .as_ref()
-                        .expect("hb1 in register")
-                        .invoke_read(env);
-                    self.state = AbState::RecvHb1Pending { q, tok };
-                } else {
-                    self.advance_recv(env, q);
-                }
-            }
-            AbState::RecvHb1Pending { q, tok } => {
-                // 33: response (⊥ becomes None); 34: READ(HbRegister2[q, p]).
-                let hb = &mut self.proc.hb;
-                hb.hb1[q] = hb.hb1_in[q]
-                    .as_ref()
-                    .expect("hb1 in register")
-                    .complete_read(env, tok)
-                    .value();
-                let tok = hb.hb2_in[q]
-                    .as_ref()
-                    .expect("hb2 in register")
-                    .invoke_read(env);
-                self.state = AbState::RecvHb2Pending { q, tok };
-            }
-            AbState::RecvHb2Pending { q, tok } => {
-                let hb = &mut self.proc.hb;
-                hb.hb2[q] = hb.hb2_in[q]
-                    .as_ref()
-                    .expect("hb2 in register")
-                    .complete_read(env, tok)
-                    .value();
-                // 35: fresh-or-aborted on BOTH registers ⇒ active.
-                let fresh1 = hb.hb1[q].is_none() || hb.hb1[q] != hb.prev_hb1[q];
-                let fresh2 = hb.hb2[q].is_none() || hb.hb2[q] != hb.prev_hb2[q];
-                if fresh1 && fresh2 {
-                    // 36: activeSet ← activeSet ∪ {q}
-                    hb.active_set.insert(ProcId(q));
-                } else {
-                    // 38–39: activeSet ← activeSet − {q}; adapt timeout.
-                    hb.active_set.remove(&ProcId(q));
-                    hb.hb_timeout[q] += 1;
-                }
-                self.advance_recv(env, q);
-            }
-            AbState::WriteBody { q } => {
-                let msgs = &mut self.proc.msgs;
-                // 3: if (not prevWriteDone[q]) or msgCurr[q] ≠ msgTo[q]
-                if !msgs.prev_write_done[q] || msgs.msg_curr[q] != self.msg_to[q] {
-                    // 4: if prevWriteDone[q] then msgCurr[q] := msgTo[q]
-                    if msgs.prev_write_done[q] {
-                        msgs.msg_curr[q] = self.msg_to[q];
+                hb.send_heartbeat(env, &write_done).await;
+                // 47: activeSet ← ReceiveHeartbeat()
+                let active_set = hb.receive_heartbeat(env).await;
+                // 48: pick the active process with the smallest counter.
+                leader = *active_set
+                    .iter()
+                    .min_by_key(|&&q| (counter[q.0], q))
+                    .expect("activeSet always contains p");
+                // 49: LEADER ← leader
+                set_leader(env, &handles.leader, Some(leader));
+                // 50–53: assemble messages, punishing inactive processes.
+                for q in 0..n {
+                    if q == p.0 {
+                        continue;
                     }
-                    // 5: res ← WRITE(MsgRegister[p, q], msgCurr[q])
-                    let tok = msgs.out[q]
-                        .as_ref()
-                        .expect("out register for peer")
-                        .invoke_write(env, msgs.msg_curr[q]);
-                    self.state = AbState::WritePending { q, tok };
-                } else {
-                    self.advance_write(env, q);
-                }
-            }
-            AbState::WritePending { q, tok } => {
-                let msgs = &mut self.proc.msgs;
-                let res = msgs.out[q]
-                    .as_ref()
-                    .expect("out register for peer")
-                    .complete_write(env, tok);
-                // 6: prevWriteDone[q] ← (res = ok)
-                msgs.prev_write_done[q] = res.is_ok();
-                self.advance_write(env, q);
-            }
-            AbState::ReadBody { q } => {
-                let msgs = &mut self.proc.msgs;
-                // 10: if readTimer[q] ≥ 1 then readTimer[q] ← readTimer[q] − 1
-                if msgs.read_timer[q] >= 1 {
-                    msgs.read_timer[q] -= 1;
-                }
-                // 11: if readTimer[q] = 0 then
-                if msgs.read_timer[q] == 0 {
-                    // 12: readTimer[q] ← readTimeout[q]
-                    msgs.read_timer[q] = msgs.read_timeout[q];
-                    // 13: res[q] ← READ(MsgRegister[q, p])
-                    let tok = msgs.inn[q]
-                        .as_ref()
-                        .expect("in register for peer")
-                        .invoke_read(env);
-                    self.state = AbState::ReadPending { q, tok };
-                } else {
-                    self.advance_read(env, q);
-                }
-            }
-            AbState::ReadPending { q, tok } => {
-                let msgs = &mut self.proc.msgs;
-                let res = msgs.inn[q]
-                    .as_ref()
-                    .expect("in register for peer")
-                    .complete_read(env, tok);
-                match res {
-                    // 14–15: abort or stale ⇒ back off.
-                    ReadOutcome::Aborted => msgs.read_timeout[q] += 1,
-                    ReadOutcome::Value(v) if v == msgs.prev_msg_from[q] => {
-                        msgs.read_timeout[q] += 1;
+                    // 51–52: ask inactive q to raise its counter beyond the
+                    // current leader's.
+                    if !active_set.contains(&ProcId(q)) {
+                        actr_to[q] = actr_to[q].max(counter[leader.0] + 1);
                     }
-                    // 16–18: fresh value ⇒ record it, reset the backoff.
-                    ReadOutcome::Value(v) => {
-                        msgs.prev_msg_from[q] = v;
-                        msgs.read_timeout[q] = 1;
-                    }
+                    // 53: msgTo[q] ← ⟨counter[p], actrTo[q]⟩
+                    msg_to[q] = (counter[p.0], actr_to[q]);
                 }
-                self.advance_read(env, q);
+                // 54: writeDone ← WriteMsgs(msgTo)
+                write_done.copy_from_slice(msgs.write_msgs(env, &msg_to).await);
+                // 55: msgFrom ← ReadMsgs()
+                let msg_from = msgs.read_msgs(env).await;
+                // 56–58: adopt counters and apply received punishments.
+                for q in 0..n {
+                    if q == p.0 {
+                        continue;
+                    }
+                    let (cq, actr_from_q) = msg_from[q];
+                    counter[q] = cq;
+                    counter[p.0] = counter[p.0].max(actr_from_q);
+                }
+                // 59: while CANDIDATE = true
+                if !handles.candidate.get() {
+                    break;
+                }
             }
         }
-        Control::Yield
     }
 }
 

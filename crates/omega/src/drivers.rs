@@ -3,7 +3,8 @@
 //! canonical use of Definition 6.
 
 use crate::{OmegaHandles, OBS_CANDIDATE};
-use tbwf_sim::{Control, Env, Local, ProcId, StepCtx, Stepper, TaskSpawner};
+use std::rc::Rc;
+use tbwf_sim::{spawn_task, step, Env, Local, ProcId, TaskSpawner};
 
 /// A scripted candidacy pattern for one process.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -55,114 +56,54 @@ fn set_candidate(env: &dyn Env, candidate: &Local<bool>, v: bool) {
     }
 }
 
-/// Driver for the stateless scripts: every step sets
-/// `candidate` to the value the script wants at the current time.
-struct ScriptedDriver {
-    script: CandidateScript,
-    candidate: Local<bool>,
-    started: bool,
-}
-
-impl Stepper for ScriptedDriver {
-    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Control {
-        let env = ctx.env();
-        if !self.started {
-            self.started = true;
-            env.observe(OBS_CANDIDATE, 0, self.candidate.get() as i64);
+/// Driver for the stateless scripts: every step sets `candidate` to the
+/// value the script wants at the current time.
+async fn scripted(env: Rc<dyn Env>, script: CandidateScript, candidate: Local<bool>) {
+    env.observe(OBS_CANDIDATE, 0, candidate.get() as i64);
+    loop {
+        if let Some(v) = script.desired(env.now()) {
+            set_candidate(&*env, &candidate, v);
         }
-        if let Some(v) = self.script.desired(env.now()) {
-            set_candidate(env, &self.candidate, v);
-        }
-        Control::Yield
+        step().await;
     }
 }
 
-/// Which part of the canonical cycle the driver is in.
-enum BlinkPhase {
-    /// Candidate; `rem` on-steps left.
-    On,
-    /// Not a candidate; `rem` off-steps left.
-    Off,
-    /// Definition 6 gate: waiting until `leader ≠ p`.
-    Gate,
-}
-
-/// Driver for [`CandidateScript::CanonicalBlink`]
-/// (Definition 6): on-phase, off-phase, then wait out own leadership.
-struct CanonicalBlinkDriver {
-    pid: ProcId,
-    on: u64,
-    off: u64,
+/// Driver for [`CandidateScript::CanonicalBlink`] (Definition 6):
+/// on-phase, off-phase, then wait out own leadership. A phase of length
+/// 0 falls through without spending a step.
+async fn canonical_blink(
+    env: Rc<dyn Env>,
+    (on, off): (u64, u64),
     candidate: Local<bool>,
     leader: Local<Option<ProcId>>,
-    started: bool,
-    phase: BlinkPhase,
-    rem: u64,
-}
-
-impl Stepper for CanonicalBlinkDriver {
-    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Control {
-        let env = ctx.env();
-        if !self.started {
-            self.started = true;
-            env.observe(OBS_CANDIDATE, 0, self.candidate.get() as i64);
-            set_candidate(env, &self.candidate, true);
-            self.phase = BlinkPhase::On;
-            self.rem = self.on;
+) {
+    let env = &*env;
+    env.observe(OBS_CANDIDATE, 0, candidate.get() as i64);
+    loop {
+        set_candidate(env, &candidate, true);
+        for _ in 0..on {
+            step().await;
         }
-        // Consume exactly one step, running any zero-length phase
-        // transitions first (a phase of length 0 falls through without
-        // spending a step).
-        loop {
-            match self.phase {
-                BlinkPhase::On => {
-                    if self.rem > 0 {
-                        self.rem -= 1;
-                        return Control::Yield;
-                    }
-                    set_candidate(env, &self.candidate, false);
-                    self.phase = BlinkPhase::Off;
-                    self.rem = self.off;
-                }
-                BlinkPhase::Off => {
-                    if self.rem > 0 {
-                        self.rem -= 1;
-                        return Control::Yield;
-                    }
-                    self.phase = BlinkPhase::Gate;
-                }
-                BlinkPhase::Gate => {
-                    if self.leader.get() == Some(self.pid) {
-                        return Control::Yield;
-                    }
-                    set_candidate(env, &self.candidate, true);
-                    self.phase = BlinkPhase::On;
-                    self.rem = self.on;
-                }
-            }
+        set_candidate(env, &candidate, false);
+        for _ in 0..off {
+            step().await;
+        }
+        // Definition 6 gate: re-enter only once `leader ≠ p`.
+        while leader.get() == Some(env.pid()) {
+            step().await;
         }
     }
 }
 
-/// Driver whose desired candidacy is an externally shared
-/// flag rather than a time script: every step it copies the flag into
-/// `candidate_p`. A nemesis flips the flag via a registered switch to
-/// realize *fault-driven* candidacy churn.
-struct ExternalDriver {
-    desired: Local<bool>,
-    candidate: Local<bool>,
-    started: bool,
-}
-
-impl Stepper for ExternalDriver {
-    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Control {
-        let env = ctx.env();
-        if !self.started {
-            self.started = true;
-            env.observe(OBS_CANDIDATE, 0, self.candidate.get() as i64);
-        }
-        set_candidate(env, &self.candidate, self.desired.get());
-        Control::Yield
+/// Driver whose desired candidacy is an externally shared flag rather
+/// than a time script: every step it copies the flag into `candidate_p`.
+/// A nemesis flips the flag via a registered switch to realize
+/// *fault-driven* candidacy churn.
+async fn external(env: Rc<dyn Env>, desired: Local<bool>, candidate: Local<bool>) {
+    env.observe(OBS_CANDIDATE, 0, candidate.get() as i64);
+    loop {
+        set_candidate(&*env, &candidate, desired.get());
+        step().await;
     }
 }
 
@@ -179,19 +120,15 @@ pub fn add_external_candidate_driver(
     initial: bool,
 ) -> Local<bool> {
     let desired = Local::new(initial);
-    let stepper = ExternalDriver {
-        desired: desired.clone(),
-        candidate: handles.candidate.clone(),
-        started: false,
-    };
-    spawner.spawn_stepper(pid, "candidacy", Box::new(stepper));
+    let (flag, candidate) = (desired.clone(), handles.candidate.clone());
+    spawn_task(spawner, pid, "candidacy", |env| {
+        external(env, flag, candidate)
+    });
     desired
 }
 
 /// Adds a driver task for process `pid` that follows `script`, observing
 /// every change of `candidate_p` into the trace.
-///
-/// The driver is a [`Stepper`], hosted by whatever `spawner` is.
 pub fn add_candidate_driver(
     spawner: &mut dyn TaskSpawner,
     pid: ProcId,
@@ -199,25 +136,17 @@ pub fn add_candidate_driver(
     script: CandidateScript,
 ) {
     let candidate = handles.candidate.clone();
-    let leader = handles.leader.clone();
-    let stepper: Box<dyn Stepper> = match script {
-        CandidateScript::CanonicalBlink { on, off } => Box::new(CanonicalBlinkDriver {
-            pid,
-            on,
-            off,
-            candidate,
-            leader,
-            started: false,
-            phase: BlinkPhase::Gate,
-            rem: 0,
+    match script {
+        CandidateScript::CanonicalBlink { on, off } => {
+            let leader = handles.leader.clone();
+            spawn_task(spawner, pid, "candidacy", move |env| {
+                canonical_blink(env, (on, off), candidate, leader)
+            });
+        }
+        script => spawn_task(spawner, pid, "candidacy", move |env| {
+            scripted(env, script, candidate)
         }),
-        script => Box::new(ScriptedDriver {
-            script,
-            candidate,
-            started: false,
-        }),
-    };
-    spawner.spawn_stepper(pid, "candidacy", stepper);
+    }
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@ use crate::OmegaHandles;
 use std::sync::Arc;
 use tbwf_monitor::MonitorMesh;
 use tbwf_registers::{OpLog, RegisterFactory, RegisterFactoryConfig, SharedAbortable};
-use tbwf_sim::{ProcId, RunConfig, RunReport, SimBuilder, TaskSpawner};
+use tbwf_sim::{spawn_task, ProcId, RunConfig, RunReport, SimBuilder, TaskSpawner};
 
 /// Which Ω∆ implementation to install.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -100,7 +100,7 @@ pub fn install_omega_with(
                     counter_regs: counter_regs.clone(),
                     self_punish: options.self_punish,
                 };
-                spawner.spawn_stepper(ProcId(p), "omega", Box::new(proc.into_stepper()));
+                spawn_task(spawner, ProcId(p), "omega", |env| proc.run(env));
             }
         }
         OmegaKind::Abortable => {
@@ -148,7 +148,7 @@ pub fn install_omega_with(
                     msgs: MsgChannels::new(ProcId(p), n, out, inn),
                     hb: HeartbeatChannels::new(ProcId(p), n, hb1_out, hb2_out, hb1_in, hb2_in),
                 };
-                spawner.spawn_stepper(ProcId(p), "omega", Box::new(proc.into_stepper()));
+                spawn_task(spawner, ProcId(p), "omega", |env| proc.run(env));
             }
         }
     }

@@ -18,8 +18,9 @@
 use crate::drivers::add_candidate_driver;
 use crate::harness::install_omega;
 use crate::{CandidateScript, OmegaHandles, OmegaKind};
+use std::rc::Rc;
 use tbwf_registers::RegisterFactory;
-use tbwf_sim::{Control, Local, ProcId, SimBuilder, StepCtx, Stepper};
+use tbwf_sim::{spawn_task, step, Env, Local, ProcId, SimBuilder};
 
 /// Observation key for the Ω output (always a process id).
 pub const OBS_OMEGA: &str = "omega_leader";
@@ -34,25 +35,16 @@ pub struct OmegaFdHandle {
 /// The per-process adapter task: every step, copies a non-`?` Ω∆ leader
 /// into the Ω output (which therefore holds its last estimate through
 /// `?` phases).
-struct OmegaFdAdapter {
-    leader_in: Local<Option<ProcId>>,
-    leader_out: Local<ProcId>,
-    started: bool,
-}
-
-impl Stepper for OmegaFdAdapter {
-    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Control {
-        if !self.started {
-            self.started = true;
-            ctx.observe(OBS_OMEGA, 0, self.leader_out.get().0 as i64);
-        }
-        if let Some(l) = self.leader_in.get() {
-            if l != self.leader_out.get() {
-                self.leader_out.set(l);
-                ctx.observe(OBS_OMEGA, 0, l.0 as i64);
+async fn adapter(env: Rc<dyn Env>, leader_in: Local<Option<ProcId>>, leader_out: Local<ProcId>) {
+    env.observe(OBS_OMEGA, 0, leader_out.get().0 as i64);
+    loop {
+        if let Some(l) = leader_in.get() {
+            if l != leader_out.get() {
+                leader_out.set(l);
+                env.observe(OBS_OMEGA, 0, l.0 as i64);
             }
         }
-        Control::Yield
+        step().await;
     }
 }
 
@@ -77,12 +69,10 @@ pub fn install_omega_fd(
         let out = OmegaFdHandle {
             leader: Local::new(ProcId(p)),
         };
-        let adapter = OmegaFdAdapter {
-            leader_in: dh.leader.clone(),
-            leader_out: out.leader.clone(),
-            started: false,
-        };
-        builder.add_stepper(ProcId(p), "omega-fd", Box::new(adapter));
+        let (leader_in, leader_out) = (dh.leader.clone(), out.leader.clone());
+        spawn_task(builder, ProcId(p), "omega-fd", |env| {
+            adapter(env, leader_in, leader_out)
+        });
         fd_handles.push(out);
     }
     fd_handles

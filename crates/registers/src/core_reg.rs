@@ -483,6 +483,7 @@ mod tests {
 
     /// A free-running env that also reports a fixed set of crashed
     /// processes, for exercising the pending-op purge in `begin`.
+    #[derive(Clone)]
     struct CrashyEnv {
         inner: FreeRunEnv,
         crashed: Vec<ProcId>,
@@ -500,6 +501,9 @@ mod tests {
         }
         fn is_crashed(&self, p: ProcId) -> bool {
             self.crashed.contains(&p)
+        }
+        fn handle(&self) -> std::rc::Rc<dyn Env> {
+            std::rc::Rc::new(self.clone())
         }
     }
 

@@ -11,7 +11,10 @@
 //! * an operation is split into an `invoke_*` call, made at the end of
 //!   one step of the caller, and a `complete_*` call, made at the start
 //!   of the caller's *next* step (arbitrarily far in global time), where
-//!   it resolves;
+//!   it resolves. An `async` task body performs the whole operation with
+//!   one helper — `read`/`write` on an atomic register,
+//!   `try_read`/`try_write` on an abortable one — which invokes, awaits
+//!   [`tbwf_sim::step()`], and completes;
 //! * an **atomic** register linearizes at the response and never aborts;
 //! * a **safe** register returns an arbitrary (seeded) value when a read
 //!   overlaps a write;
@@ -61,7 +64,7 @@ pub use policy::{
 pub use stats::{OpEvent, OpKind, OpLog};
 
 use std::sync::Arc;
-use tbwf_sim::Env;
+use tbwf_sim::{step, Env};
 
 /// Opaque handle to one register operation between its invocation and its
 /// response step.
@@ -103,6 +106,25 @@ pub trait AtomicRegister<T: Clone>: Send + Sync {
     fn complete_read(&self, env: &dyn Env, tok: OpToken) -> T;
 }
 
+/// The paper's `READ` and `WRITE` of an atomic register, for `async` task
+/// bodies: each invokes the operation, takes one step, and completes it,
+/// so it spans exactly the invocation and the response step.
+impl<T: Clone> dyn AtomicRegister<T> + '_ {
+    /// `READ`: returns the value read.
+    pub async fn read(&self, env: &dyn Env) -> T {
+        let tok = self.invoke_read(env);
+        step().await;
+        self.complete_read(env, tok)
+    }
+
+    /// `WRITE` of `v`.
+    pub async fn write(&self, env: &dyn Env, v: T) {
+        let tok = self.invoke_write(env, v);
+        step().await;
+        self.complete_write(env, tok);
+    }
+}
+
 /// An abortable register (\[2\]; Section 1.2 of the paper).
 ///
 /// Operations that are concurrent with other operations on the same
@@ -121,6 +143,26 @@ pub trait AbortableRegister<T: Clone>: Send + Sync {
 
     /// Response step of a read; aborted reads return no value.
     fn complete_read(&self, env: &dyn Env, tok: OpToken) -> ReadOutcome<T>;
+}
+
+/// The paper's `READ` and `WRITE` of an abortable register, for `async`
+/// task bodies: each invokes the operation, takes one step, and
+/// completes it, so it spans exactly the invocation and the response
+/// step; either may return `⊥`.
+impl<T: Clone> dyn AbortableRegister<T> + '_ {
+    /// `READ`: the value read, or `⊥` if the read aborted.
+    pub async fn try_read(&self, env: &dyn Env) -> ReadOutcome<T> {
+        let tok = self.invoke_read(env);
+        step().await;
+        self.complete_read(env, tok)
+    }
+
+    /// `WRITE` of `v`: `ok`, or `⊥` if the write aborted.
+    pub async fn try_write(&self, env: &dyn Env, v: T) -> WriteOutcome {
+        let tok = self.invoke_write(env, v);
+        step().await;
+        self.complete_write(env, tok)
+    }
 }
 
 /// A safe register holding `u64` values.
@@ -148,3 +190,91 @@ pub trait SafeRegister: Send + Sync {
 pub type SharedAtomic<T> = Arc<dyn AtomicRegister<T>>;
 /// Shorthand for a shared abortable register handle.
 pub type SharedAbortable<T> = Arc<dyn AbortableRegister<T>>;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::future::Future;
+    use std::rc::Rc;
+    use std::sync::atomic::Ordering::SeqCst;
+    use tbwf_sim::schedule::RoundRobin;
+    use tbwf_sim::{
+        Control, FaultAction, FaultPlan, FaultTarget, FreeRunEnv, FutureTask, Nemesis, ProcId,
+        RunConfig, SimBuilder, StepCtx, Stepper, Trigger,
+    };
+
+    /// Runs `body` as a task of p0, one segment per step, and returns
+    /// what each segment told the scheduler with p0's in-flight gauge
+    /// after it.
+    fn segments<F: Future<Output = ()>>(
+        factory: &RegisterFactory,
+        body: impl FnOnce(Rc<dyn Env>) -> F,
+    ) -> Vec<(Control, i64)> {
+        let (env, gauge) = (
+            FreeRunEnv::new(ProcId(0)),
+            factory.inflight_gauge(ProcId(0)),
+        );
+        let mut task = FutureTask::new(body);
+        let mut out = Vec::new();
+        while out.last().is_none_or(|&(c, _)| c == Control::Yield) {
+            out.push((task.step(&mut StepCtx::new(&env)), gauge.load(SeqCst)));
+            env.advance();
+        }
+        out
+    }
+
+    #[test]
+    fn each_helper_spans_an_invocation_and_a_response_step() {
+        let factory = RegisterFactory::default();
+        let (a, b) = (&factory.atomic("A", 0i64), &factory.abortable("B", 0i64));
+        // Invoked in the first segment, in flight across the step, and
+        // completed in the second (here the task's last) segment.
+        let want = vec![(Control::Yield, 1), (Control::Done, 0)];
+        let got = [
+            segments(&factory, |env| async move { a.write(&*env, 7).await }),
+            segments(
+                &factory,
+                |env| async move { assert_eq!(a.read(&*env).await, 7) },
+            ),
+            segments(&factory, |env| async move {
+                assert!(b.try_write(&*env, 7).await.is_ok())
+            }),
+            segments(&factory, |env| async move {
+                assert_eq!(b.try_read(&*env).await, ReadOutcome::Value(7))
+            }),
+        ];
+        assert!(got.iter().all(|g| *g == want), "{got:?}");
+        assert_eq!(factory.log().len(), 4);
+    }
+
+    #[test]
+    fn a_gauge_crash_lands_between_invocation_and_response() {
+        let factory = RegisterFactory::default();
+        let a = factory.atomic("A", 0i64);
+        let mut b = SimBuilder::new();
+        let p0 = b.add_process("p0");
+        let task = FutureTask::new(move |env: Rc<dyn Env>| async move {
+            a.write(&*env, 7).await;
+            env.observe("wrote", 0, 1);
+        });
+        b.add_stepper(p0, "write", Box::new(task));
+        let on_gauge = Trigger::OnGauge {
+            at: 0,
+            gauge: "p0".into(),
+            min: 1,
+        };
+        let plan = FaultPlan::new().with(on_gauge, FaultAction::Crash(FaultTarget::Stepper));
+        let mut nemesis = Nemesis::new(plan);
+        nemesis.register_gauge("p0", factory.inflight_gauge(p0));
+        let mut config = RunConfig::new(10, RoundRobin::new());
+        config.nemesis = Some(nemesis);
+        let report = b.build().run(config);
+        report.assert_no_panics();
+        // The crash fires after the invocation step, so the response step
+        // never runs and the write never completes.
+        assert_eq!(report.trace.len(), 1);
+        assert_eq!(report.trace.crash_time(p0), Some(0));
+        assert_eq!(report.trace.last_value(p0, "wrote", 0), None);
+        assert_eq!(factory.log().len(), 0);
+    }
+}

@@ -2,14 +2,14 @@
 //! schedule so that register operations overlap (or don't) exactly as
 //! planned, and check the abortable semantics at the boundary.
 
-use std::collections::VecDeque;
+use std::rc::Rc;
 use std::sync::Arc;
 use tbwf_registers::{
-    AbortPolicy, EffectPolicy, OpToken, ReadOutcome, RegisterFactory, RegisterFactoryConfig,
-    SafeRegister, SharedAbortable, WriteOutcome,
+    AbortPolicy, EffectPolicy, ReadOutcome, RegisterFactory, RegisterFactoryConfig, SafeRegister,
+    SharedAbortable, WriteOutcome,
 };
 use tbwf_sim::schedule::Scripted;
-use tbwf_sim::{Control, Local, ProcId, RunConfig, SimBuilder, StepCtx, Stepper};
+use tbwf_sim::{step, Env, FutureTask, Local, ProcId, RunConfig, SimBuilder};
 
 fn factory(abort: AbortPolicy, effect: EffectPolicy) -> RegisterFactory {
     RegisterFactory::new(RegisterFactoryConfig {
@@ -43,43 +43,29 @@ enum Res {
 
 /// A task running a fixed list of register instructions, then finishing;
 /// every response is appended to `out`.
-struct Script {
-    reg: Reg,
-    ins: VecDeque<Ins>,
-    pending: Option<(Ins, OpToken)>,
-    out: Local<Vec<Res>>,
-}
-
-impl Stepper for Script {
-    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Control {
-        let env = ctx.env();
-        if let Some((ins, tok)) = self.pending.take() {
-            let res = match (&self.reg, ins) {
-                (Reg::Abortable(r), Ins::Write(_)) => Some(Res::Wrote(r.complete_write(env, tok))),
-                (Reg::Abortable(r), Ins::Read) => Some(Res::Read(r.complete_read(env, tok))),
-                (Reg::Safe(r), Ins::Write(_)) => {
-                    r.complete_write(env, tok);
-                    None
-                }
-                (Reg::Safe(r), Ins::Read) => Some(Res::SafeRead(r.complete_read(env, tok))),
-                (_, Ins::Idle) => unreachable!("idle steps invoke nothing"),
-            };
-            if let Some(res) = res {
-                self.out.update(|v| v.push(res));
+async fn run_ins(env: Rc<dyn Env>, reg: Reg, ins: Vec<Ins>, out: Local<Vec<Res>>) {
+    let env = &*env;
+    for ins in ins {
+        let res = match (&reg, ins) {
+            (Reg::Abortable(r), Ins::Write(v)) => Res::Wrote(r.try_write(env, v).await),
+            (Reg::Abortable(r), Ins::Read) => Res::Read(r.try_read(env).await),
+            (Reg::Safe(r), Ins::Write(v)) => {
+                let tok = r.invoke_write(env, v as u64);
+                step().await;
+                r.complete_write(env, tok);
+                continue;
             }
-        }
-        let Some(ins) = self.ins.pop_front() else {
-            return Control::Done;
+            (Reg::Safe(r), Ins::Read) => {
+                let tok = r.invoke_read(env);
+                step().await;
+                Res::SafeRead(r.complete_read(env, tok))
+            }
+            (_, Ins::Idle) => {
+                step().await;
+                continue;
+            }
         };
-        let tok = match (&self.reg, ins) {
-            (_, Ins::Idle) => return Control::Yield,
-            (Reg::Abortable(r), Ins::Write(v)) => r.invoke_write(env, v),
-            (Reg::Abortable(r), Ins::Read) => r.invoke_read(env),
-            (Reg::Safe(r), Ins::Write(v)) => r.invoke_write(env, v as u64),
-            (Reg::Safe(r), Ins::Read) => r.invoke_read(env),
-        };
-        self.pending = Some((ins, tok));
-        Control::Yield
+        out.update(|v| v.push(res));
     }
 }
 
@@ -91,15 +77,11 @@ fn run(reg: Reg, writer: &[Ins], reader: &[Ins], script: Vec<ProcId>) -> (Vec<Re
     for (name, ins) in [("writer", writer), ("reader", reader)] {
         let out = Local::new(Vec::new());
         let pid = b.add_process(&format!("p{}", outs.len()));
+        let (reg, ins, task_out) = (reg.clone(), ins.to_vec(), out.clone());
         b.add_stepper(
             pid,
             name,
-            Box::new(Script {
-                reg: reg.clone(),
-                ins: ins.iter().copied().collect(),
-                pending: None,
-                out: out.clone(),
-            }),
+            Box::new(FutureTask::new(|env| run_ins(env, reg, ins, task_out))),
         );
         outs.push(out);
     }

@@ -1,28 +1,33 @@
 //! The environment algorithm code runs against: time, identity,
-//! observations and crash flags.
+//! observations, crash flags and an owned handle to itself.
 
 use crate::ids::ProcId;
 use crate::trace::Obs;
 use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 /// The interface between algorithm code and its runtime.
 ///
-/// All the algorithms of the paper (Figures 2–7) are written as
-/// [`Stepper`](crate::Stepper)s against this trait, so the same code runs
-/// on the deterministic simulator (which polls each stepper once per
-/// granted step) and on real threads (the `native` module of the `tbwf`
-/// crate, which polls each stepper in a loop of its own).
+/// All the algorithms of the paper (Figures 2–7) are written against
+/// this trait, as `async` task bodies run by
+/// [`FutureTask`](crate::step::FutureTask) or as hand-written
+/// [`Stepper`](crate::Stepper)s, so the same code runs on the
+/// deterministic simulator (which polls each task once per granted step)
+/// and on real threads (the `native` module of the `tbwf` crate, which
+/// polls each task in a loop of its own).
 ///
 /// The trait has no step operation: a *step* in the sense of Section 3 of
-/// the paper is one [`Stepper::step`](crate::Stepper::step) call that
-/// returns [`Control::Yield`](crate::Control::Yield). A register
-/// operation spans two steps by invoking at the end of one segment and
-/// completing at the start of the next.
+/// the paper is one segment of a task, ended by an `.await` of
+/// [`step()`](crate::step::step) (or a [`Stepper::step`](crate::Stepper::step)
+/// call that returns [`Control::Yield`](crate::Control::Yield)). A
+/// register operation spans two steps by invoking at the end of one
+/// segment and completing at the start of the next.
 ///
 /// An env belongs to the thread polling its task: the trait asks for
 /// neither `Send` nor `Sync`. The simulator's envs share the run's state
 /// through `Rc` and are confined to the thread executing `Sim::run`; the
-/// native harness moves each env onto its task's thread.
+/// native harness builds each task, and its env, on the task's own
+/// thread.
 pub trait Env {
     /// Current global time (number of steps taken by all processes so far).
     fn now(&self) -> u64;
@@ -50,19 +55,26 @@ pub trait Env {
     fn is_crashed(&self, _p: ProcId) -> bool {
         false
     }
+
+    /// An owned handle to this environment: it shares the clock, the
+    /// observation log and the crash flags, so an `async` task body can
+    /// hold it across its steps.
+    fn handle(&self) -> Rc<dyn Env>;
 }
 
 /// A free-running environment for unit tests and micro-benchmarks.
 ///
 /// Time only moves when the caller says so ([`FreeRunEnv::advance`], one
 /// step per call); observations are recorded into an internal log that
-/// can be drained with [`FreeRunEnv::take_obs`]. There is no scheduler
-/// and, like every simulator env, it stays on the thread that made it —
-/// use the real simulator for anything that needs the model semantics.
+/// can be drained with [`FreeRunEnv::take_obs`]. A clone shares the
+/// clock and the log. There is no scheduler and, like every simulator
+/// env, it stays on the thread that made it — use the real simulator for
+/// anything that needs the model semantics.
+#[derive(Clone)]
 pub struct FreeRunEnv {
     pid: ProcId,
-    clock: Cell<u64>,
-    obs: RefCell<Vec<Obs>>,
+    clock: Rc<Cell<u64>>,
+    obs: Rc<RefCell<Vec<Obs>>>,
 }
 
 impl FreeRunEnv {
@@ -70,8 +82,8 @@ impl FreeRunEnv {
     pub fn new(pid: ProcId) -> Self {
         FreeRunEnv {
             pid,
-            clock: Cell::new(0),
-            obs: RefCell::new(Vec::new()),
+            clock: Rc::new(Cell::new(0)),
+            obs: Rc::new(RefCell::new(Vec::new())),
         }
     }
 
@@ -106,6 +118,10 @@ impl Env for FreeRunEnv {
             value,
         });
     }
+
+    fn handle(&self) -> Rc<dyn Env> {
+        Rc::new(self.clone())
+    }
 }
 
 #[cfg(test)]
@@ -125,5 +141,18 @@ mod tests {
         assert_eq!(obs[0].value, 42);
         assert_eq!(obs[0].proc, ProcId(3));
         assert_eq!(obs[0].idx, 1);
+    }
+
+    #[test]
+    fn handle_shares_clock_and_log() {
+        let env = FreeRunEnv::new(ProcId(2));
+        let handle = env.handle();
+        env.advance();
+        assert_eq!(handle.now(), 1);
+        assert_eq!(handle.pid(), ProcId(2));
+        handle.observe("y", 0, 7);
+        env.observe("y", 0, 8);
+        let values: Vec<i64> = env.take_obs().iter().map(|o| o.value).collect();
+        assert_eq!(values, vec![7, 8]);
     }
 }

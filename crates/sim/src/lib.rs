@@ -20,17 +20,20 @@
 //!
 //! # The step engine
 //!
-//! Every task is an explicit state machine implementing [`Stepper`]; the
-//! scheduler *polls* it by calling [`Stepper::step`] directly, on the
-//! thread executing [`Sim::run`]. Granting a step is a plain function
-//! call — no threads, no locks, no condvar traffic. One `step()` call
-//! runs one segment of the task; [`Control::Yield`] ends the segment and
-//! counts it as one step of the process. Register operations straddle
-//! two segments through their invoke/complete pair (see
-//! `tbwf-registers`), which gives them the invocation and response steps
-//! of the paper's model. Every run is a deterministic function of
-//! `(program, schedule, seed)`. The [`step`] module documents the
-//! contract in detail.
+//! Every task is a [`Stepper`]; the scheduler *polls* it by calling
+//! [`Stepper::step`] directly, on the thread executing [`Sim::run`].
+//! Granting a step is a plain function call — no threads, no locks, no
+//! condvar traffic. One `step()` call runs one segment of the task;
+//! [`Control::Yield`] ends the segment and counts it as one step of the
+//! process. The paper's figures are written as `async fn` loops in the
+//! paper's own shape, run by the one adapter [`FutureTask`]: each
+//! `.await` of [`step()`] ends a segment, so one `.await` is one step.
+//! Register operations straddle two segments through their
+//! invoke/complete pair (see `tbwf-registers`, whose `read`/`write`
+//! helpers invoke, await [`step()`] and complete), which gives them the
+//! invocation and response steps of the paper's model. Every run is a
+//! deterministic function of `(program, schedule, seed)`. The [`step`](mod@step)
+//! module documents the contract in detail.
 //!
 //! # Fault injection
 //!
@@ -46,26 +49,21 @@
 //! # Example
 //!
 //! ```
-//! use tbwf_sim::{schedule::RoundRobin, Control, RunConfig, SimBuilder, StepCtx, Stepper};
+//! use std::rc::Rc;
+//! use tbwf_sim::{schedule::RoundRobin, step, Env, FutureTask, RunConfig, SimBuilder};
 //!
 //! /// Observes `i = 0, 1, …, 9`, one value per step, then finishes.
-//! struct Count(i64);
-//!
-//! impl Stepper for Count {
-//!     fn step(&mut self, ctx: &mut StepCtx<'_>) -> Control {
-//!         if self.0 == 10 {
-//!             return Control::Done;
-//!         }
-//!         ctx.observe("i", 0, self.0);
-//!         self.0 += 1;
-//!         Control::Yield
+//! async fn count(env: Rc<dyn Env>) {
+//!     for i in 0..10 {
+//!         env.observe("i", 0, i);
+//!         step().await;
 //!     }
 //! }
 //!
 //! let mut b = SimBuilder::new();
 //! for p in 0..3 {
 //!     let pid = b.add_process(&format!("p{p}"));
-//!     b.add_stepper(pid, "main", Box::new(Count(0)));
+//!     b.add_stepper(pid, "main", Box::new(FutureTask::new(count)));
 //! }
 //! let report = b.build().run(RunConfig::new(1_000, RoundRobin::new()));
 //! assert_eq!(report.trace.obs_series(tbwf_sim::ProcId(0), "i", 0).len(), 10);
@@ -100,6 +98,6 @@ pub use schedule::{
     Decision, DecisionLog, NemesisSchedule, Schedule, ScheduleCtl, ScheduleView, Scripted,
     ScriptedWindow, Tapped,
 };
-pub use spawner::TaskSpawner;
-pub use step::{Control, StepCtx, Stepper};
+pub use spawner::{spawn_task, TaskSpawner};
+pub use step::{step, Control, FutureTask, StepCtx, Stepper};
 pub use trace::{Obs, StepLog, Trace};

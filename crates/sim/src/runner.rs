@@ -1,9 +1,10 @@
 //! The simulation runner: builds processes/tasks and executes a run.
 //!
 //! A run is one totally ordered sequence of steps, executed on the
-//! thread calling [`Sim::run`]. Every task's env shares the run's single
-//! state (clock, crash flags, observation log), so observations are
-//! logged in execution order as they happen.
+//! thread calling [`Sim::run`]. The tasks of a process share one env,
+//! and every env shares the run's single state (clock, crash flags,
+//! observation log), so observations are logged in execution order as
+//! they happen.
 
 use crate::ids::ProcId;
 use crate::nemesis::Nemesis;
@@ -50,7 +51,7 @@ impl SimBuilder {
     /// Adds a task to process `pid`.
     ///
     /// The scheduler drives the stepper by direct [`Stepper::step`] calls
-    /// on the thread executing [`Sim::run`]; see the [`step`](crate::step)
+    /// on the thread executing [`Sim::run`]; see the [`step`](mod@crate::step)
     /// module for the contract.
     ///
     /// # Panics
@@ -93,10 +94,6 @@ impl SimBuilder {
                 .map(|t| TaskRt {
                     name: t.name,
                     stepper: t.stepper,
-                    env: StepEnv {
-                        pid: ProcId(pi),
-                        run: Rc::clone(&run),
-                    },
                     exited: false,
                     finished: false,
                     panic: None,
@@ -105,6 +102,7 @@ impl SimBuilder {
             procs.push(ProcRt {
                 name: spec.name,
                 tasks,
+                env: StepEnv::new(ProcId(pi), Rc::clone(&run)),
                 cursor: 0,
                 crashed: false,
             });
@@ -126,7 +124,6 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 struct TaskRt {
     name: String,
     stepper: Box<dyn Stepper>,
-    env: StepEnv,
     exited: bool,
     /// Exited by returning [`Control::Done`] (vs. by panicking).
     finished: bool,
@@ -136,6 +133,9 @@ struct TaskRt {
 struct ProcRt {
     name: String,
     tasks: Vec<TaskRt>,
+    /// The env every task of the process runs against (and async task
+    /// bodies hold a handle to).
+    env: Rc<StepEnv>,
     /// The task to try first at the process's next step (`< tasks.len()`).
     cursor: usize,
     crashed: bool,
@@ -371,7 +371,7 @@ impl Sim {
                     continue;
                 }
                 obs_mark = self.run.obs.borrow().len();
-                let (stepper, env) = (&mut task.stepper, &task.env);
+                let (stepper, env) = (&mut task.stepper, &*proc.env);
                 let step = std::panic::catch_unwind(AssertUnwindSafe(|| {
                     stepper.step(&mut StepCtx::new(env))
                 }));

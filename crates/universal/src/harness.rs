@@ -72,7 +72,7 @@ struct Worker<F> {
     started: bool,
 }
 
-impl<F: FnMut(&dyn Env) -> Option<i64> + Send> Stepper for Worker<F> {
+impl<F: FnMut(&dyn Env) -> Option<i64>> Stepper for Worker<F> {
     fn step(&mut self, ctx: &mut StepCtx<'_>) -> Control {
         let env = ctx.env();
         if !self.started {
@@ -96,7 +96,7 @@ fn add_worker(
     b: &mut SimBuilder,
     p: usize,
     ops: u64,
-    poll_inc: impl FnMut(&dyn Env) -> Option<i64> + Send + 'static,
+    poll_inc: impl FnMut(&dyn Env) -> Option<i64> + 'static,
 ) {
     let worker = Worker {
         poll_inc,

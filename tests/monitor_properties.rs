@@ -1,30 +1,12 @@
 //! Integration tests: activity-monitor specification (Definition 9) on
 //! full simulated runs — the assertion form of experiment E1.
 
+use std::rc::Rc;
 use std::sync::Arc;
 use tbwf::prelude::*;
 use tbwf_monitor::fig2::{activity_monitor, OBS_FAULT, OBS_STATUS};
 use tbwf_monitor::props::{check_pair, CheckParams, PairRun};
 use tbwf_sim::schedule::GapGrowth;
-
-/// Records one input observation in its first segment, then runs `inner`.
-struct ObserveInput {
-    key: &'static str,
-    idx: u32,
-    on: bool,
-    observed: bool,
-    inner: Box<dyn Stepper>,
-}
-
-impl Stepper for ObserveInput {
-    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Control {
-        if !self.observed {
-            self.observed = true;
-            ctx.observe(self.key, self.idx, self.on as i64);
-        }
-        self.inner.step(ctx)
-    }
-}
 
 struct PairSetup {
     monitoring_on: bool,
@@ -40,25 +22,21 @@ fn run_pair(s: PairSetup) -> PairRun {
     pair.monitoring_side.monitoring.set(s.monitoring_on);
     pair.monitored_side.active_for.set(s.active_on);
 
+    // Each side records its (constant) input in its first segment.
+    let (monitoring, monitored) = (pair.monitoring_side, pair.monitored_side);
     let mut b = SimBuilder::new();
     let p0 = b.add_process("p0");
-    let monitoring = ObserveInput {
-        key: "monitoring",
-        idx: 1,
-        on: s.monitoring_on,
-        observed: false,
-        inner: Box::new(pair.monitoring_side.into_stepper()),
-    };
-    b.add_stepper(p0, "monitoring", Box::new(monitoring));
+    let monitoring_task = FutureTask::new(move |env: Rc<dyn Env>| async move {
+        env.observe("monitoring", 1, s.monitoring_on as i64);
+        monitoring.run(env).await
+    });
+    b.add_stepper(p0, "monitoring", Box::new(monitoring_task));
     let p1 = b.add_process("p1");
-    let monitored = ObserveInput {
-        key: "active_for",
-        idx: 0,
-        on: s.active_on,
-        observed: false,
-        inner: Box::new(pair.monitored_side.into_stepper()),
-    };
-    b.add_stepper(p1, "monitored", Box::new(monitored));
+    let monitored_task = FutureTask::new(move |env: Rc<dyn Env>| async move {
+        env.observe("active_for", 0, s.active_on as i64);
+        monitored.run(env).await
+    });
+    b.add_stepper(p1, "monitored", Box::new(monitored_task));
 
     let schedule: Box<dyn tbwf_sim::Schedule> = if s.q_timely {
         Box::new(RoundRobin::new())
