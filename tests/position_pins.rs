@@ -1,5 +1,6 @@
 //! Step-position pins: every Figure 2–6 task, candidate driver and the Ω
-//! adapter, run in small fixed configurations, must reproduce the exact
+//! adapter, the Figure 7/8 transform over the query-abortable object, and
+//! the E5 baselines, run in small fixed configurations, must reproduce the exact
 //! run record — which process took each step, and every observation with
 //! its time — that the committed code produced when the pins were taken.
 //!
@@ -218,5 +219,86 @@ fn omega_adapter() {
             RunConfig::new(30_000, SeededRandom::new(5)).crash(12_000, ProcId(0)),
         );
         assert_eq!(d, want, "{kind:?} Ω adapter digest {d:#018x}");
+    }
+}
+
+/// Figure 7 (canonical) with Figure 8 over `O_QA`: three processes
+/// incrementing forever, p0 crashing mid-run.
+#[test]
+fn figure7_canonical_with_a_crash() {
+    for (kind, want) in [
+        (OmegaKind::Atomic, 0x24a1_709f_6ea2_82f4),
+        (OmegaKind::Abortable, 0x301b_8479_8865_90ba),
+    ] {
+        let run = TbwfSystemBuilder::new(Counter)
+            .processes(3)
+            .omega(kind)
+            .seed(13)
+            .workload_all(Workload::Unlimited(CounterOp::Inc))
+            .run(RunConfig::new(60_000, SeededRandom::new(17)).crash(25_000, ProcId(0)));
+        run.report.assert_no_panics();
+        assert!(run.completed.iter().all(|&c| c > 0), "{:?}", run.completed);
+        let d = digest(&run.report.trace);
+        assert_eq!(d, want, "{kind:?} figure 7 digest {d:#018x}");
+    }
+}
+
+/// Figure 7 under a register abort storm: the contended `O_QA`
+/// invocations return `⊥`, so Figure 8's `query` and `F` paths run.
+#[test]
+fn figure7_under_an_abort_storm() {
+    let set = |value| FaultAction::SetDial {
+        dial: "policy".into(),
+        value,
+    };
+    let run = TbwfSystemBuilder::new(Counter)
+        .processes(3)
+        .omega(OmegaKind::Abortable)
+        .seed(29)
+        .workload_all(Workload::Unlimited(CounterOp::Inc))
+        .run_wired(
+            RunConfig::new(60_000, SeededRandom::new(23)),
+            |factory, cfg| {
+                let plan = FaultPlan::new()
+                    .with(Trigger::At(5_000), set(DIAL_ABORT_STORM))
+                    .with(Trigger::At(35_000), set(DIAL_BASE));
+                let mut nem = Nemesis::new(plan);
+                nem.register_dial("policy", factory.policy_dial().handle());
+                cfg.nemesis = Some(nem);
+            },
+        );
+    run.report.assert_no_panics();
+    assert!(run.completed.iter().all(|&c| c > 0), "{:?}", run.completed);
+    let d = digest(&run.report.trace);
+    assert_eq!(
+        d, 0x7db0_3331_53cc_5edf,
+        "figure 7 abort-storm digest {d:#018x}"
+    );
+}
+
+/// The E5/E7 engines other than canonical TBWF, through the counter
+/// workload runner.
+#[test]
+fn counter_workload_engines() {
+    for (engine, want) in [
+        (
+            Engine::TbwfNonCanonical(OmegaKind::Atomic),
+            0xc9ea_4c36_f7c6_a7e5,
+        ),
+        (Engine::PlainOf, 0x5783_4984_8630_e863),
+        (Engine::FlmsBoost, 0xa4d0_4c97_8d4e_d2db),
+        (Engine::HerlihyCas, 0x169e_3e80_4e6b_a75d),
+    ] {
+        let cfg = WorkloadConfig {
+            n: 3,
+            engine,
+            ops_per_proc: 25,
+            ..Default::default()
+        };
+        let out = run_counter_workload(&cfg, RunConfig::new(40_000, SeededRandom::new(31)));
+        out.report.assert_no_panics();
+        out.assert_distinct_responses();
+        let d = digest(&out.report.trace);
+        assert_eq!(d, want, "{engine:?} digest {d:#018x}");
     }
 }
