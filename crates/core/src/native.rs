@@ -5,7 +5,7 @@
 //! code* — the monitor mesh, Ω∆, and the query-abortable object — with
 //! real parallelism and OS scheduling: each task's stepper is polled in a
 //! loop on an OS thread of its own, and each client polls its
-//! [`TbwfCall`] on the calling thread. Registers
+//! [`invoke_tbwf`] operation on the calling thread. Registers
 //! are the same simulated-register implementations: their two-phase
 //! overlap detection works under genuine concurrency, so abortable
 //! registers abort on real races.
@@ -30,16 +30,19 @@
 
 use crate::system::OBS_COMPLETED;
 use std::fmt;
+use std::future::Future;
+use std::pin::pin;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::task::{Context, Poll, Waker};
 use std::thread::JoinHandle;
 use tbwf_omega::harness::{install_omega_with, OmegaOptions};
 use tbwf_omega::{OmegaHandles, OmegaKind};
 use tbwf_registers::{RegisterFactory, RegisterFactoryConfig};
 use tbwf_sim::{Control, Env, ProcId, StepCtx, Stepper, TaskSpawner};
 use tbwf_universal::qa::QaObject;
-use tbwf_universal::tbwf::TbwfCall;
+use tbwf_universal::tbwf::invoke_tbwf;
 use tbwf_universal::ObjectType;
 
 /// The system was shut down while an operation was in flight.
@@ -75,8 +78,9 @@ impl NativeEnv {
         }
     }
 
-    /// Takes one step between two segments: fails once the system is
-    /// stopping, else advances the clock.
+    /// Takes one step between two segments (one `Pending` poll of a task
+    /// or an operation): fails once the system is stopping, else advances
+    /// the clock.
     fn step(&self) -> Result<(), Halted> {
         if self.stop.load(Ordering::Relaxed) {
             return Err(Halted);
@@ -226,9 +230,16 @@ impl<T: ObjectType> NativeClient<T> {
     /// Returns [`Halted`] if the system was shut down while the
     /// operation was in progress.
     pub fn invoke(&mut self, op: T::Op) -> Result<T::Resp, Halted> {
-        let mut call = TbwfCall::new(op, true);
+        let mut call = pin!(invoke_tbwf(
+            &self.env,
+            &mut self.session,
+            &self.omega,
+            op,
+            true
+        ));
+        let mut cx = Context::from_waker(Waker::noop());
         let resp = loop {
-            if let Some(resp) = call.poll(&self.env, &mut self.session, &self.omega) {
+            if let Poll::Ready(resp) = call.as_mut().poll(&mut cx) {
                 break resp;
             }
             self.env.step()?;

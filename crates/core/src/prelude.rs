@@ -29,8 +29,10 @@ pub use tbwf_omega::{
     OmegaSystemConfig, SpecParams,
 };
 
-pub use tbwf_universal::baselines::{CasUniversal, FlmsCall, FlmsShared, ObstructionFreeCall};
+pub use tbwf_universal::baselines::{
+    invoke_flms, invoke_obstruction_free, CasUniversal, FlmsShared,
+};
 pub use tbwf_universal::harness::{run_counter_workload, Engine, WorkloadConfig};
 pub use tbwf_universal::object::{Counter, CounterOp};
-pub use tbwf_universal::tbwf::TbwfCall;
+pub use tbwf_universal::tbwf::invoke_tbwf;
 pub use tbwf_universal::{ObjectType, Outcome, QaObject, QaSession};

@@ -2,13 +2,14 @@
 //! TBWF stack (Ω∆ + query-abortable object + Figure 7 workers).
 
 use parking_lot::Mutex;
+use std::rc::Rc;
 use std::sync::Arc;
 use tbwf_omega::harness::install_omega;
 use tbwf_omega::{OmegaHandles, OmegaKind};
 use tbwf_registers::{AbortPolicy, EffectPolicy, OpLog, RegisterFactory, RegisterFactoryConfig};
-use tbwf_sim::{Control, Env, ProcId, RunConfig, RunReport, SimBuilder, StepCtx, Stepper};
+use tbwf_sim::{spawn_task, Env, ProcId, RunConfig, RunReport, SimBuilder};
 use tbwf_universal::qa::{QaObject, QaSession};
-use tbwf_universal::tbwf::TbwfCall;
+use tbwf_universal::tbwf::invoke_tbwf;
 use tbwf_universal::ObjectType;
 
 pub use tbwf_universal::harness::OBS_COMPLETED;
@@ -98,70 +99,34 @@ impl<T: ObjectType> TbwfRun<T> {
     }
 }
 
-/// The scripted Figure 7 worker in poll form: one [`TbwfCall`] per
-/// workload entry, results pushed into the shared sink as they complete.
-struct SystemWorker<T: ObjectType> {
+/// Per-process completed operations, shared by the workers of a run.
+type ResultSink<T> = Arc<Mutex<Vec<Vec<OpResult<T>>>>>;
+
+/// The scripted Figure 7 worker of process `p`: one [`invoke_tbwf`] per
+/// workload entry, each result pushed into `sink` as it completes. The
+/// next operation starts in the step that completed the previous one.
+async fn worker<T: ObjectType>(
+    env: Rc<dyn Env>,
     p: usize,
     workload: Workload<T>,
-    session: QaSession<T>,
+    mut session: QaSession<T>,
     omega: OmegaHandles,
-    sink: Arc<Mutex<Vec<Vec<OpResult<T>>>>>,
-    i: u64,
-    started: bool,
-    invoked: u64,
-    cur_op: Option<T::Op>,
-    call: Option<TbwfCall<T>>,
-}
-
-impl<T: ObjectType> SystemWorker<T> {
-    /// Arms the next scripted operation, or reports the workload done.
-    fn next_op(&mut self, env: &dyn Env) -> Control {
-        match self.workload.op_at(self.i) {
-            None => {
-                self.call = None;
-                Control::Done
-            }
-            Some(op) => {
-                self.invoked = env.now();
-                self.cur_op = Some(op.clone());
-                self.call = Some(TbwfCall::new(op, true));
-                Control::Yield
-            }
-        }
-    }
-}
-
-impl<T: ObjectType> Stepper for SystemWorker<T> {
-    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Control {
-        let env = ctx.env();
-        if !self.started {
-            self.started = true;
-            env.observe(OBS_COMPLETED, 0, 0);
-            if self.next_op(env) == Control::Done {
-                return Control::Done;
-            }
-        }
-        loop {
-            let call = self.call.as_mut().expect("worker has a call in flight");
-            match call.poll(env, &mut self.session, &self.omega) {
-                None => return Control::Yield,
-                Some(resp) => {
-                    self.i += 1;
-                    self.sink.lock()[self.p].push(OpResult {
-                        invoked: self.invoked,
-                        time: env.now(),
-                        op: self.cur_op.take().expect("current op recorded"),
-                        resp,
-                    });
-                    env.observe(OBS_COMPLETED, 0, self.i as i64);
-                    // The next call's first segment runs in the segment
-                    // that completed this one.
-                    if self.next_op(env) == Control::Done {
-                        return Control::Done;
-                    }
-                }
-            }
-        }
+    sink: ResultSink<T>,
+) {
+    let env = &*env;
+    env.observe(OBS_COMPLETED, 0, 0);
+    let mut i = 0;
+    while let Some(op) = workload.op_at(i) {
+        let invoked = env.now();
+        let resp = invoke_tbwf(env, &mut session, &omega, op.clone(), true).await;
+        i += 1;
+        sink.lock()[p].push(OpResult {
+            invoked,
+            time: env.now(),
+            op,
+            resp,
+        });
+        env.observe(OBS_COMPLETED, 0, i as i64);
     }
 }
 
@@ -272,25 +237,17 @@ impl<T: ObjectType> TbwfSystemBuilder<T> {
         }
         let omega_handles = install_omega(&mut b, &factory, self.n, self.omega);
         let obj = QaObject::new(self.ty, self.n, Arc::clone(&factory));
-        let sink: Arc<Mutex<Vec<Vec<OpResult<T>>>>> =
-            Arc::new(Mutex::new((0..self.n).map(|_| Vec::new()).collect()));
+        let sink: ResultSink<T> = Arc::new(Mutex::new((0..self.n).map(|_| Vec::new()).collect()));
         for (p, workload) in self.workloads.into_iter().enumerate() {
             if matches!(workload, Workload::Idle) {
                 continue;
             }
-            let worker = SystemWorker {
-                p,
-                workload,
-                session: obj.session(ProcId(p)),
-                omega: omega_handles[p].clone(),
-                sink: Arc::clone(&sink),
-                i: 0,
-                started: false,
-                invoked: 0,
-                cur_op: None,
-                call: None,
-            };
-            b.add_stepper(ProcId(p), "worker", Box::new(worker));
+            let session = obj.session(ProcId(p));
+            let omega = omega_handles[p].clone();
+            let sink = Arc::clone(&sink);
+            spawn_task(&mut b, ProcId(p), "worker", move |env| {
+                worker(env, p, workload, session, omega, sink)
+            });
         }
         let report = b.build().run(run);
         let results = std::mem::take(&mut *sink.lock());

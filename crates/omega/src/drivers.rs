@@ -48,8 +48,10 @@ impl CandidateScript {
     }
 }
 
-/// Records `candidate ← v` into the trace on change.
-fn set_candidate(env: &dyn Env, candidate: &Local<bool>, v: bool) {
+/// `candidate_p ← v`, observed under [`OBS_CANDIDATE`] when it changes.
+/// Every writer of a candidate input goes through it: the drivers here
+/// and Figure 7.
+pub fn set_candidate(env: &dyn Env, candidate: &Local<bool>, v: bool) {
     if candidate.get() != v {
         candidate.set(v);
         env.observe(OBS_CANDIDATE, 0, v as i64);
@@ -129,12 +131,25 @@ pub fn add_external_candidate_driver(
 
 /// Adds a driver task for process `pid` that follows `script`, observing
 /// every change of `candidate_p` into the trace.
+///
+/// # Panics
+///
+/// Panics if `script` is a `Blink` or `CanonicalBlink` with
+/// `on = off = 0`: its cycle would be empty, so `Blink` has no phase to
+/// be in and `CanonicalBlink` would loop without ever taking a step.
 pub fn add_candidate_driver(
     spawner: &mut dyn TaskSpawner,
     pid: ProcId,
     handles: &OmegaHandles,
     script: CandidateScript,
 ) {
+    if let CandidateScript::Blink { on, off } | CandidateScript::CanonicalBlink { on, off } = script
+    {
+        assert!(
+            on > 0 || off > 0,
+            "{script:?}: a blink cycle needs at least one step (on + off > 0)"
+        );
+    }
     let candidate = handles.candidate.clone();
     match script {
         CandidateScript::CanonicalBlink { on, off } => {
@@ -187,6 +202,31 @@ mod tests {
         let zeros = s.iter().filter(|(_, v)| *v == 0).count();
         assert!(ones >= 3, "expected several on-phases, got {ones}");
         assert!(zeros >= 3, "expected several off-phases, got {zeros}");
+    }
+
+    /// Installs `script` and runs a few steps: an empty blink cycle must
+    /// be refused when the driver is added, never reached inside the run.
+    fn install_and_run(script: CandidateScript) {
+        let mut b = SimBuilder::new();
+        let p = b.add_process("p0");
+        let h = OmegaHandles::new();
+        h.leader.set(Some(ProcId(1)));
+        add_candidate_driver(&mut b, p, &h, script);
+        b.build().run(RunConfig::new(10, RoundRobin::new()));
+    }
+
+    #[test]
+    #[should_panic(expected = "Blink { on: 0, off: 0 }: a blink cycle needs at least one step")]
+    fn empty_blink_cycle_is_refused() {
+        install_and_run(CandidateScript::Blink { on: 0, off: 0 });
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "CanonicalBlink { on: 0, off: 0 }: a blink cycle needs at least one step"
+    )]
+    fn empty_canonical_blink_cycle_is_refused() {
+        install_and_run(CandidateScript::CanonicalBlink { on: 0, off: 0 });
     }
 
     #[test]

@@ -32,7 +32,9 @@ pub mod harness;
 pub mod omega_fd;
 pub mod spec;
 
-pub use drivers::{add_candidate_driver, add_external_candidate_driver, CandidateScript};
+pub use drivers::{
+    add_candidate_driver, add_external_candidate_driver, set_candidate, CandidateScript,
+};
 pub use harness::{run_omega_system, OmegaKind, OmegaSystemConfig};
 pub use omega_fd::{install_omega_fd, OmegaFdHandle};
 pub use spec::{

@@ -7,7 +7,7 @@
 use crate::stats::{OpEvent, OpKind, OpLog};
 use parking_lot::Mutex;
 use std::sync::Arc;
-use tbwf_sim::Env;
+use tbwf_sim::{step, Env};
 
 use crate::OpToken;
 
@@ -27,6 +27,26 @@ pub trait CasRegister<T: Clone + PartialEq>: Send + Sync {
 
     /// Response step of a read; returns the current value.
     fn complete_read(&self, env: &dyn Env, tok: OpToken) -> T;
+}
+
+/// The compare-and-swap and the read of a CAS register, for `async`
+/// bodies: each invokes the operation, takes one step, and completes it,
+/// so it spans exactly the invocation and the response step.
+impl<T: Clone + PartialEq> dyn CasRegister<T> + '_ {
+    /// `CAS(expected, new)`: whether the value was `expected` (and is now
+    /// `new`).
+    pub async fn compare_and_swap(&self, env: &dyn Env, expected: &T, new: T) -> bool {
+        let tok = self.invoke(env);
+        step().await;
+        self.complete_cas(env, tok, expected, new)
+    }
+
+    /// `READ`: the current value.
+    pub async fn read(&self, env: &dyn Env) -> T {
+        let tok = self.invoke(env);
+        step().await;
+        self.complete_read(env, tok)
+    }
 }
 
 /// Simulated CAS register: two-step operation, linearizes at the response.
@@ -88,15 +108,11 @@ mod tests {
     use tbwf_sim::{FreeRunEnv, ProcId};
 
     fn cas<T: Clone + PartialEq>(r: &dyn CasRegister<T>, env: &FreeRunEnv, e: &T, new: T) -> bool {
-        let t = r.invoke(env);
-        env.advance();
-        r.complete_cas(env, t, e, new)
+        env.run_solo(r.compare_and_swap(env, e, new))
     }
 
     fn read<T: Clone + PartialEq>(r: &dyn CasRegister<T>, env: &FreeRunEnv) -> T {
-        let t = r.invoke(env);
-        env.advance();
-        r.complete_read(env, t)
+        env.run_solo(r.read(env))
     }
 
     #[test]

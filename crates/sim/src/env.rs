@@ -4,14 +4,17 @@
 use crate::ids::ProcId;
 use crate::trace::Obs;
 use std::cell::{Cell, RefCell};
+use std::future::Future;
+use std::pin::pin;
 use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
 
 /// The interface between algorithm code and its runtime.
 ///
-/// All the algorithms of the paper (Figures 2–7) are written against
-/// this trait, as `async` task bodies run by
-/// [`FutureTask`](crate::step::FutureTask) or as hand-written
-/// [`Stepper`](crate::Stepper)s, so the same code runs on the
+/// All the algorithms of the paper (Figures 2–8) are written against
+/// this trait, as `async` bodies run by
+/// [`FutureTask`](crate::step::FutureTask) (or, for a native client's
+/// operation, polled on the caller's thread), so the same code runs on the
 /// deterministic simulator (which polls each task once per granted step)
 /// and on real threads (the `native` module of the `tbwf` crate, which
 /// polls each task in a loop of its own).
@@ -98,6 +101,20 @@ impl FreeRunEnv {
     pub fn take_obs(&self) -> Vec<Obs> {
         self.obs.take()
     }
+
+    /// Runs the `async` body `body` solo to completion: polls it, and
+    /// takes one step ([`FreeRunEnv::advance`]) each time it awaits one
+    /// ([`step`](crate::step::step)). Returns what the body returns.
+    pub fn run_solo<F: Future>(&self, body: F) -> F::Output {
+        let mut body = pin!(body);
+        let mut cx = Context::from_waker(Waker::noop());
+        loop {
+            if let Poll::Ready(out) = body.as_mut().poll(&mut cx) {
+                return out;
+            }
+            self.advance();
+        }
+    }
 }
 
 impl Env for FreeRunEnv {
@@ -141,6 +158,17 @@ mod tests {
         assert_eq!(obs[0].value, 42);
         assert_eq!(obs[0].proc, ProcId(3));
         assert_eq!(obs[0].idx, 1);
+    }
+
+    #[test]
+    fn run_solo_takes_one_step_per_await() {
+        let env = FreeRunEnv::new(ProcId(0));
+        let out = env.run_solo(async {
+            crate::step().await;
+            crate::step().await;
+            7
+        });
+        assert_eq!((out, env.now()), (7, 2));
     }
 
     #[test]

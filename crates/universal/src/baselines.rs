@@ -1,9 +1,9 @@
 //! Baselines the paper positions itself against (Sections 1.2 and 2).
 //!
-//! * [`ObstructionFreeCall`] — the query-abortable object used
+//! * [`invoke_obstruction_free`] — the query-abortable object used
 //!   directly, with no coordination at all: obstruction-free, and under
 //!   steady contention essentially no one makes progress.
-//! * [`FlmsCall`] — a panic-flag booster in the style of Fich,
+//! * [`invoke_flms`] — a panic-flag booster in the style of Fich,
 //!   Luchangco, Moir & Shavit \[7\]: on contention everyone publishes a
 //!   timestamp and defers to the minimal one. It boosts
 //!   obstruction-freedom to wait-freedom **when all correct processes are
@@ -19,47 +19,34 @@
 //!   Wait-free for everyone regardless of timeliness, but built from an
 //!   object strictly stronger than (abortable) registers.
 //!
-//! Like [`TbwfCall`](crate::tbwf::TbwfCall), each driver is a poll
-//! machine: `poll` runs one segment of the operation and returns the
-//! response when it completes; the caller takes one step per `None`.
+//! Each is an `async fn` in the form of [`invoke_tbwf`](crate::tbwf::invoke_tbwf):
+//! every `.await` of [`step()`] is one step, every register operation one
+//! helper call, and the response is returned when the operation completes.
 
 use crate::object::ObjectType;
-use crate::qa::{Entry, QaSession};
+use crate::qa::{Entry, QaSession, Replica};
 use crate::tbwf::Fig8;
 use parking_lot::Mutex;
 use std::sync::Arc;
-use tbwf_registers::{OpToken, RegisterFactory, SharedAtomic, SharedCas};
-use tbwf_sim::{Env, ProcId};
+use tbwf_registers::{RegisterFactory, SharedAtomic, SharedCas};
+use tbwf_sim::{step, Env, ProcId};
 
 /// One operation on the query-abortable object with *no* coordination:
 /// the plain obstruction-free baseline. The response arrives once the
 /// operation completes; under contention this may spin for the whole run
-/// (which is the point of the baseline).
-pub struct ObstructionFreeCall<T: ObjectType> {
-    fig8: Fig8<T>,
-    in_flight: bool,
-}
-
-impl<T: ObjectType> ObstructionFreeCall<T> {
-    /// Prepares `op`.
-    pub fn new(op: T::Op) -> Self {
-        ObstructionFreeCall {
-            fig8: Fig8::new(op),
-            in_flight: false,
+/// (which is the point of the baseline). After a `⊥` or `F` the process
+/// takes one step before the next invocation starts.
+pub async fn invoke_obstruction_free<T: ObjectType>(
+    env: &dyn Env,
+    session: &mut QaSession<T>,
+    op: T::Op,
+) -> T::Resp {
+    let mut fig8 = Fig8::new(op);
+    loop {
+        if let Some(v) = fig8.invoke(env, session).await {
+            return v;
         }
-    }
-
-    /// Runs one segment; returns the response when the operation has
-    /// completed. After a `⊥` or `F` the process takes one step before
-    /// the next invocation starts.
-    pub fn poll(&mut self, env: &dyn Env, session: &mut QaSession<T>) -> Option<T::Resp> {
-        if !self.in_flight {
-            self.fig8.begin(session);
-            self.in_flight = true;
-        }
-        let resp = self.fig8.poll(env, session)?;
-        self.in_flight = false;
-        resp
+        step().await;
     }
 }
 
@@ -92,199 +79,69 @@ impl FlmsShared {
     }
 }
 
-/// Where an [`FlmsCall`] is parked between segments. `Pending` register
-/// operations carry the token of the invocation made at the end of the
-/// previous segment.
-enum FlmsState {
-    /// First segment of the call.
-    Start,
-    /// Top of the retry loop, after its step: read the panic flag.
-    Top,
-    /// The panic-flag read is in flight.
-    PanicRead(OpToken),
-    /// An `op`/`query` invocation is in flight (`slow`: in panic mode).
-    Drive { slow: bool },
-    /// Raising the panic flag is in flight.
-    PanicSet(OpToken),
-    /// Panic mode registration: the `ts_gen` read is in flight.
-    GenRead(OpToken),
-    /// Registration: the `ts_gen` increment of `t` is in flight.
-    GenWrite(OpToken, i64),
-    /// Registration: publishing `ts[p] = t` is in flight.
-    TsWrite(OpToken, i64),
-    /// The minimal-waiter scan: the read of `ts[q]` is in flight.
-    MinRead(usize, OpToken),
-    /// After a response: clearing `ts[p]` is in flight (`slow`: the
-    /// panic flag is cleared next).
-    ClearTs { tok: OpToken, slow: bool },
-    /// After a panic-mode response: clearing the panic flag is in flight.
-    ClearPanic(OpToken),
-}
-
 /// One operation through the FLMS-style booster: fast path while the
 /// panic flag is clear; on panic, publish a timestamp and proceed only as
 /// the minimal waiter.
-pub struct FlmsCall<T: ObjectType> {
-    shared: Arc<FlmsShared>,
-    fig8: Fig8<T>,
-    attempts: u32,
-    registered: bool,
-    my_ts: i64,
-    min: (i64, usize),
-    resp: Option<T::Resp>,
-    state: FlmsState,
-}
-
-impl<T: ObjectType> FlmsCall<T> {
-    /// Prepares `op` against the booster's shared registers.
-    pub fn new(shared: Arc<FlmsShared>, op: T::Op) -> Self {
-        FlmsCall {
-            shared,
-            fig8: Fig8::new(op),
-            attempts: 0,
-            registered: false,
-            my_ts: TS_INF,
-            min: (TS_INF, 0),
-            resp: None,
-            state: FlmsState::Start,
-        }
-    }
-
-    /// Starts an `op`/`query` invocation and runs its first segment.
-    fn begin_drive(
-        &mut self,
-        env: &dyn Env,
-        session: &mut QaSession<T>,
-        slow: bool,
-    ) -> Option<T::Resp> {
-        self.fig8.begin(session);
-        self.state = FlmsState::Drive { slow };
-        self.drive(env, session, slow)
-    }
-
-    /// One segment of the in-flight invocation and what follows it.
-    fn drive(&mut self, env: &dyn Env, session: &mut QaSession<T>, slow: bool) -> Option<T::Resp> {
-        match self.fig8.poll(env, session)? {
-            Some(v) if self.registered => {
-                // Withdraw the timestamp (and, in panic mode, the flag)
-                // before returning.
-                let tok = self.shared.ts[session.pid().0].invoke_write(env, TS_INF);
-                self.resp = Some(v);
-                self.state = FlmsState::ClearTs { tok, slow };
-                return None;
+pub async fn invoke_flms<T: ObjectType>(
+    env: &dyn Env,
+    session: &mut QaSession<T>,
+    shared: &FlmsShared,
+    op: T::Op,
+) -> T::Resp {
+    let p = session.pid().0;
+    let mut fig8 = Fig8::new(op);
+    let mut attempts = 0;
+    let mut my_ts = None;
+    loop {
+        // Every pass of the retry loop starts with a step.
+        step().await;
+        let slow = shared.panic.read(env).await;
+        if slow {
+            // Panic mode: publish a timestamp once. The read+write on
+            // ts_gen is not atomic, so two processes may acquire the same
+            // timestamp; the minimal-waiter comparison tie-breaks on
+            // (ts, id), which keeps the winner unique.
+            let ts = match my_ts {
+                Some(ts) => ts,
+                None => {
+                    let t = shared.ts_gen.read(env).await;
+                    shared.ts_gen.write(env, t + 1).await;
+                    shared.ts[p].write(env, t).await;
+                    my_ts = Some(t);
+                    t
+                }
+            };
+            // Proceed only while holding the minimal (ts, id). This wait
+            // is exactly what makes the booster non-gracefully-degrading:
+            // the minimal holder may be arbitrarily slow.
+            let mut min = (ts, p);
+            for (q, ts_q) in shared.ts.iter().enumerate() {
+                let tq = ts_q.read(env).await;
+                if tq != TS_INF && (tq, q) < min {
+                    min = (tq, q);
+                }
             }
-            Some(v) => return Some(v),
-            None => {}
+            if min != (ts, p) {
+                continue;
+            }
+        }
+        // Fast path, or the minimal waiter: try the obstruction-free
+        // object.
+        if let Some(v) = fig8.invoke(env, session).await {
+            // Withdraw the timestamp (and, in panic mode, the flag)
+            // before returning.
+            if my_ts.is_some() {
+                shared.ts[p].write(env, TS_INF).await;
+                if slow {
+                    shared.panic.write(env, false).await;
+                }
+            }
+            return v;
         }
         if !slow {
-            self.attempts += 1;
-            if self.attempts > PANIC_THRESHOLD {
-                let tok = self.shared.panic.invoke_write(env, true);
-                self.state = FlmsState::PanicSet(tok);
-                return None;
-            }
-        }
-        // Not minimal, or the attempt failed: wait. This wait is exactly
-        // what makes the booster non-gracefully-degrading — the minimal
-        // holder may be arbitrarily slow.
-        self.state = FlmsState::Top;
-        None
-    }
-
-    /// The minimal-waiter scan from `q`: read every `ts[q]` and proceed
-    /// only while holding the minimal `(ts, id)`.
-    fn scan_from(
-        &mut self,
-        env: &dyn Env,
-        session: &mut QaSession<T>,
-        q: usize,
-    ) -> Option<T::Resp> {
-        let p = session.pid().0;
-        if q == 0 {
-            self.min = (self.my_ts, p);
-        }
-        if q < self.shared.ts.len() {
-            let tok = self.shared.ts[q].invoke_read(env);
-            self.state = FlmsState::MinRead(q, tok);
-            return None;
-        }
-        if self.min == (self.my_ts, p) {
-            return self.begin_drive(env, session, true);
-        }
-        self.state = FlmsState::Top;
-        None
-    }
-
-    /// Runs one segment; returns the response when the operation has
-    /// completed.
-    pub fn poll(&mut self, env: &dyn Env, session: &mut QaSession<T>) -> Option<T::Resp> {
-        let p = session.pid().0;
-        let shared = Arc::clone(&self.shared);
-        match self.state {
-            // Every pass of the retry loop starts with a step.
-            FlmsState::Start => {
-                self.state = FlmsState::Top;
-                None
-            }
-            FlmsState::Top => {
-                self.state = FlmsState::PanicRead(shared.panic.invoke_read(env));
-                None
-            }
-            FlmsState::PanicRead(tok) => {
-                if !shared.panic.complete_read(env, tok) {
-                    // Fast path: try the obstruction-free object directly.
-                    return self.begin_drive(env, session, false);
-                }
-                // Panic mode: publish a timestamp once. The read+write on
-                // ts_gen is not atomic, so two processes may acquire the
-                // same timestamp; the minimal-waiter comparison tie-breaks
-                // on (ts, id), which keeps the winner unique.
-                if !self.registered {
-                    self.state = FlmsState::GenRead(shared.ts_gen.invoke_read(env));
-                    return None;
-                }
-                self.scan_from(env, session, 0)
-            }
-            FlmsState::Drive { slow } => self.drive(env, session, slow),
-            FlmsState::PanicSet(tok) => {
-                shared.panic.complete_write(env, tok);
-                self.state = FlmsState::Top;
-                None
-            }
-            FlmsState::GenRead(tok) => {
-                let t = shared.ts_gen.complete_read(env, tok);
-                self.state = FlmsState::GenWrite(shared.ts_gen.invoke_write(env, t + 1), t);
-                None
-            }
-            FlmsState::GenWrite(tok, t) => {
-                shared.ts_gen.complete_write(env, tok);
-                self.state = FlmsState::TsWrite(shared.ts[p].invoke_write(env, t), t);
-                None
-            }
-            FlmsState::TsWrite(tok, t) => {
-                shared.ts[p].complete_write(env, tok);
-                self.my_ts = t;
-                self.registered = true;
-                self.scan_from(env, session, 0)
-            }
-            FlmsState::MinRead(q, tok) => {
-                let tq = shared.ts[q].complete_read(env, tok);
-                if tq != TS_INF && (tq, q) < self.min {
-                    self.min = (tq, q);
-                }
-                self.scan_from(env, session, q + 1)
-            }
-            FlmsState::ClearTs { tok, slow } => {
-                shared.ts[p].complete_write(env, tok);
-                if slow {
-                    self.state = FlmsState::ClearPanic(shared.panic.invoke_write(env, false));
-                    return None;
-                }
-                self.resp.take()
-            }
-            FlmsState::ClearPanic(tok) => {
-                shared.panic.complete_write(env, tok);
-                self.resp.take()
+            attempts += 1;
+            if attempts > PANIC_THRESHOLD {
+                shared.panic.write(env, true).await;
             }
         }
     }
@@ -331,149 +188,54 @@ impl<T: ObjectType> CasUniversal<T> {
         CasSession {
             obj: Arc::clone(self),
             p,
-            replica: self.ty.initial(),
-            last_of: vec![None; self.n],
-            cursor: 0,
+            replica: Replica::new(&self.ty, self.n),
             my_seq: 0,
-            mine: None,
-            resp: None,
-            state: CasState::Idle,
         }
     }
-}
-
-/// Where a [`CasSession`]'s operation is parked between segments; each
-/// register operation in flight carries its token.
-enum CasState<T: ObjectType> {
-    /// No operation in flight.
-    Idle,
-    /// Announcing the own entry.
-    Announce(OpToken),
-    /// Reading the decision of slot `cursor` (register held here).
-    Decision(DecisionReg<T>, OpToken),
-    /// Reading the announcement of the frontier slot's owner.
-    Help(OpToken),
-    /// Compare-and-swap of `cand` into the frontier slot.
-    Cas(DecisionReg<T>, OpToken, Entry<T::Op>),
-    /// Clearing the own announcement before returning.
-    Unannounce(OpToken),
 }
 
 /// Per-process handle on a [`CasUniversal`] object.
 pub struct CasSession<T: ObjectType> {
     obj: Arc<CasUniversal<T>>,
     p: ProcId,
-    replica: T::State,
-    last_of: Vec<Option<(u64, T::Resp)>>,
-    cursor: usize,
+    replica: Replica<T>,
     my_seq: u64,
-    mine: Option<Entry<T::Op>>,
-    resp: Option<T::Resp>,
-    state: CasState<T>,
 }
 
 impl<T: ObjectType> CasSession<T> {
-    fn applied(&self, e: &Entry<T::Op>) -> bool {
-        self.last_of[e.proposer.0]
-            .as_ref()
-            .is_some_and(|(seq, _)| *seq >= e.seq)
-    }
-
-    fn replay_one(&mut self, e: Entry<T::Op>) {
-        if !self.applied(&e) {
-            let resp = self.obj.ty.apply(&mut self.replica, &e.op);
-            self.last_of[e.proposer.0] = Some((e.seq, resp));
-        }
-        self.cursor += 1;
-    }
-
-    /// Starts executing `op`, driven by [`CasSession::poll_op`]. Wait-free
-    /// for every process that keeps taking steps, via announce-array
-    /// helping — but requires CAS, a strong primitive.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an operation is already in flight.
-    pub fn begin_apply(&mut self, op: T::Op) {
-        assert!(
-            matches!(self.state, CasState::Idle),
-            "begin_apply while an operation is in flight"
-        );
+    /// Executes `op` and returns its response. Wait-free for every
+    /// process that keeps taking steps, via announce-array helping — but
+    /// requires CAS, a strong primitive.
+    pub async fn apply(&mut self, env: &dyn Env, op: T::Op) -> T::Resp {
+        let me = self.p.0;
         self.my_seq += 1;
-        self.mine = Some(Entry {
+        let mine = Entry {
             proposer: self.p,
             seq: self.my_seq,
             op,
-        });
-    }
-
-    /// Replays decided slots: invokes the read of slot `cursor`'s
-    /// decision.
-    fn read_decision(&mut self, env: &dyn Env) {
-        let d = self.obj.decision(self.cursor);
-        let tok = d.invoke(env);
-        self.state = CasState::Decision(d, tok);
-    }
-
-    /// Runs one segment of the operation; returns its response when it
-    /// completes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no operation was started with [`CasSession::begin_apply`].
-    pub fn poll_op(&mut self, env: &dyn Env) -> Option<T::Resp> {
-        let me = self.p.0;
-        match std::mem::replace(&mut self.state, CasState::Idle) {
-            CasState::Idle => {
-                let mine = self.mine.clone().expect("begin_apply before poll_op");
-                let tok = self.obj.announce[me].invoke_write(env, Some(mine));
-                self.state = CasState::Announce(tok);
+        };
+        self.obj.announce[me].write(env, Some(mine.clone())).await;
+        loop {
+            // Replay decided slots.
+            let d = self.obj.decision(self.replica.len());
+            if let Some(e) = d.read(env).await {
+                self.replica.replay(&e);
+                continue;
             }
-            CasState::Announce(tok) => {
-                self.obj.announce[me].complete_write(env, tok);
-                self.read_decision(env);
+            if let Some(resp) = self.replica.response(self.p, mine.seq) {
+                let resp = resp.clone();
+                self.obj.announce[me].write(env, None).await;
+                return resp;
             }
-            CasState::Decision(d, tok) => {
-                if let Some(e) = d.complete_read(env, tok) {
-                    self.replay_one(e);
-                    self.read_decision(env);
-                    return None;
-                }
-                let seq = self.mine.as_ref().expect("operation in flight").seq;
-                if let Some((s, resp)) = &self.last_of[me] {
-                    if *s == seq {
-                        self.resp = Some(resp.clone());
-                        let tok = self.obj.announce[me].invoke_write(env, None);
-                        self.state = CasState::Unannounce(tok);
-                        return None;
-                    }
-                }
-                // Decide the frontier slot, helping the slot's owner.
-                let owner = self.cursor % self.obj.n;
-                self.state = CasState::Help(self.obj.announce[owner].invoke_read(env));
-            }
-            CasState::Help(tok) => {
-                let owner = self.cursor % self.obj.n;
-                let cand = match self.obj.announce[owner].complete_read(env, tok) {
-                    Some(e) if !self.applied(&e) => e,
-                    _ => self.mine.clone().expect("operation in flight"),
-                };
-                let d = self.obj.decision(self.cursor);
-                let tok = d.invoke(env);
-                self.state = CasState::Cas(d, tok, cand);
-            }
-            CasState::Cas(d, tok, cand) => {
-                let _ = d.complete_cas(env, tok, &None, Some(cand));
-                // The slot is now decided (by us or a racer): replay on.
-                self.read_decision(env);
-            }
-            CasState::Unannounce(tok) => {
-                self.obj.announce[me].complete_write(env, tok);
-                self.mine = None;
-                return self.resp.take();
-            }
+            // Decide the frontier slot, helping the slot's owner.
+            let owner = self.replica.len() % self.obj.n;
+            let cand = match self.obj.announce[owner].read(env).await {
+                Some(e) if !self.replica.applied(&e) => e,
+                _ => mine.clone(),
+            };
+            // The slot is now decided (by us or a racer): replay on.
+            let _ = d.compare_and_swap(env, &None, Some(cand)).await;
         }
-        None
     }
 }
 
@@ -489,24 +251,13 @@ mod tests {
         Arc::new(RegisterFactory::new(RegisterFactoryConfig::default()))
     }
 
-    /// Polls until `poll` answers, one step of the caller per `None`.
-    fn solo<R>(env: &FreeRunEnv, mut poll: impl FnMut(&FreeRunEnv) -> Option<R>) -> R {
-        loop {
-            if let Some(r) = poll(env) {
-                return r;
-            }
-            env.advance();
-        }
-    }
-
     #[test]
     fn obstruction_free_driver_completes_solo() {
         let obj = QaObject::new(Counter, 2, factory());
         let env = FreeRunEnv::new(ProcId(0));
         let mut s = obj.session(ProcId(0));
         for i in 1..=10 {
-            let mut call = ObstructionFreeCall::new(CounterOp::Inc);
-            let v = solo(&env, |env| call.poll(env, &mut s));
+            let v = env.run_solo(invoke_obstruction_free(&env, &mut s, CounterOp::Inc));
             assert_eq!(v, i);
         }
     }
@@ -526,8 +277,7 @@ mod tests {
             } else {
                 (&mut s1, &env1)
             };
-            s.begin_apply(CounterOp::Inc);
-            responses.push(solo(env, |env| s.poll_op(env)));
+            responses.push(env.run_solo(s.apply(env, CounterOp::Inc)));
         }
         let mut sorted = responses.clone();
         sorted.sort_unstable();
@@ -542,8 +292,7 @@ mod tests {
         let env = FreeRunEnv::new(ProcId(0));
         let mut s = obj.session(ProcId(0));
         for i in 1..=5 {
-            let mut call = FlmsCall::new(Arc::clone(&shared), CounterOp::Inc);
-            let v = solo(&env, |env| call.poll(env, &mut s));
+            let v = env.run_solo(invoke_flms(&env, &mut s, &shared, CounterOp::Inc));
             assert_eq!(v, i);
         }
     }

@@ -6,15 +6,16 @@
 // per-process wiring; an iterator chain would obscure it.
 #![allow(clippy::needless_range_loop)]
 
-use crate::baselines::{CasUniversal, FlmsCall, FlmsShared, ObstructionFreeCall};
+use crate::baselines::{invoke_flms, invoke_obstruction_free, CasUniversal, FlmsShared};
 use crate::object::{Counter, CounterOp};
 use crate::qa::QaObject;
-use crate::tbwf::TbwfCall;
+use crate::tbwf::invoke_tbwf;
+use std::rc::Rc;
 use std::sync::Arc;
 use tbwf_omega::harness::install_omega;
 use tbwf_omega::OmegaKind;
 use tbwf_registers::{OpLog, RegisterFactory, RegisterFactoryConfig};
-use tbwf_sim::{Control, Env, ProcId, RunConfig, RunReport, SimBuilder, StepCtx, Stepper};
+use tbwf_sim::{spawn_task, Env, ProcId, RunConfig, RunReport, SimBuilder};
 
 /// Observation key: number of completed operations of a worker.
 pub const OBS_COMPLETED: &str = "completed";
@@ -62,33 +63,15 @@ impl Default for WorkloadConfig {
 
 /// The increment worker of every engine: `ops` increments, one after
 /// another, observing each response and the running completion count.
-/// `poll_inc` runs one segment of the current increment, starting a new
-/// one if none is in flight, and returns the response when it completes;
-/// the next increment then starts in the same segment.
-struct Worker<F> {
-    poll_inc: F,
-    ops: u64,
-    done: u64,
-    started: bool,
-}
-
-impl<F: FnMut(&dyn Env) -> Option<i64>> Stepper for Worker<F> {
-    fn step(&mut self, ctx: &mut StepCtx<'_>) -> Control {
-        let env = ctx.env();
-        if !self.started {
-            self.started = true;
-            env.observe(OBS_COMPLETED, 0, 0);
-        }
-        while self.done < self.ops {
-            let v = match (self.poll_inc)(env) {
-                None => return Control::Yield,
-                Some(v) => v,
-            };
-            self.done += 1;
-            env.observe(OBS_RESP, 0, v);
-            env.observe(OBS_COMPLETED, 0, self.done as i64);
-        }
-        Control::Done
+/// `inc` is one increment on the engine; the next one starts in the step
+/// that completed the previous one.
+async fn worker(env: Rc<dyn Env>, ops: u64, mut inc: impl AsyncFnMut(&dyn Env) -> i64) {
+    let env = &*env;
+    env.observe(OBS_COMPLETED, 0, 0);
+    for done in 1..=ops {
+        let v = inc(env).await;
+        env.observe(OBS_RESP, 0, v);
+        env.observe(OBS_COMPLETED, 0, done as i64);
     }
 }
 
@@ -96,15 +79,9 @@ fn add_worker(
     b: &mut SimBuilder,
     p: usize,
     ops: u64,
-    poll_inc: impl FnMut(&dyn Env) -> Option<i64> + 'static,
+    inc: impl AsyncFnMut(&dyn Env) -> i64 + Send + 'static,
 ) {
-    let worker = Worker {
-        poll_inc,
-        ops,
-        done: 0,
-        started: false,
-    };
-    b.add_stepper(ProcId(p), "worker", Box::new(worker));
+    spawn_task(b, ProcId(p), "worker", move |env| worker(env, ops, inc));
 }
 
 /// The result of a workload run.
@@ -161,15 +138,8 @@ pub fn run_counter_workload(cfg: &WorkloadConfig, run: RunConfig) -> WorkloadOut
             for p in 0..cfg.n {
                 let mut session = obj.session(ProcId(p));
                 let omega = omega_handles[p].clone();
-                let mut call = None;
-                add_worker(&mut b, p, ops, move |env| {
-                    let resp = call
-                        .get_or_insert_with(|| TbwfCall::new(CounterOp::Inc, canonical))
-                        .poll(env, &mut session, &omega);
-                    if resp.is_some() {
-                        call = None;
-                    }
-                    resp
+                add_worker(&mut b, p, ops, async move |env| {
+                    invoke_tbwf(env, &mut session, &omega, CounterOp::Inc, canonical).await
                 });
             }
         }
@@ -177,15 +147,8 @@ pub fn run_counter_workload(cfg: &WorkloadConfig, run: RunConfig) -> WorkloadOut
             let obj = QaObject::new(Counter, cfg.n, Arc::clone(&factory));
             for p in 0..cfg.n {
                 let mut session = obj.session(ProcId(p));
-                let mut call = None;
-                add_worker(&mut b, p, ops, move |env| {
-                    let resp = call
-                        .get_or_insert_with(|| ObstructionFreeCall::new(CounterOp::Inc))
-                        .poll(env, &mut session);
-                    if resp.is_some() {
-                        call = None;
-                    }
-                    resp
+                add_worker(&mut b, p, ops, async move |env| {
+                    invoke_obstruction_free(env, &mut session, CounterOp::Inc).await
                 });
             }
         }
@@ -195,15 +158,8 @@ pub fn run_counter_workload(cfg: &WorkloadConfig, run: RunConfig) -> WorkloadOut
             for p in 0..cfg.n {
                 let mut session = obj.session(ProcId(p));
                 let shared = Arc::clone(&shared);
-                let mut call = None;
-                add_worker(&mut b, p, ops, move |env| {
-                    let resp = call
-                        .get_or_insert_with(|| FlmsCall::new(Arc::clone(&shared), CounterOp::Inc))
-                        .poll(env, &mut session);
-                    if resp.is_some() {
-                        call = None;
-                    }
-                    resp
+                add_worker(&mut b, p, ops, async move |env| {
+                    invoke_flms(env, &mut session, &shared, CounterOp::Inc).await
                 });
             }
         }
@@ -211,15 +167,8 @@ pub fn run_counter_workload(cfg: &WorkloadConfig, run: RunConfig) -> WorkloadOut
             let obj = CasUniversal::new(Counter, cfg.n, Arc::clone(&factory));
             for p in 0..cfg.n {
                 let mut session = obj.session(ProcId(p));
-                let mut in_flight = false;
-                add_worker(&mut b, p, ops, move |env| {
-                    if !in_flight {
-                        session.begin_apply(CounterOp::Inc);
-                        in_flight = true;
-                    }
-                    let resp = session.poll_op(env);
-                    in_flight = resp.is_none();
-                    resp
+                add_worker(&mut b, p, ops, async move |env| {
+                    session.apply(env, CounterOp::Inc).await
                 });
             }
         }

@@ -44,16 +44,25 @@
 //!   decided against the entry — after which the entry can never be
 //!   decided (its registers exist only in closed slots).
 //!
-//! Sessions replay the decided prefix into a local replica, maintaining a
-//! `lastOf[q] = (seq, resp)` table from which both responses and `query`
-//! answers are read. A duplicate-suppression guard (`seq` monotone per
-//! proposer) makes re-decided ghost entries harmless in depth.
+//! Sessions replay the decided prefix into a local `Replica`, whose
+//! `lastOf[q] = (seq, resp)` table both responses and `query` answers are
+//! read from. A duplicate-suppression guard (`seq` monotone per proposer)
+//! makes re-decided ghost entries harmless in depth.
+//!
+//! # Invocations
+//!
+//! [`QaSession::apply`] and [`QaSession::query`] are `async fn`s written
+//! as the construction reads: catch up on the log, answer if the fate of
+//! the pending operation is known, otherwise run one adopt-commit round
+//! and, after a commit, catch up once more. Each register operation is one
+//! `try_read`/`try_write` call, i.e. an invocation step and a response
+//! step; the local code between two of them runs within one step.
 
 use crate::object::{ObjectType, Outcome};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use tbwf_registers::{OpToken, ReadOutcome, RegisterFactory, SharedAbortable};
+use tbwf_registers::{ReadOutcome, RegisterFactory, SharedAbortable};
 use tbwf_sim::{Env, ProcId};
 
 /// A log entry: one operation instance of one process.
@@ -65,6 +74,63 @@ pub struct Entry<Op> {
     pub seq: u64,
     /// The operation.
     pub op: Op,
+}
+
+/// A process's replay of a decided log: the object state after the
+/// first [`Replica::len`] entries and, per proposer, the sequence number
+/// and response of its last applied entry (`lastOf`).
+///
+/// Replay suppresses duplicates: an entry whose `seq` is not above its
+/// proposer's `lastOf` leaves the state alone, so an operation decided in
+/// two slots takes effect once. Shared by [`QaSession`] and the CAS
+/// baseline's session.
+pub(crate) struct Replica<T: ObjectType> {
+    ty: Arc<T>,
+    state: T::State,
+    last_of: Vec<Option<(u64, T::Resp)>>,
+    len: usize,
+}
+
+impl<T: ObjectType> Replica<T> {
+    /// The empty log's replica for `n` proposers.
+    pub(crate) fn new(ty: &Arc<T>, n: usize) -> Self {
+        Replica {
+            state: ty.initial(),
+            ty: Arc::clone(ty),
+            last_of: vec![None; n],
+            len: 0,
+        }
+    }
+
+    /// Number of log entries replayed: the index of the next one.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether `e` (or a later operation of its proposer) was applied.
+    pub(crate) fn applied(&self, e: &Entry<T::Op>) -> bool {
+        self.last_of[e.proposer.0]
+            .as_ref()
+            .is_some_and(|(seq, _)| *seq >= e.seq)
+    }
+
+    /// Replays the next log entry `e`.
+    pub(crate) fn replay(&mut self, e: &Entry<T::Op>) {
+        if !self.applied(e) {
+            let resp = self.ty.apply(&mut self.state, &e.op);
+            self.last_of[e.proposer.0] = Some((e.seq, resp));
+        }
+        self.len += 1;
+    }
+
+    /// The response of operation `seq` of `p`, if it is the last of `p`'s
+    /// operations applied so far.
+    pub(crate) fn response(&self, p: ProcId, seq: u64) -> Option<&T::Resp> {
+        match &self.last_of[p.0] {
+            Some((s, resp)) if *s == seq => Some(resp),
+            _ => None,
+        }
+    }
 }
 
 type BVal<Op> = (bool, Entry<Op>);
@@ -92,15 +158,9 @@ struct SlotRegs<Op> {
 /// let obj = QaObject::new(Counter, 2, factory);
 /// let mut session = obj.session(ProcId(0));
 /// let env = FreeRunEnv::new(ProcId(0));
-/// // Solo, fresh slot: the very first attempt succeeds. The caller
-/// // takes one step whenever the invocation is still running.
-/// session.begin_apply(CounterOp::Inc);
-/// let out = loop {
-///     if let Some(out) = session.poll_op(&env) {
-///         break out;
-///     }
-///     env.advance();
-/// };
+/// // Solo, fresh slot: the very first attempt succeeds. `run_solo` takes
+/// // one step of the caller whenever the invocation awaits one.
+/// let out = env.run_solo(session.apply(&env, CounterOp::Inc));
 /// assert_eq!(out, Outcome::Done(1));
 /// ```
 pub struct QaObject<T: ObjectType> {
@@ -177,12 +237,9 @@ impl<T: ObjectType> QaObject<T> {
         QaSession {
             obj: Arc::clone(self),
             p,
-            replica: self.ty.initial(),
-            last_of: vec![None; self.n],
-            cursor: 0,
+            replica: Replica::new(&self.ty, self.n),
             my_seq: 0,
             pending: None,
-            cur_slot: 0,
             cur_round: 0,
             adopted: None,
             a_val: None,
@@ -191,7 +248,6 @@ impl<T: ObjectType> QaObject<T> {
             b_written: false,
             known_decided: BTreeMap::new(),
             last_fate: None,
-            inflight: None,
             stats: SessionStats::default(),
         }
     }
@@ -222,14 +278,12 @@ pub struct SessionStats {
 pub struct QaSession<T: ObjectType> {
     obj: Arc<QaObject<T>>,
     p: ProcId,
-    replica: T::State,
-    last_of: Vec<Option<(u64, T::Resp)>>,
-    /// Next slot to replay (first slot not yet applied to the replica).
-    cursor: usize,
+    /// The replayed log; its length is the *frontier slot*, the first
+    /// slot this session does not know to be decided.
+    replica: Replica<T>,
     my_seq: u64,
     pending: Option<PendingOp<T::Op>>,
-    // --- consensus state for the slot currently being agreed on ---
-    cur_slot: usize,
+    // --- adopt-commit state for the frontier slot ---
     cur_round: usize,
     adopted: Option<Entry<T::Op>>,
     a_val: Option<Entry<T::Op>>,
@@ -242,67 +296,7 @@ pub struct QaSession<T: ObjectType> {
     /// answering for it after resolution (footnote 3: query reports the
     /// fate of the last non-query operation).
     last_fate: Option<Outcome<T::Resp>>,
-    /// The in-flight invocation, if any (poll form).
-    inflight: Option<OpProgress<T>>,
     stats: SessionStats,
-}
-
-/// How an adopt-commit round ended.
-enum RoundStep {
-    /// A register operation aborted; the round will resume next call.
-    Interrupted,
-    /// The round completed without commit; we advanced to the next round.
-    Advanced,
-    /// The round committed a value (the decision for `cur_slot`).
-    Committed,
-}
-
-/// Which invocation the in-flight state machine is running.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum InvKind {
-    Apply,
-    Query,
-}
-
-/// Where an in-flight invocation is parked between segments: the
-/// register operation invoked at the end of the previous segment.
-enum InvStage {
-    /// No register operation in flight yet (first segment).
-    Start,
-    /// `D[cursor]` read during catch-up.
-    CatchUpRead(OpToken),
-    /// The own `A` proposal write.
-    AWrite(OpToken),
-    /// The read of `A[q]`.
-    ARead { q: usize, tok: OpToken },
-    /// The own `B` adopt/commit write.
-    BWrite(OpToken),
-    /// The read of `B[q]`.
-    BRead { q: usize, tok: OpToken },
-    /// The best-effort decision persist to `D[cur_slot]`.
-    DWrite(OpToken),
-}
-
-/// Per-invocation scratch state of the poll machine.
-struct OpProgress<T: ObjectType> {
-    kind: InvKind,
-    stage: InvStage,
-    /// Running the post-commit catch-up (the second one of apply/query)?
-    after_commit: bool,
-    a_view: Vec<Option<Entry<T::Op>>>,
-    b_view: Vec<BVal<T::Op>>,
-}
-
-impl<T: ObjectType> OpProgress<T> {
-    fn new(kind: InvKind) -> Self {
-        OpProgress {
-            kind,
-            stage: InvStage::Start,
-            after_commit: false,
-            a_view: Vec::new(),
-            b_view: Vec::new(),
-        }
-    }
 }
 
 impl<T: ObjectType> QaSession<T> {
@@ -319,12 +313,12 @@ impl<T: ObjectType> QaSession<T> {
     /// A read-only view of the replica (the state after all decided
     /// operations this session has replayed).
     pub fn replica(&self) -> &T::State {
-        &self.replica
+        &self.replica.state
     }
 
     /// Number of decided slots this session has replayed.
     pub fn decided_len(&self) -> usize {
-        self.cursor
+        self.replica.len()
     }
 
     fn reset_round_state(&mut self) {
@@ -334,278 +328,38 @@ impl<T: ObjectType> QaSession<T> {
         self.b_written = false;
     }
 
-    fn reset_slot_state(&mut self, s: usize) {
-        self.cur_slot = s;
+    /// Replays the decision of the frontier slot; the next slot's rounds
+    /// start afresh.
+    fn apply_decided(&mut self, e: Entry<T::Op>) {
+        self.replica.replay(&e);
         self.cur_round = 0;
         self.adopted = None;
         self.reset_round_state();
     }
 
-    fn apply_decided(&mut self, e: Entry<T::Op>) {
-        let dup = self.last_of[e.proposer.0]
-            .as_ref()
-            .is_some_and(|(seq, _)| *seq >= e.seq);
-        if !dup {
-            let resp = self.obj.ty.apply(&mut self.replica, &e.op);
-            self.last_of[e.proposer.0] = Some((e.seq, resp));
-        }
-        self.known_decided.remove(&self.cursor);
-        self.cursor += 1;
-        if self.cur_slot < self.cursor {
-            self.reset_slot_state(self.cursor);
-        }
-    }
-
+    /// Resolves the pending operation if the replica has applied it.
     fn check_resolved(&mut self) -> Option<Outcome<T::Resp>> {
         let pend = self.pending.as_ref()?;
-        if let Some((seq, resp)) = &self.last_of[self.p.0] {
-            if *seq == pend.seq {
-                let r = resp.clone();
-                self.pending = None;
-                self.last_fate = Some(Outcome::Done(r.clone()));
-                return Some(Outcome::Done(r));
-            }
-        }
-        None
+        let r = self.replica.response(self.p, pend.seq)?.clone();
+        self.pending = None;
+        self.last_fate = Some(Outcome::Done(r.clone()));
+        Some(Outcome::Done(r))
     }
 
-    /// The round registers of the frontier slot/round (idempotent lookup,
-    /// so each segment can re-fetch them).
-    fn round_regs(&self) -> Arc<RoundRegs<T::Op>> {
-        let slot = self.obj.slot(self.cur_slot);
-        self.obj.round(self.cur_slot, &slot, self.cur_round)
-    }
-
-    fn stage(&mut self) -> &mut InvStage {
-        &mut self.inflight.as_mut().expect("invocation in flight").stage
-    }
-
-    /// Starts (or resumes) the catch-up loop: replays `known_decided`
-    /// slots locally, then invokes the `D` read of the frontier slot.
-    fn catchup_enter(&mut self, env: &dyn Env) -> Option<Outcome<T::Resp>> {
-        loop {
-            let s = self.cursor;
-            if let Some(e) = self.known_decided.get(&s).cloned() {
-                self.apply_decided(e);
-                continue;
-            }
-            let tok = self.obj.slot(s).d.invoke_read(env);
-            *self.stage() = InvStage::CatchUpRead(tok);
-            return None;
-        }
-    }
-
-    /// Completes a catch-up `D` read and either continues the loop or
-    /// falls through to the post-catch-up logic of the invocation.
-    fn catchup_complete(&mut self, env: &dyn Env, tok: OpToken) -> Option<Outcome<T::Resp>> {
-        match self.obj.slot(self.cursor).d.complete_read(env, tok) {
-            ReadOutcome::Aborted => self.after_catchup(env, false),
-            ReadOutcome::Value(None) => self.after_catchup(env, true),
-            ReadOutcome::Value(Some(e)) => {
-                self.apply_decided(e);
-                self.catchup_enter(env)
-            }
-        }
-    }
-
-    /// The invocation code between catch-up and the consensus round:
-    /// resolution checks, fate checks, and entry into `advance_round`.
-    fn after_catchup(&mut self, env: &dyn Env, clean: bool) -> Option<Outcome<T::Resp>> {
-        let fl = self.inflight.as_ref().expect("invocation in flight");
-        let (kind, after_commit) = (fl.kind, fl.after_commit);
-        if let Some(out) = self.check_resolved() {
-            self.stats.dones += 1;
-            return Some(out);
-        }
-        if kind == InvKind::Query {
-            if !after_commit && self.pending.is_none() {
-                // No pending operation: keep answering for the last
-                // resolved one (its response if it took effect, F if it
-                // did not).
-                return Some(self.last_fate.clone().unwrap_or(Outcome::NoEffect));
-            }
-            if self.pending_dead() {
-                self.pending = None;
-                self.last_fate = Some(Outcome::NoEffect);
-                return Some(Outcome::NoEffect);
-            }
-        }
-        if after_commit || !clean {
-            return Some(Outcome::Bot);
-        }
-        self.round_enter(env)
-    }
-
-    /// Starts (or resumes) one adopt-commit round at the frontier slot:
-    /// memoizes the proposal and invokes the own `A` write (or, when the
-    /// write is already done, the first `A` read).
-    fn round_enter(&mut self, env: &dyn Env) -> Option<Outcome<T::Resp>> {
-        // Choose (and memoize) the proposal for this round.
-        if self.a_val.is_none() {
-            let val = match &self.adopted {
-                Some(w) => w.clone(),
-                None => {
-                    let pend = self
-                        .pending
-                        .as_ref()
-                        .expect("proposing without a pending op");
-                    Entry {
-                        proposer: self.p,
-                        seq: pend.seq,
-                        op: pend.op.clone(),
-                    }
-                }
-            };
-            if val.proposer == self.p {
-                if let Some(pend) = self.pending.as_mut() {
-                    if pend.seq == val.seq {
-                        // Any write attempt may take effect: record the
-                        // exposure before the first attempt.
-                        pend.exposed.insert(self.cur_slot);
-                    }
-                }
-            }
-            self.a_val = Some(val);
-        }
-        if !self.a_written {
-            let aval = self.a_val.clone().expect("a_val set above");
-            let tok = self.round_regs().a[self.p.0].invoke_write(env, Some(aval));
-            *self.stage() = InvStage::AWrite(tok);
-            return None;
-        }
-        self.a_read_enter(env, 0)
-    }
-
-    fn a_read_enter(&mut self, env: &dyn Env, q: usize) -> Option<Outcome<T::Resp>> {
-        if q == 0 {
-            self.inflight
-                .as_mut()
-                .expect("invocation in flight")
-                .a_view
-                .clear();
-        }
-        let tok = self.round_regs().a[q].invoke_read(env);
-        *self.stage() = InvStage::ARead { q, tok };
-        None
-    }
-
-    /// The local code between the `A` reads and the own `B` write.
-    fn after_a_reads(&mut self, env: &dyn Env) -> Option<Outcome<T::Resp>> {
-        if self.b_val.is_none() {
-            let aval = self.a_val.clone().expect("a_val memoized");
-            let fl = self.inflight.as_ref().expect("invocation in flight");
-            let written: Vec<&Entry<T::Op>> = fl.a_view.iter().flatten().collect();
-            let all_mine = written.iter().all(|e| **e == aval);
-            let bval = if all_mine {
-                (true, aval)
-            } else {
-                let w = written
-                    .into_iter()
-                    .min_by_key(|e| (e.proposer, e.seq))
-                    .expect("own A value is visible")
-                    .clone();
-                (false, w)
-            };
-            self.b_val = Some(bval);
-        }
-        if !self.b_written {
-            let bval = self.b_val.clone().expect("b_val set above");
-            let tok = self.round_regs().b[self.p.0].invoke_write(env, Some(bval));
-            *self.stage() = InvStage::BWrite(tok);
-            return None;
-        }
-        self.b_read_enter(env, 0)
-    }
-
-    fn b_read_enter(&mut self, env: &dyn Env, q: usize) -> Option<Outcome<T::Resp>> {
-        if q == 0 {
-            self.inflight
-                .as_mut()
-                .expect("invocation in flight")
-                .b_view
-                .clear();
-        }
-        let tok = self.round_regs().b[q].invoke_read(env);
-        *self.stage() = InvStage::BRead { q, tok };
-        None
-    }
-
-    /// The commit/adopt decision after all `B` reads.
-    fn after_b_reads(&mut self, env: &dyn Env) -> Option<Outcome<T::Resp>> {
-        let committed = {
-            let fl = self.inflight.as_ref().expect("invocation in flight");
-            debug_assert!(!fl.b_view.is_empty(), "own B value is visible");
-            let first = &fl.b_view[0].1;
-            if fl.b_view.iter().all(|(c, w)| *c && w == first) {
-                Ok(first.clone())
-            } else if let Some((_, w)) = fl.b_view.iter().find(|(c, _)| *c) {
-                Err(w.clone())
-            } else {
-                Err(fl
-                    .b_view
-                    .iter()
-                    .map(|(_, w)| w)
-                    .min_by_key(|e| (e.proposer, e.seq))
-                    .expect("non-empty B view")
-                    .clone())
-            }
-        };
-        match committed {
-            Ok(w) => {
-                // Commit: the decision for cur_slot is `w`.
-                self.stats.commits += 1;
-                self.known_decided.insert(self.cur_slot, w.clone());
-                // Best-effort persist; an abort is fine (we know the
-                // decision, and others re-derive it through the round
-                // chain).
-                let tok = self.obj.slot(self.cur_slot).d.invoke_write(env, Some(w));
-                *self.stage() = InvStage::DWrite(tok);
-                None
-            }
-            Err(w) => {
-                self.adopted = Some(w);
-                self.cur_round += 1;
-                self.reset_round_state();
-                self.round_done(env, RoundStep::Advanced)
-            }
-        }
-    }
-
-    /// The invocation code after `advance_round`: a committed round is
-    /// followed by a second catch-up; anything else answers `⊥`.
-    fn round_done(&mut self, env: &dyn Env, step: RoundStep) -> Option<Outcome<T::Resp>> {
-        match step {
-            RoundStep::Committed => {
-                self.inflight
-                    .as_mut()
-                    .expect("invocation in flight")
-                    .after_commit = true;
-                self.catchup_enter(env)
-            }
-            RoundStep::Advanced | RoundStep::Interrupted => Some(Outcome::Bot),
-        }
-    }
-
-    /// Starts an `apply(op)` invocation (one bounded attempt), driven by
-    /// [`QaSession::poll_op`].
+    /// `apply(op)`: one bounded attempt at `op`.
     ///
-    /// The invocation ends with [`Outcome::Done`] and the response if the
-    /// operation took effect during it, or [`Outcome::Bot`] if it aborted
-    /// — in which case the caller must `query` its fate before doing
+    /// Returns [`Outcome::Done`] and the response if the operation took
+    /// effect during the invocation, or [`Outcome::Bot`] if it aborted —
+    /// in which case the caller must `query` its fate before doing
     /// anything else, exactly as in Figure 8. Applying the *same*
     /// operation again resumes the attempt; this is what a caller that
     /// does not care about `⊥` semantics may do, and it is also safe.
     ///
     /// # Panics
     ///
-    /// Panics if an invocation is already in flight, or if a *different*
-    /// operation is still pending (protocol misuse: its fate must be
-    /// resolved through `query` first).
-    pub fn begin_apply(&mut self, op: T::Op) {
-        assert!(
-            self.inflight.is_none(),
-            "begin_apply while an invocation is in flight"
-        );
+    /// Panics if a *different* operation is still pending (protocol
+    /// misuse: its fate must be resolved through `query` first).
+    pub async fn apply(&mut self, env: &dyn Env, op: T::Op) -> Outcome<T::Resp> {
         self.stats.applies += 1;
         match &self.pending {
             None => {
@@ -623,12 +377,11 @@ impl<T: ObjectType> QaSession<T> {
                 );
             }
         }
-        self.inflight = Some(OpProgress::new(InvKind::Apply));
+        self.invoke(env, false).await
     }
 
-    /// Starts a `query` invocation (one bounded attempt), driven by
-    /// [`QaSession::poll_op`]: it determines the fate of the last
-    /// `apply` and ends with `Done(resp)` if the operation took effect,
+    /// `query`: one bounded attempt to determine the fate of the last
+    /// `apply`. Returns `Done(resp)` if the operation took effect,
     /// `NoEffect` if it can never take effect, and `Bot` if undetermined
     /// (try again).
     ///
@@ -640,98 +393,169 @@ impl<T: ObjectType> QaSession<T> {
     /// exposures: a fresh proposal is only made in a slot the entry was
     /// already exposed to — if all exposures are closed, `query` answers
     /// `F` before proposing anywhere.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an invocation is already in flight.
-    pub fn begin_query(&mut self) {
-        assert!(
-            self.inflight.is_none(),
-            "begin_query while an invocation is in flight"
-        );
+    pub async fn query(&mut self, env: &dyn Env) -> Outcome<T::Resp> {
         self.stats.queries += 1;
-        self.inflight = Some(OpProgress::new(InvKind::Query));
+        self.invoke(env, true).await
     }
 
-    /// Runs one segment of the in-flight invocation: completes the
-    /// register operation invoked at the end of the previous segment,
-    /// runs the local code up to the next register invocation (invoking
-    /// it), and returns `Some` when the invocation finishes.
-    ///
-    /// The caller takes one step per `None` before polling again; a
-    /// `Some` ends the invocation within the current segment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no invocation is in flight.
-    pub fn poll_op(&mut self, env: &dyn Env) -> Option<Outcome<T::Resp>> {
-        let stage = std::mem::replace(self.stage(), InvStage::Start);
-        let out = match stage {
-            InvStage::Start => self.catchup_enter(env),
-            InvStage::CatchUpRead(tok) => self.catchup_complete(env, tok),
-            InvStage::AWrite(tok) => {
-                if self.round_regs().a[self.p.0]
-                    .complete_write(env, tok)
-                    .is_ok()
-                {
-                    self.a_written = true;
-                    self.a_read_enter(env, 0)
-                } else {
-                    self.round_done(env, RoundStep::Interrupted)
+    /// The body of `apply` and `query`. A committed round is followed by
+    /// a second catch-up, so the loop runs at most twice.
+    async fn invoke(&mut self, env: &dyn Env, query: bool) -> Outcome<T::Resp> {
+        let mut committed = false;
+        loop {
+            let clean = self.catch_up(env).await;
+            if let Some(out) = self.check_resolved() {
+                self.stats.dones += 1;
+                return out;
+            }
+            if query {
+                if !committed && self.pending.is_none() {
+                    // No pending operation: keep answering for the last
+                    // resolved one (its response if it took effect, F if
+                    // it did not).
+                    return self.last_fate.clone().unwrap_or(Outcome::NoEffect);
+                }
+                if self.pending_dead() {
+                    self.pending = None;
+                    self.last_fate = Some(Outcome::NoEffect);
+                    return Outcome::NoEffect;
                 }
             }
-            InvStage::ARead { q, tok } => match self.round_regs().a[q].complete_read(env, tok) {
-                ReadOutcome::Aborted => self.round_done(env, RoundStep::Interrupted),
-                ReadOutcome::Value(v) => {
-                    self.inflight
-                        .as_mut()
-                        .expect("invocation in flight")
-                        .a_view
-                        .push(v);
-                    if q + 1 < self.obj.n {
-                        self.a_read_enter(env, q + 1)
-                    } else {
-                        self.after_a_reads(env)
-                    }
-                }
-            },
-            InvStage::BWrite(tok) => {
-                if self.round_regs().b[self.p.0]
-                    .complete_write(env, tok)
-                    .is_ok()
-                {
-                    self.b_written = true;
-                    self.b_read_enter(env, 0)
-                } else {
-                    self.round_done(env, RoundStep::Interrupted)
-                }
+            if committed || !clean || !self.adopt_commit_round(env).await {
+                return Outcome::Bot;
             }
-            InvStage::BRead { q, tok } => match self.round_regs().b[q].complete_read(env, tok) {
-                ReadOutcome::Aborted => self.round_done(env, RoundStep::Interrupted),
-                ReadOutcome::Value(v) => {
-                    if let Some(v) = v {
-                        self.inflight
-                            .as_mut()
-                            .expect("invocation in flight")
-                            .b_view
-                            .push(v);
+            committed = true;
+        }
+    }
+
+    /// Replays the decided prefix: the slots this session committed
+    /// itself, then one `D` read per slot up to the first undecided one.
+    /// Returns `false` if a `D` read aborted.
+    async fn catch_up(&mut self, env: &dyn Env) -> bool {
+        loop {
+            let s = self.replica.len();
+            if let Some(e) = self.known_decided.remove(&s) {
+                self.apply_decided(e);
+                continue;
+            }
+            match self.obj.slot(s).d.try_read(env).await {
+                ReadOutcome::Aborted => return false,
+                ReadOutcome::Value(None) => return true,
+                ReadOutcome::Value(Some(e)) => self.apply_decided(e),
+            }
+        }
+    }
+
+    /// One adopt-commit round at the frontier slot. Returns `true` if it
+    /// committed the slot's decision (recorded in `known_decided` and,
+    /// best-effort, in `D`). An aborted register operation ends the round
+    /// early; the memoized `A`/`B` values let the next invocation resume
+    /// it. A round that completes without a commit adopts a value and
+    /// moves to the next round.
+    async fn adopt_commit_round(&mut self, env: &dyn Env) -> bool {
+        let s = self.replica.len();
+        let me = self.p.0;
+        // Choose (and memoize) the proposal for this round.
+        let a_val = match &self.a_val {
+            Some(v) => v.clone(),
+            None => {
+                let val = match &self.adopted {
+                    Some(w) => w.clone(),
+                    None => {
+                        let pend = self
+                            .pending
+                            .as_ref()
+                            .expect("proposing without a pending op");
+                        Entry {
+                            proposer: self.p,
+                            seq: pend.seq,
+                            op: pend.op.clone(),
+                        }
                     }
-                    if q + 1 < self.obj.n {
-                        self.b_read_enter(env, q + 1)
-                    } else {
-                        self.after_b_reads(env)
+                };
+                if let Some(pend) = self.pending.as_mut() {
+                    if val.proposer == self.p && val.seq == pend.seq {
+                        // Any write attempt may take effect: record the
+                        // exposure before the first attempt.
+                        pend.exposed.insert(s);
                     }
                 }
-            },
-            InvStage::DWrite(tok) => {
-                let _ = self.obj.slot(self.cur_slot).d.complete_write(env, tok);
-                self.round_done(env, RoundStep::Committed)
+                self.a_val = Some(val.clone());
+                val
             }
         };
-        if out.is_some() {
-            self.inflight = None;
+        let slot = self.obj.slot(s);
+        let regs = self.obj.round(s, &slot, self.cur_round);
+        if !self.a_written {
+            if regs.a[me]
+                .try_write(env, Some(a_val.clone()))
+                .await
+                .is_aborted()
+            {
+                return false;
+            }
+            self.a_written = true;
         }
-        out
+        let mut written = Vec::with_capacity(regs.a.len());
+        for a in &regs.a {
+            match a.try_read(env).await {
+                ReadOutcome::Aborted => return false,
+                ReadOutcome::Value(v) => written.extend(v),
+            }
+        }
+        let b_val = match &self.b_val {
+            Some(v) => v.clone(),
+            None => {
+                let v = if written.iter().all(|e| *e == a_val) {
+                    (true, a_val)
+                } else {
+                    let w = written
+                        .into_iter()
+                        .min_by_key(|e| (e.proposer, e.seq))
+                        .expect("own A value is visible");
+                    (false, w)
+                };
+                self.b_val = Some(v.clone());
+                v
+            }
+        };
+        if !self.b_written {
+            if regs.b[me].try_write(env, Some(b_val)).await.is_aborted() {
+                return false;
+            }
+            self.b_written = true;
+        }
+        let mut b_view = Vec::with_capacity(regs.b.len());
+        for b in &regs.b {
+            match b.try_read(env).await {
+                ReadOutcome::Aborted => return false,
+                ReadOutcome::Value(v) => b_view.extend(v),
+            }
+        }
+        debug_assert!(!b_view.is_empty(), "own B value is visible");
+        let first = &b_view[0].1;
+        if b_view.iter().all(|(c, w)| *c && w == first) {
+            // Commit: the decision for slot `s` is `first`.
+            let w = first.clone();
+            self.stats.commits += 1;
+            self.known_decided.insert(s, w.clone());
+            // Best-effort persist; an abort is fine (we know the
+            // decision, and others re-derive it through the round chain).
+            let _ = slot.d.try_write(env, Some(w)).await;
+            return true;
+        }
+        let w = match b_view.iter().find(|(c, _)| *c) {
+            Some((_, w)) => w,
+            None => b_view
+                .iter()
+                .map(|(_, w)| w)
+                .min_by_key(|e| (e.proposer, e.seq))
+                .expect("non-empty B view"),
+        };
+        self.adopted = Some(w.clone());
+        self.cur_round += 1;
+        self.reset_round_state();
+        false
     }
 
     /// Whether the fate of the pending op is already determined as
@@ -742,7 +566,7 @@ impl<T: ObjectType> QaSession<T> {
     fn pending_dead(&self) -> bool {
         match &self.pending {
             None => true,
-            Some(pend) => pend.exposed.iter().all(|s| *s < self.cursor),
+            Some(pend) => pend.exposed.iter().all(|s| *s < self.replica.len()),
         }
     }
 }
@@ -760,24 +584,12 @@ mod tests {
         (obj, FreeRunEnv::new(ProcId(0)))
     }
 
-    /// Runs one invocation solo: poll, one step of the caller, poll …
-    fn finish(session: &mut QaSession<Counter>, env: &FreeRunEnv) -> Outcome<i64> {
-        loop {
-            if let Some(out) = session.poll_op(env) {
-                return out;
-            }
-            env.advance();
-        }
-    }
-
     fn apply(session: &mut QaSession<Counter>, env: &FreeRunEnv, op: CounterOp) -> Outcome<i64> {
-        session.begin_apply(op);
-        finish(session, env)
+        env.run_solo(session.apply(env, op))
     }
 
     fn query(session: &mut QaSession<Counter>, env: &FreeRunEnv) -> Outcome<i64> {
-        session.begin_query();
-        finish(session, env)
+        env.run_solo(session.query(env))
     }
 
     /// Drives one logical operation to completion in a solo run,
@@ -907,7 +719,7 @@ mod tests {
             op: CounterOp::Get,
             exposed: BTreeSet::new(),
         });
-        s.begin_apply(CounterOp::Inc);
+        let _ = apply(&mut s, &env, CounterOp::Inc);
     }
 
     #[test]

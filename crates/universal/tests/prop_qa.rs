@@ -16,17 +16,10 @@ use tbwf_universal::{Outcome, QaObject, QaSession};
 fn complete(session: &mut QaSession<Counter>, env: &FreeRunEnv, op: CounterOp) -> i64 {
     let mut query_next = false;
     for _ in 0..200 {
-        if query_next {
-            session.begin_query();
+        let out = if query_next {
+            env.run_solo(session.query(env))
         } else {
-            session.begin_apply(op);
-        }
-        // One invocation: poll, one step of the caller, poll …
-        let out = loop {
-            if let Some(out) = session.poll_op(env) {
-                break out;
-            }
-            env.advance();
+            env.run_solo(session.apply(env, op))
         };
         match out {
             Outcome::Done(v) => return v,
