@@ -15,7 +15,6 @@
 //! slow writer, under both detector rules.
 
 use std::rc::Rc;
-use std::sync::Arc;
 use tbwf_bench::print_table;
 use tbwf_registers::{RegisterFactory, SharedAbortable};
 use tbwf_sim::schedule::{RoundRobin, Weighted};
@@ -75,7 +74,7 @@ fn abort_rate(n: usize, steps: u64) -> (u64, u64, u64) {
     let mut b = SimBuilder::new();
     for p in 0..n {
         let pid = b.add_process(&format!("p{p}"));
-        let reg = Arc::clone(&reg);
+        let reg = Rc::clone(&reg);
         b.add_stepper(
             pid,
             "hammer",

@@ -87,10 +87,10 @@ impl SystemKind {
 
 /// Largest process count a [`Scenario`] may have (the largest system the
 /// experiments run; E11's top row).
-pub const MAX_N: usize = 64;
+const MAX_N: usize = 64;
 
 /// Longest run a [`Scenario`] may ask for, in global steps.
-pub const MAX_STEPS: u64 = 100_000_000;
+const MAX_STEPS: u64 = 100_000_000;
 
 /// One self-contained campaign: everything [`run_scenario`] needs to
 /// reproduce a run bit-for-bit.
@@ -127,9 +127,10 @@ impl Scenario {
         ])
     }
 
-    /// Checks that the scenario can run: `2 ≤ n ≤` [`MAX_N`], `steps ≤`
-    /// [`MAX_STEPS`], and the fault plan passes the nemesis check against
-    /// exactly what [`run_scenario`] registers for this kind.
+    /// Checks that the scenario can run: `2 ≤ n ≤ 64` (the largest
+    /// system the experiments run), `steps ≤ 10⁸`, and the fault plan
+    /// passes the nemesis check against exactly what [`run_scenario`]
+    /// registers for this kind.
     ///
     /// # Errors
     ///

@@ -40,7 +40,6 @@
 #![forbid(unsafe_code)]
 
 pub mod linearize;
-pub mod native;
 pub mod prelude;
 pub mod system;
 pub mod types;

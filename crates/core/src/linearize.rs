@@ -161,7 +161,7 @@ where
 
 /// Extracts the completed-operation history of a run, process-major in
 /// completion order — the form [`check_linearizable`] consumes.
-pub fn run_history<T: ObjectType>(run: &crate::system::TbwfRun<T>) -> Vec<HistoryEvent<T>> {
+fn run_history<T: ObjectType>(run: &crate::system::TbwfRun<T>) -> Vec<HistoryEvent<T>> {
     run.results
         .iter()
         .enumerate()

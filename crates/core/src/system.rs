@@ -1,13 +1,13 @@
 //! The high-level system builder: any object type, any schedule, full
 //! TBWF stack (Ω∆ + query-abortable object + Figure 7 workers).
 
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 use tbwf_omega::harness::install_omega;
 use tbwf_omega::{OmegaHandles, OmegaKind};
 use tbwf_registers::{AbortPolicy, EffectPolicy, OpLog, RegisterFactory, RegisterFactoryConfig};
-use tbwf_sim::{spawn_task, Env, ProcId, RunConfig, RunReport, SimBuilder};
+use tbwf_sim::{Env, ProcId, RunConfig, RunReport, SimBuilder};
 use tbwf_universal::qa::{QaObject, QaSession};
 use tbwf_universal::tbwf::invoke_tbwf;
 use tbwf_universal::ObjectType;
@@ -85,9 +85,10 @@ pub struct TbwfRun<T: ObjectType> {
     pub log: Arc<OpLog>,
 }
 
+#[cfg(test)]
 impl<T: ObjectType> TbwfRun<T> {
     /// All results across processes, sorted by completion time.
-    pub fn merged_results(&self) -> Vec<(ProcId, OpResult<T>)> {
+    fn merged_results(&self) -> Vec<(ProcId, OpResult<T>)> {
         let mut all: Vec<(ProcId, OpResult<T>)> = self
             .results
             .iter()
@@ -100,7 +101,7 @@ impl<T: ObjectType> TbwfRun<T> {
 }
 
 /// Per-process completed operations, shared by the workers of a run.
-type ResultSink<T> = Arc<Mutex<Vec<Vec<OpResult<T>>>>>;
+type ResultSink<T> = Rc<RefCell<Vec<Vec<OpResult<T>>>>>;
 
 /// The scripted Figure 7 worker of process `p`: one [`invoke_tbwf`] per
 /// workload entry, each result pushed into `sink` as it completes. The
@@ -120,7 +121,7 @@ async fn worker<T: ObjectType>(
         let invoked = env.now();
         let resp = invoke_tbwf(env, &mut session, &omega, op.clone(), true).await;
         i += 1;
-        sink.lock()[p].push(OpResult {
+        sink.borrow_mut()[p].push(OpResult {
             invoked,
             time: env.now(),
             op,
@@ -229,28 +230,28 @@ impl<T: ObjectType> TbwfSystemBuilder<T> {
         wire: impl FnOnce(&RegisterFactory, &mut RunConfig),
     ) -> TbwfRun<T> {
         let mut run = run;
-        let factory = Arc::new(RegisterFactory::new(self.factory));
+        let factory = Rc::new(RegisterFactory::new(self.factory));
         wire(&factory, &mut run);
         let mut b = SimBuilder::new();
         for p in 0..self.n {
             b.add_process(&format!("p{p}"));
         }
         let omega_handles = install_omega(&mut b, &factory, self.n, self.omega);
-        let obj = QaObject::new(self.ty, self.n, Arc::clone(&factory));
-        let sink: ResultSink<T> = Arc::new(Mutex::new((0..self.n).map(|_| Vec::new()).collect()));
+        let obj = QaObject::new(self.ty, self.n, Rc::clone(&factory));
+        let sink: ResultSink<T> = Rc::new(RefCell::new((0..self.n).map(|_| Vec::new()).collect()));
         for (p, workload) in self.workloads.into_iter().enumerate() {
             if matches!(workload, Workload::Idle) {
                 continue;
             }
             let session = obj.session(ProcId(p));
             let omega = omega_handles[p].clone();
-            let sink = Arc::clone(&sink);
-            spawn_task(&mut b, ProcId(p), "worker", move |env| {
+            let sink = Rc::clone(&sink);
+            b.spawn_task(ProcId(p), "worker", move |env| {
                 worker(env, p, workload, session, omega, sink)
             });
         }
         let report = b.build().run(run);
-        let results = std::mem::take(&mut *sink.lock());
+        let results = sink.take();
         let completed = results.iter().map(|r| r.len() as u64).collect();
         TbwfRun {
             report,

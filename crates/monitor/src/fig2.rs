@@ -223,8 +223,8 @@ mod tests {
     /// closures configure the inputs.
     fn run_pair(
         steps: u64,
-        configure_p: impl Fn(&Local<bool>) + Send + 'static,
-        configure_q: impl Fn(&Local<bool>) + Send + 'static,
+        configure_p: impl Fn(&Local<bool>),
+        configure_q: impl Fn(&Local<bool>),
     ) -> (tbwf_sim::RunReport, Local<Status>, Local<u64>) {
         let factory = RegisterFactory::default();
         let pair = activity_monitor(&factory, ProcId(0), ProcId(1));

@@ -6,7 +6,7 @@
 use crate::fig2::activity_monitor;
 use crate::Status;
 use tbwf_registers::RegisterFactory;
-use tbwf_sim::{spawn_task, LocalVec, ProcId, TaskSpawner};
+use tbwf_sim::{LocalVec, ProcId, SimBuilder};
 
 /// The per-process view of the monitor mesh: the four vectors of local
 /// variables of Figure 1, indexed by the peer process.
@@ -40,15 +40,11 @@ pub struct MonitorMesh {
 
 impl MonitorMesh {
     /// Creates the mesh registers/handles and adds the 2·n·(n−1) monitor
-    /// tasks to `spawner` (one monitoring task per `(p, q)` at `p`, one
+    /// tasks to `b` (one monitoring task per `(p, q)` at `p`, one
     /// monitored task per `(p, q)` at `q`).
     ///
-    /// The processes `0..n` must already exist in the spawner's backend.
-    pub fn install(
-        spawner: &mut dyn TaskSpawner,
-        factory: &RegisterFactory,
-        n: usize,
-    ) -> MonitorMesh {
+    /// The processes `0..n` must already exist in `b`.
+    pub fn install(b: &mut SimBuilder, factory: &RegisterFactory, n: usize) -> MonitorMesh {
         let handles: Vec<ProcessMonitorHandles> = (0..n)
             .map(|_| ProcessMonitorHandles {
                 monitoring: LocalVec::new(n, false),
@@ -79,12 +75,8 @@ impl MonitorMesh {
                 let mut md = pair.monitored_side;
                 md.active_for = active_cell;
 
-                spawn_task(spawner, ProcId(p), &format!("mon[{p}->{q}]"), |env| {
-                    ms.run(env)
-                });
-                spawn_task(spawner, ProcId(q), &format!("hb[{q}->{p}]"), |env| {
-                    md.run(env)
-                });
+                b.spawn_task(ProcId(p), &format!("mon[{p}->{q}]"), |env| ms.run(env));
+                b.spawn_task(ProcId(q), &format!("hb[{q}->{p}]"), |env| md.run(env));
             }
         }
         MonitorMesh { handles }
@@ -96,7 +88,7 @@ impl MonitorMesh {
 mod tests {
     use super::*;
     use tbwf_sim::schedule::RoundRobin;
-    use tbwf_sim::{step, FutureTask, RunConfig, SimBuilder, Stepper};
+    use tbwf_sim::{step, FutureTask, RunConfig, Stepper};
 
     /// A driver task that only takes steps.
     fn idle() -> Box<dyn Stepper> {

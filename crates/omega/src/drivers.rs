@@ -4,7 +4,7 @@
 
 use crate::{OmegaHandles, OBS_CANDIDATE};
 use std::rc::Rc;
-use tbwf_sim::{spawn_task, step, Env, Local, ProcId, TaskSpawner};
+use tbwf_sim::{step, Env, Local, ProcId, SimBuilder};
 
 /// A scripted candidacy pattern for one process.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -116,16 +116,14 @@ async fn external(env: Rc<dyn Env>, desired: Local<bool>, candidate: Local<bool>
 /// fault actions churn the process's candidacy mid-run. Changes take
 /// effect on the driver's next step, like every scripted transition.
 pub fn add_external_candidate_driver(
-    spawner: &mut dyn TaskSpawner,
+    b: &mut SimBuilder,
     pid: ProcId,
     handles: &OmegaHandles,
     initial: bool,
 ) -> Local<bool> {
     let desired = Local::new(initial);
     let (flag, candidate) = (desired.clone(), handles.candidate.clone());
-    spawn_task(spawner, pid, "candidacy", |env| {
-        external(env, flag, candidate)
-    });
+    b.spawn_task(pid, "candidacy", |env| external(env, flag, candidate));
     desired
 }
 
@@ -138,7 +136,7 @@ pub fn add_external_candidate_driver(
 /// `on = off = 0`: its cycle would be empty, so `Blink` has no phase to
 /// be in and `CanonicalBlink` would loop without ever taking a step.
 pub fn add_candidate_driver(
-    spawner: &mut dyn TaskSpawner,
+    b: &mut SimBuilder,
     pid: ProcId,
     handles: &OmegaHandles,
     script: CandidateScript,
@@ -154,11 +152,11 @@ pub fn add_candidate_driver(
     match script {
         CandidateScript::CanonicalBlink { on, off } => {
             let leader = handles.leader.clone();
-            spawn_task(spawner, pid, "candidacy", move |env| {
+            b.spawn_task(pid, "candidacy", move |env| {
                 canonical_blink(env, (on, off), candidate, leader)
             });
         }
-        script => spawn_task(spawner, pid, "candidacy", move |env| {
+        script => b.spawn_task(pid, "candidacy", move |env| {
             scripted(env, script, candidate)
         }),
     }
@@ -168,7 +166,7 @@ pub fn add_candidate_driver(
 mod tests {
     use super::*;
     use tbwf_sim::schedule::RoundRobin;
-    use tbwf_sim::{RunConfig, SimBuilder};
+    use tbwf_sim::RunConfig;
 
     fn run_script(script: CandidateScript, steps: u64) -> Vec<(u64, i64)> {
         let mut b = SimBuilder::new();

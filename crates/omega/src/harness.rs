@@ -12,7 +12,7 @@ use crate::OmegaHandles;
 use std::sync::Arc;
 use tbwf_monitor::MonitorMesh;
 use tbwf_registers::{OpLog, RegisterFactory, RegisterFactoryConfig, SharedAbortable};
-use tbwf_sim::{spawn_task, ProcId, RunConfig, RunReport, SimBuilder, TaskSpawner};
+use tbwf_sim::{ProcId, RunConfig, RunReport, SimBuilder};
 
 /// Which Ω∆ implementation to install.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -68,17 +68,17 @@ impl Default for OmegaOptions {
 /// Used directly by the TBWF transform (`tbwf-universal`), whose object
 /// driver controls candidacy itself (Figure 7).
 pub fn install_omega(
-    spawner: &mut dyn TaskSpawner,
+    b: &mut SimBuilder,
     factory: &RegisterFactory,
     n: usize,
     kind: OmegaKind,
 ) -> Vec<OmegaHandles> {
-    install_omega_with(spawner, factory, n, kind, OmegaOptions::default())
+    install_omega_with(b, factory, n, kind, OmegaOptions::default())
 }
 
 /// [`install_omega`] with explicit [`OmegaOptions`] (ablations).
 pub fn install_omega_with(
-    spawner: &mut dyn TaskSpawner,
+    b: &mut SimBuilder,
     factory: &RegisterFactory,
     n: usize,
     kind: OmegaKind,
@@ -90,7 +90,7 @@ pub fn install_omega_with(
             let counter_regs: Vec<_> = (0..n)
                 .map(|q| factory.atomic(&format!("CounterRegister[{q}]"), 0i64))
                 .collect();
-            let mesh = MonitorMesh::install(spawner, factory, n);
+            let mesh = MonitorMesh::install(b, factory, n);
             for p in 0..n {
                 let proc = AtomicOmegaProcess {
                     p: ProcId(p),
@@ -100,7 +100,7 @@ pub fn install_omega_with(
                     counter_regs: counter_regs.clone(),
                     self_punish: options.self_punish,
                 };
-                spawn_task(spawner, ProcId(p), "omega", |env| proc.run(env));
+                b.spawn_task(ProcId(p), "omega", |env| proc.run(env));
             }
         }
         OmegaKind::Abortable => {
@@ -148,7 +148,7 @@ pub fn install_omega_with(
                     msgs: MsgChannels::new(ProcId(p), n, out, inn),
                     hb: HeartbeatChannels::new(ProcId(p), n, hb1_out, hb2_out, hb1_in, hb2_in),
                 };
-                spawn_task(spawner, ProcId(p), "omega", |env| proc.run(env));
+                b.spawn_task(ProcId(p), "omega", |env| proc.run(env));
             }
         }
     }

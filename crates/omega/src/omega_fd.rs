@@ -20,7 +20,7 @@ use crate::harness::install_omega;
 use crate::{CandidateScript, OmegaHandles, OmegaKind};
 use std::rc::Rc;
 use tbwf_registers::RegisterFactory;
-use tbwf_sim::{spawn_task, step, Env, Local, ProcId, SimBuilder};
+use tbwf_sim::{step, Env, Local, ProcId, SimBuilder};
 
 /// Observation key for the Ω output (always a process id).
 pub const OBS_OMEGA: &str = "omega_leader";
@@ -70,7 +70,7 @@ pub fn install_omega_fd(
             leader: Local::new(ProcId(p)),
         };
         let (leader_in, leader_out) = (dh.leader.clone(), out.leader.clone());
-        spawn_task(builder, ProcId(p), "omega-fd", |env| {
+        builder.spawn_task(ProcId(p), "omega-fd", |env| {
             adapter(env, leader_in, leader_out)
         });
         fd_handles.push(out);

@@ -5,7 +5,8 @@
 //! constructions never use this.
 
 use crate::stats::{OpEvent, OpKind, OpLog};
-use parking_lot::Mutex;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 use tbwf_sim::{step, Env};
 
@@ -16,7 +17,7 @@ use crate::OpToken;
 /// Both operations linearize at their response step, so one invocation
 /// serves either: [`CasRegister::invoke`] opens the operation and the
 /// `complete_*` call made on the caller's next step decides what it was.
-pub trait CasRegister<T: Clone + PartialEq>: Send + Sync {
+pub trait CasRegister<T: Clone + PartialEq> {
     /// Invocation step of a compare-and-swap or a read.
     fn invoke(&self, env: &dyn Env) -> OpToken;
 
@@ -51,14 +52,14 @@ impl<T: Clone + PartialEq> dyn CasRegister<T> + '_ {
 
 /// Simulated CAS register: two-step operation, linearizes at the response.
 pub struct SimCasReg<T> {
-    value: Mutex<T>,
+    value: RefCell<T>,
     log: Arc<OpLog>,
 }
 
-impl<T: Clone + PartialEq + Send> SimCasReg<T> {
+impl<T: Clone + PartialEq> SimCasReg<T> {
     pub(crate) fn new(init: T, log: Arc<OpLog>) -> Self {
         SimCasReg {
-            value: Mutex::new(init),
+            value: RefCell::new(init),
             log,
         }
     }
@@ -74,14 +75,14 @@ impl<T: Clone + PartialEq + Send> SimCasReg<T> {
     }
 }
 
-impl<T: Clone + PartialEq + Send + Sync> CasRegister<T> for SimCasReg<T> {
+impl<T: Clone + PartialEq> CasRegister<T> for SimCasReg<T> {
     /// The token carries the invocation time (for the operation log).
     fn invoke(&self, env: &dyn Env) -> OpToken {
         OpToken::new(env.now())
     }
 
     fn complete_cas(&self, env: &dyn Env, tok: OpToken, expected: &T, new: T) -> bool {
-        let mut v = self.value.lock();
+        let mut v = self.value.borrow_mut();
         let ok = *v == *expected;
         if ok {
             *v = new;
@@ -92,14 +93,14 @@ impl<T: Clone + PartialEq + Send + Sync> CasRegister<T> for SimCasReg<T> {
     }
 
     fn complete_read(&self, env: &dyn Env, tok: OpToken) -> T {
-        let v = self.value.lock().clone();
+        let v = self.value.borrow().clone();
         self.record(env, tok, OpKind::Read);
         v
     }
 }
 
 /// Shorthand for a shared CAS register handle.
-pub type SharedCas<T> = Arc<dyn CasRegister<T>>;
+pub type SharedCas<T> = Rc<dyn CasRegister<T>>;
 
 #[cfg(test)]
 mod tests {

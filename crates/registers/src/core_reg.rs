@@ -5,23 +5,23 @@ use crate::outcome::{ReadOutcome, WriteOutcome};
 use crate::policy::{AbortPolicy, EffectPolicy, PolicyDial};
 use crate::stats::{OpEvent, OpKind, OpLog};
 use crate::{AbortableRegister, AtomicRegister, OpToken, SafeRegister};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
-use tbwf_sim::{Env, ProcId};
+use tbwf_sim::{Env, Local, ProcId};
 
 /// Per-process counters of operations currently in flight (invoked but
 /// not yet completed) across all registers of one factory.
 ///
-/// The cells are plain shared integers so a nemesis can watch one as a
+/// The cells are [`Local`] integers so a nemesis can watch one as a
 /// gauge: `inflight[p] ≥ 1` holds exactly between `invoke_` and
 /// `complete_` of an operation by `p`, which is the window a
 /// crash-mid-operation injection targets.
 #[derive(Default)]
 pub struct InflightGauges {
-    cells: Mutex<Vec<Arc<AtomicI64>>>,
+    cells: RefCell<Vec<Local<i64>>>,
 }
 
 impl InflightGauges {
@@ -31,12 +31,12 @@ impl InflightGauges {
     }
 
     /// The shared counter of process `p` (created on first use).
-    pub fn cell(&self, p: ProcId) -> Arc<AtomicI64> {
-        let mut cells = self.cells.lock();
+    pub fn cell(&self, p: ProcId) -> Local<i64> {
+        let mut cells = self.cells.borrow_mut();
         while cells.len() <= p.0 {
-            cells.push(Arc::new(AtomicI64::new(0)));
+            cells.push(Local::new(0));
         }
-        Arc::clone(&cells[p.0])
+        cells[p.0].clone()
     }
 }
 
@@ -63,18 +63,17 @@ struct CoreState<T> {
     next_id: u64,
     rng: StdRng,
     /// Per-process gauge cells, cached on first use so the per-operation
-    /// gauge updates are a single `fetch_add` instead of a lock + `Arc`
-    /// clone through [`InflightGauges::cell`] (the hot path runs twice
-    /// per operation).
-    gauge_cache: Vec<Option<Arc<AtomicI64>>>,
+    /// gauge updates skip the lookup through [`InflightGauges::cell`]
+    /// (the hot path runs twice per operation).
+    gauge_cache: Vec<Option<Local<i64>>>,
 }
 
 /// Shared core of one simulated register.
 pub(crate) struct RegCore<T> {
     name: String,
-    state: Mutex<CoreState<T>>,
+    state: RefCell<CoreState<T>>,
     log: Arc<OpLog>,
-    gauges: Arc<InflightGauges>,
+    gauges: Rc<InflightGauges>,
 }
 
 /// What the core reports when an operation resolves.
@@ -93,11 +92,11 @@ struct Resolution<T> {
     payload: Option<T>,
 }
 
-impl<T: Clone + Send> RegCore<T> {
-    fn new(name: String, init: T, seed: u64, log: Arc<OpLog>, gauges: Arc<InflightGauges>) -> Self {
+impl<T: Clone> RegCore<T> {
+    fn new(name: String, init: T, seed: u64, log: Arc<OpLog>, gauges: Rc<InflightGauges>) -> Self {
         RegCore {
             name,
-            state: Mutex::new(CoreState {
+            state: RefCell::new(CoreState {
                 value: init,
                 inflight: Vec::new(),
                 next_id: 0,
@@ -110,15 +109,14 @@ impl<T: Clone + Send> RegCore<T> {
     }
 
     /// Updates process `p`'s in-flight gauge through the per-register
-    /// cache (the caller already holds the state lock, so the cache needs
-    /// no synchronization of its own).
+    /// cache.
     fn gauge_add(&self, st: &mut CoreState<T>, p: ProcId, delta: i64) {
         if st.gauge_cache.len() <= p.0 {
             st.gauge_cache.resize(p.0 + 1, None);
         }
         st.gauge_cache[p.0]
             .get_or_insert_with(|| self.gauges.cell(p))
-            .fetch_add(delta, Ordering::SeqCst);
+            .update(|g| *g += delta);
     }
 
     /// Invocation step: register the in-flight op and mark overlaps.
@@ -141,12 +139,13 @@ impl<T: Clone + Send> RegCore<T> {
         invoked: u64,
         payload: Option<T>,
     ) -> u64 {
-        let mut st = self.state.lock();
+        let mut guard = self.state.borrow_mut();
+        let st = &mut *guard;
         let mut i = 0;
         while i < st.inflight.len() {
             if env.is_crashed(st.inflight[i].proc) {
                 let dead = st.inflight.remove(i);
-                self.gauge_add(&mut st, dead.proc, -1);
+                self.gauge_add(st, dead.proc, -1);
             } else {
                 i += 1;
             }
@@ -168,19 +167,20 @@ impl<T: Clone + Send> RegCore<T> {
             invoked,
             payload,
         });
-        self.gauge_add(&mut st, proc, 1);
+        self.gauge_add(st, proc, 1);
         id
     }
 
     /// Response step: remove the in-flight op, sample the adversary, and
     /// run `apply` on the resolution and the register value — all under
-    /// one state lock, so completing an operation locks exactly once.
+    /// one borrow of the state.
     fn resolve_apply<R>(
         &self,
         id: u64,
         apply: impl FnOnce(&mut Resolution<T>, &mut T) -> R,
     ) -> (Resolution<T>, R) {
-        let mut st = self.state.lock();
+        let mut guard = self.state.borrow_mut();
+        let st = &mut *guard;
         let pos = st
             .inflight
             .iter()
@@ -193,7 +193,7 @@ impl<T: Clone + Send> RegCore<T> {
         // perturb the rest of the run.
         let u_abort = st.rng.random::<f64>();
         let u_effect = st.rng.random::<f64>();
-        self.gauge_add(&mut st, op.proc, -1);
+        self.gauge_add(st, op.proc, -1);
         let mut res = Resolution {
             overlapped: op.overlapped,
             overlapped_write: op.overlapped_write,
@@ -230,13 +230,13 @@ pub(crate) struct SimAtomicReg<T> {
     core: RegCore<T>,
 }
 
-impl<T: Clone + Send> SimAtomicReg<T> {
+impl<T: Clone> SimAtomicReg<T> {
     pub(crate) fn new(
         name: String,
         init: T,
         seed: u64,
         log: Arc<OpLog>,
-        gauges: Arc<InflightGauges>,
+        gauges: Rc<InflightGauges>,
     ) -> Self {
         SimAtomicReg {
             core: RegCore::new(name, init, seed, log, gauges),
@@ -244,7 +244,7 @@ impl<T: Clone + Send> SimAtomicReg<T> {
     }
 }
 
-impl<T: Clone + Send + Sync> AtomicRegister<T> for SimAtomicReg<T> {
+impl<T: Clone> AtomicRegister<T> for SimAtomicReg<T> {
     fn invoke_write(&self, env: &dyn Env, v: T) -> OpToken {
         OpToken::new(
             self.core
@@ -286,14 +286,14 @@ pub(crate) struct SimAbortableReg<T> {
     reader: Option<ProcId>,
 }
 
-impl<T: Clone + Send> SimAbortableReg<T> {
+impl<T: Clone> SimAbortableReg<T> {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         name: String,
         init: T,
         seed: u64,
         log: Arc<OpLog>,
-        gauges: Arc<InflightGauges>,
+        gauges: Rc<InflightGauges>,
         abort_policy: AbortPolicy,
         effect_policy: EffectPolicy,
         dial: PolicyDial,
@@ -317,7 +317,7 @@ impl<T: Clone + Send> SimAbortableReg<T> {
     }
 }
 
-impl<T: Clone + Send + Sync> AbortableRegister<T> for SimAbortableReg<T> {
+impl<T: Clone> AbortableRegister<T> for SimAbortableReg<T> {
     fn invoke_write(&self, env: &dyn Env, v: T) -> OpToken {
         if let Some(w) = self.writer {
             assert_eq!(
@@ -400,7 +400,7 @@ impl SimSafeReg {
         init: u64,
         seed: u64,
         log: Arc<OpLog>,
-        gauges: Arc<InflightGauges>,
+        gauges: Rc<InflightGauges>,
     ) -> Self {
         SimSafeReg {
             core: RegCore::new(name, init, seed, log, gauges),
@@ -453,8 +453,8 @@ mod tests {
         Arc::new(OpLog::new())
     }
 
-    fn gauges() -> Arc<InflightGauges> {
-        Arc::new(InflightGauges::new())
+    fn gauges() -> Rc<InflightGauges> {
+        Rc::new(InflightGauges::new())
     }
 
     // Solo operations: invoke, one step of the caller, complete.
@@ -639,21 +639,17 @@ mod tests {
     #[test]
     fn inflight_gauge_tracks_invoke_to_complete_window() {
         let g = gauges();
-        let r: RegCore<i64> = RegCore::new("R".into(), 0, 1, log(), Arc::clone(&g));
+        let r: RegCore<i64> = RegCore::new("R".into(), 0, 1, log(), Rc::clone(&g));
         let env = FreeRunEnv::new(ProcId(2));
         let cell = g.cell(ProcId(2));
-        assert_eq!(cell.load(Ordering::SeqCst), 0);
+        assert_eq!(cell.get(), 0);
         let a = r.begin(&env, OpKind::Write, ProcId(2), 0, Some(1));
-        assert_eq!(
-            cell.load(Ordering::SeqCst),
-            1,
-            "held between invoke and complete"
-        );
+        assert_eq!(cell.get(), 1, "held between invoke and complete");
         let b = r.begin(&env, OpKind::Read, ProcId(2), 0, None);
-        assert_eq!(cell.load(Ordering::SeqCst), 2);
+        assert_eq!(cell.get(), 2);
         r.resolve(a);
         r.resolve(b);
-        assert_eq!(cell.load(Ordering::SeqCst), 0);
+        assert_eq!(cell.get(), 0);
     }
 
     #[test]
@@ -668,7 +664,7 @@ mod tests {
             0i64,
             1,
             log(),
-            Arc::clone(&g),
+            Rc::clone(&g),
             AbortPolicy::AlwaysOnOverlap,
             EffectPolicy::Never,
             PolicyDial::new(),
@@ -690,7 +686,7 @@ mod tests {
         }
         // The dead op's gauge was released when it was purged, and the
         // crashed write never took effect.
-        assert_eq!(g.cell(ProcId(1)).load(Ordering::SeqCst), 0);
+        assert_eq!(g.cell(ProcId(1)).get(), 0);
     }
 
     #[test]

@@ -5,9 +5,10 @@ use crate::core_reg::{InflightGauges, SimAbortableReg, SimAtomicReg, SimSafeReg}
 use crate::policy::{AbortPolicy, EffectPolicy, PolicyDial};
 use crate::stats::OpLog;
 use crate::{SafeRegister, SharedAbortable, SharedAtomic};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::rc::Rc;
 use std::sync::Arc;
-use tbwf_sim::ProcId;
+use tbwf_sim::{Local, ProcId};
 
 /// Configuration for all registers created by one factory.
 #[derive(Clone, Copy, Debug)]
@@ -53,9 +54,9 @@ impl Default for RegisterFactoryConfig {
 pub struct RegisterFactory {
     config: RegisterFactoryConfig,
     log: Arc<OpLog>,
-    counter: AtomicU64,
+    counter: Cell<u64>,
     dial: PolicyDial,
-    gauges: Arc<InflightGauges>,
+    gauges: Rc<InflightGauges>,
 }
 
 impl RegisterFactory {
@@ -64,22 +65,9 @@ impl RegisterFactory {
         RegisterFactory {
             config,
             log: Arc::new(OpLog::new()),
-            counter: AtomicU64::new(0),
+            counter: Cell::new(0),
             dial: PolicyDial::new(),
-            gauges: Arc::new(InflightGauges::new()),
-        }
-    }
-
-    /// Creates a factory whose operation log is disabled (for the native
-    /// harness: full-speed threads would otherwise contend on the log's
-    /// lock).
-    pub fn new_unlogged(config: RegisterFactoryConfig) -> Self {
-        RegisterFactory {
-            config,
-            log: Arc::new(OpLog::disabled()),
-            counter: AtomicU64::new(0),
-            dial: PolicyDial::new(),
-            gauges: Arc::new(InflightGauges::new()),
+            gauges: Rc::new(InflightGauges::new()),
         }
     }
 
@@ -103,13 +91,14 @@ impl RegisterFactory {
     /// The in-flight-operation gauge of process `p` across all registers
     /// of this factory (register it with a nemesis to crash `p` between
     /// `invoke_` and `complete_` of an operation).
-    pub fn inflight_gauge(&self, p: ProcId) -> Arc<AtomicI64> {
+    pub fn inflight_gauge(&self, p: ProcId) -> Local<i64> {
         self.gauges.cell(p)
     }
 
     fn next_seed(&self) -> u64 {
         // SplitMix-style derivation keeps per-register streams independent.
-        let i = self.counter.fetch_add(1, Ordering::Relaxed);
+        let i = self.counter.get();
+        self.counter.set(i + 1);
         self.config
             .seed
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -117,28 +106,24 @@ impl RegisterFactory {
     }
 
     /// Creates a multi-writer multi-reader atomic register.
-    pub fn atomic<T: Clone + Send + Sync + 'static>(&self, name: &str, init: T) -> SharedAtomic<T> {
-        Arc::new(SimAtomicReg::new(
+    pub fn atomic<T: Clone + 'static>(&self, name: &str, init: T) -> SharedAtomic<T> {
+        Rc::new(SimAtomicReg::new(
             name.to_string(),
             init,
             self.next_seed(),
             self.log(),
-            Arc::clone(&self.gauges),
+            Rc::clone(&self.gauges),
         ))
     }
 
     /// Creates a multi-writer multi-reader abortable register.
-    pub fn abortable<T: Clone + Send + Sync + 'static>(
-        &self,
-        name: &str,
-        init: T,
-    ) -> SharedAbortable<T> {
-        Arc::new(SimAbortableReg::new(
+    pub fn abortable<T: Clone + 'static>(&self, name: &str, init: T) -> SharedAbortable<T> {
+        Rc::new(SimAbortableReg::new(
             name.to_string(),
             init,
             self.next_seed(),
             self.log(),
-            Arc::clone(&self.gauges),
+            Rc::clone(&self.gauges),
             self.config.abort_policy,
             self.config.effect_policy,
             self.dial.clone(),
@@ -150,19 +135,19 @@ impl RegisterFactory {
     /// Creates a single-writer single-reader abortable register owned by
     /// `writer`/`reader` (ownership is asserted at every operation), as
     /// used throughout Section 6.
-    pub fn abortable_swsr<T: Clone + Send + Sync + 'static>(
+    pub fn abortable_swsr<T: Clone + 'static>(
         &self,
         name: &str,
         init: T,
         writer: ProcId,
         reader: ProcId,
     ) -> SharedAbortable<T> {
-        Arc::new(SimAbortableReg::new(
+        Rc::new(SimAbortableReg::new(
             name.to_string(),
             init,
             self.next_seed(),
             self.log(),
-            Arc::clone(&self.gauges),
+            Rc::clone(&self.gauges),
             self.config.abort_policy,
             self.config.effect_policy,
             self.dial.clone(),
@@ -173,18 +158,18 @@ impl RegisterFactory {
 
     /// Creates a single-writer multi-reader abortable register owned by
     /// `writer` (write ownership is asserted at every operation).
-    pub fn abortable_swmr<T: Clone + Send + Sync + 'static>(
+    pub fn abortable_swmr<T: Clone + 'static>(
         &self,
         name: &str,
         init: T,
         writer: ProcId,
     ) -> SharedAbortable<T> {
-        Arc::new(SimAbortableReg::new(
+        Rc::new(SimAbortableReg::new(
             name.to_string(),
             init,
             self.next_seed(),
             self.log(),
-            Arc::clone(&self.gauges),
+            Rc::clone(&self.gauges),
             self.config.abort_policy,
             self.config.effect_policy,
             self.dial.clone(),
@@ -194,13 +179,13 @@ impl RegisterFactory {
     }
 
     /// Creates a safe register over `u64`.
-    pub fn safe(&self, name: &str, init: u64) -> Arc<dyn SafeRegister> {
-        Arc::new(SimSafeReg::new(
+    pub fn safe(&self, name: &str, init: u64) -> Rc<dyn SafeRegister> {
+        Rc::new(SimSafeReg::new(
             name.to_string(),
             init,
             self.next_seed(),
             self.log(),
-            Arc::clone(&self.gauges),
+            Rc::clone(&self.gauges),
         ))
     }
 
@@ -209,12 +194,8 @@ impl RegisterFactory {
     ///
     /// The name is accepted like every other register's but not kept: a
     /// CAS register has no owner whose check could name it in a panic.
-    pub fn cas<T: Clone + PartialEq + Send + Sync + 'static>(
-        &self,
-        _name: &str,
-        init: T,
-    ) -> crate::SharedCas<T> {
-        Arc::new(crate::cas::SimCasReg::new(init, self.log()))
+    pub fn cas<T: Clone + PartialEq + 'static>(&self, _name: &str, init: T) -> crate::SharedCas<T> {
+        Rc::new(crate::cas::SimCasReg::new(init, self.log()))
     }
 }
 

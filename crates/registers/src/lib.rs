@@ -30,9 +30,10 @@
 //! [`EffectPolicy`] so every adversary is reproducible; the default policy
 //! (`AlwaysOnOverlap`) is the strongest admissible adversary.
 //!
-//! The same registers serve the native thread harness of the `tbwf`
-//! crate: their overlap detection is lock-based, so genuinely concurrent
-//! operations overlap (and abortable ones may abort) there too.
+//! A run lives on one thread, so a register keeps its state in a
+//! `RefCell` and is shared through an `Rc` ([`SharedAtomic`],
+//! [`SharedAbortable`], [`SharedCas`]): an operation pays no lock and no
+//! atomic read-modify-write, and a handle cannot leave the run's thread.
 //!
 //! All registers are created through a [`RegisterFactory`], which names
 //! each register (ownership-violation panics quote the name) and folds
@@ -63,7 +64,7 @@ pub use policy::{
 };
 pub use stats::{OpEvent, OpKind, OpLog};
 
-use std::sync::Arc;
+use std::rc::Rc;
 use tbwf_sim::{step, Env};
 
 /// Opaque handle to one register operation between its invocation and its
@@ -92,7 +93,7 @@ impl OpToken {
 ///
 /// Operations never abort; each costs two steps (invoke + response). A
 /// write value is captured at invocation.
-pub trait AtomicRegister<T: Clone>: Send + Sync {
+pub trait AtomicRegister<T: Clone> {
     /// Invocation step of a write of `v` (the value is captured now).
     fn invoke_write(&self, env: &dyn Env, v: T) -> OpToken;
 
@@ -131,7 +132,7 @@ impl<T: Clone> dyn AtomicRegister<T> + '_ {
 /// register **may** return `⊥` ([`WriteOutcome::Aborted`] /
 /// [`ReadOutcome::Aborted`]); an aborted write may or may not have taken
 /// effect. An operation concurrent with nothing never aborts.
-pub trait AbortableRegister<T: Clone>: Send + Sync {
+pub trait AbortableRegister<T: Clone> {
     /// Invocation step of a write of `v` (the value is captured now).
     fn invoke_write(&self, env: &dyn Env, v: T) -> OpToken;
 
@@ -171,7 +172,7 @@ impl<T: Clone> dyn AbortableRegister<T> + '_ {
 /// seeded pseudo-random one). Included to demonstrate that abortable
 /// registers are *weaker* than safe registers: a safe write always takes
 /// effect, an abortable one may not.
-pub trait SafeRegister: Send + Sync {
+pub trait SafeRegister {
     /// Invocation step of a write of `v` (the value is captured now).
     fn invoke_write(&self, env: &dyn Env, v: u64) -> OpToken;
 
@@ -187,16 +188,25 @@ pub trait SafeRegister: Send + Sync {
 }
 
 /// Shorthand for a shared atomic register handle.
-pub type SharedAtomic<T> = Arc<dyn AtomicRegister<T>>;
+///
+/// The handle is an `Rc`: the registers of a run live on the thread that
+/// runs it, so the hot path takes no lock. Handing one to another thread
+/// does not compile:
+///
+/// ```compile_fail,E0277
+/// use tbwf_registers::RegisterFactory;
+///
+/// let reg = RegisterFactory::default().atomic("R", 0u64);
+/// std::thread::spawn(move || drop(reg));
+/// ```
+pub type SharedAtomic<T> = Rc<dyn AtomicRegister<T>>;
 /// Shorthand for a shared abortable register handle.
-pub type SharedAbortable<T> = Arc<dyn AbortableRegister<T>>;
+pub type SharedAbortable<T> = Rc<dyn AbortableRegister<T>>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::future::Future;
-    use std::rc::Rc;
-    use std::sync::atomic::Ordering::SeqCst;
     use tbwf_sim::schedule::RoundRobin;
     use tbwf_sim::{
         Control, FaultAction, FaultPlan, FaultTarget, FreeRunEnv, FutureTask, Nemesis, ProcId,
@@ -217,7 +227,7 @@ mod tests {
         let mut task = FutureTask::new(body);
         let mut out = Vec::new();
         while out.last().is_none_or(|&(c, _)| c == Control::Yield) {
-            out.push((task.step(&mut StepCtx::new(&env)), gauge.load(SeqCst)));
+            out.push((task.step(&mut StepCtx::new(&env)), gauge.get()));
             env.advance();
         }
         out

@@ -14,8 +14,7 @@
 //! abort, so a fault burst can never violate the register's contract,
 //! it can only exercise the admissible adversary harder.
 
-use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::Arc;
+use tbwf_sim::Local;
 
 /// When does an operation that overlapped another operation abort?
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
@@ -101,7 +100,7 @@ pub const DIAL_ABORT_NO_EFFECT: i64 = 3;
 /// [`DIAL_BASE`].
 #[derive(Clone, Default)]
 pub struct PolicyDial {
-    mode: Arc<AtomicI64>,
+    mode: Local<i64>,
 }
 
 impl PolicyDial {
@@ -112,17 +111,17 @@ impl PolicyDial {
 
     /// The current mode.
     pub fn mode(&self) -> i64 {
-        self.mode.load(Ordering::SeqCst)
+        self.mode.get()
     }
 
     /// Sets the mode.
     pub fn set(&self, mode: i64) {
-        self.mode.store(mode, Ordering::SeqCst);
+        self.mode.set(mode);
     }
 
     /// The shared cell behind the dial (for nemesis registration).
-    pub fn handle(&self) -> Arc<AtomicI64> {
-        Arc::clone(&self.mode)
+    pub fn handle(&self) -> Local<i64> {
+        self.mode.clone()
     }
 
     /// The effective policies under the current mode, given the
@@ -169,7 +168,7 @@ mod tests {
     fn dial_clones_share_state() {
         let dial = PolicyDial::new();
         let other = dial.clone();
-        other.handle().store(DIAL_CALM, Ordering::SeqCst);
+        other.handle().set(DIAL_CALM);
         assert_eq!(dial.mode(), DIAL_CALM);
     }
 

@@ -3,7 +3,6 @@
 //! planned, and check the abortable semantics at the boundary.
 
 use std::rc::Rc;
-use std::sync::Arc;
 use tbwf_registers::{
     AbortPolicy, EffectPolicy, ReadOutcome, RegisterFactory, RegisterFactoryConfig, SafeRegister,
     SharedAbortable, WriteOutcome,
@@ -22,7 +21,7 @@ fn factory(abort: AbortPolicy, effect: EffectPolicy) -> RegisterFactory {
 #[derive(Clone)]
 enum Reg {
     Abortable(SharedAbortable<i64>),
-    Safe(Arc<dyn SafeRegister>),
+    Safe(Rc<dyn SafeRegister>),
 }
 
 /// One instruction of a [`Script`]: each takes one step (an operation's

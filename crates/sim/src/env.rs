@@ -13,11 +13,8 @@ use std::task::{Context, Poll, Waker};
 ///
 /// All the algorithms of the paper (Figures 2–8) are written against
 /// this trait, as `async` bodies run by
-/// [`FutureTask`](crate::step::FutureTask) (or, for a native client's
-/// operation, polled on the caller's thread), so the same code runs on the
-/// deterministic simulator (which polls each task once per granted step)
-/// and on real threads (the `native` module of the `tbwf` crate, which
-/// polls each task in a loop of its own).
+/// [`FutureTask`](crate::step::FutureTask), which the deterministic
+/// simulator polls once per granted step.
 ///
 /// The trait has no step operation: a *step* in the sense of Section 3 of
 /// the paper is one segment of a task, ended by an `.await` of
@@ -26,11 +23,9 @@ use std::task::{Context, Poll, Waker};
 /// register operation spans two steps by invoking at the end of one
 /// segment and completing at the start of the next.
 ///
-/// An env belongs to the thread polling its task: the trait asks for
-/// neither `Send` nor `Sync`. The simulator's envs share the run's state
-/// through `Rc` and are confined to the thread executing `Sim::run`; the
-/// native harness builds each task, and its env, on the task's own
-/// thread.
+/// A run lives on one thread, so the trait asks for neither `Send` nor
+/// `Sync`: the simulator's envs share the run's state through `Rc` and
+/// are confined to the thread executing `Sim::run`.
 pub trait Env {
     /// Current global time (number of steps taken by all processes so far).
     fn now(&self) -> u64;
@@ -53,8 +48,8 @@ pub trait Env {
     /// takes effect: a crashed process takes no further steps, so its
     /// pending operations can no longer interfere with operations invoked
     /// after the crash (see `RegCore` in `tbwf-registers`). Environments
-    /// with no crash model (free-running tests, the native thread
-    /// harness) use this default and report every process alive.
+    /// with no crash model (free-running tests) use this default and
+    /// report every process alive.
     fn is_crashed(&self, _p: ProcId) -> bool {
         false
     }

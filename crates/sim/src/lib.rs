@@ -98,6 +98,5 @@ pub use schedule::{
     Decision, DecisionLog, NemesisSchedule, Schedule, ScheduleCtl, ScheduleView, Scripted,
     ScriptedWindow, Tapped,
 };
-pub use spawner::{spawn_task, TaskSpawner};
 pub use step::{step, Control, FutureTask, StepCtx, Stepper};
 pub use trace::{Obs, StepLog, Trace};

@@ -6,12 +6,12 @@
 //! These are not shared registers — reading or writing them costs no step
 //! by itself (the enclosing loop iteration pays the step) — but they are
 //! read and written by different tasks of the same process, so they need
-//! interior mutability. [`Local`] is a tiny `Arc<Mutex<T>>` wrapper with
-//! value semantics for get/set.
+//! interior mutability. A run lives on one thread, so [`Local`] is a tiny
+//! `Rc<RefCell<T>>` wrapper with value semantics for get/set.
 
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A process-local variable shared by the tasks of one process.
 ///
@@ -26,13 +26,13 @@ use std::sync::Arc;
 /// assert!(omega_view.get());
 /// ```
 pub struct Local<T> {
-    inner: Arc<Mutex<T>>,
+    inner: Rc<RefCell<T>>,
 }
 
 impl<T> Clone for Local<T> {
     fn clone(&self) -> Self {
         Local {
-            inner: Arc::clone(&self.inner),
+            inner: Rc::clone(&self.inner),
         }
     }
 }
@@ -41,23 +41,28 @@ impl<T: Clone> Local<T> {
     /// Creates a new local variable with the given initial value.
     pub fn new(value: T) -> Self {
         Local {
-            inner: Arc::new(Mutex::new(value)),
+            inner: Rc::new(RefCell::new(value)),
         }
     }
 
     /// Reads the current value.
     pub fn get(&self) -> T {
-        self.inner.lock().clone()
+        self.inner.borrow().clone()
     }
 
     /// Writes a new value.
     pub fn set(&self, value: T) {
-        *self.inner.lock() = value;
+        *self.inner.borrow_mut() = value;
     }
 
-    /// Applies `f` to the value under the lock and returns its result.
+    /// Applies `f` to the value in place and returns its result.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `f` reads or writes this same variable: the value is
+    /// borrowed mutably while `f` runs.
     pub fn update<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
-        f(&mut self.inner.lock())
+        f(&mut self.inner.borrow_mut())
     }
 }
 

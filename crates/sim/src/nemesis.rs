@@ -38,8 +38,6 @@ use crate::local::Local;
 use crate::schedule::ScheduleCtl;
 use crate::trace::Obs;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::Arc;
 
 /// Which process an action applies to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -358,8 +356,8 @@ pub struct Nemesis {
     plan: FaultPlan,
     fired: Vec<bool>,
     switches: BTreeMap<String, Local<bool>>,
-    dials: BTreeMap<String, Arc<AtomicI64>>,
-    gauges: BTreeMap<String, Arc<AtomicI64>>,
+    dials: BTreeMap<String, Local<i64>>,
+    gauges: BTreeMap<String, Local<i64>>,
     sched: Option<ScheduleCtl>,
     injections: Vec<InjectionRecord>,
     /// What the polls must look at; recomputed whenever an event fires.
@@ -431,13 +429,13 @@ impl Nemesis {
 
     /// Registers an integer dial that [`FaultAction::SetDial`] can set
     /// (e.g. a register policy dial).
-    pub fn register_dial(&mut self, name: &str, dial: Arc<AtomicI64>) {
+    pub fn register_dial(&mut self, name: &str, dial: Local<i64>) {
         self.dials.insert(name.to_string(), dial);
     }
 
     /// Registers a read-only gauge that [`Trigger::OnGauge`] can watch
     /// (e.g. a per-process in-flight-operation counter).
-    pub fn register_gauge(&mut self, name: &str, gauge: Arc<AtomicI64>) {
+    pub fn register_gauge(&mut self, name: &str, gauge: Local<i64>) {
         self.gauges.insert(name.to_string(), gauge);
     }
 
@@ -573,7 +571,7 @@ impl Nemesis {
                     }
                 }
                 Trigger::OnGauge { at, gauge, min } => {
-                    let val = self.gauges.get(gauge).map(|g| g.load(Ordering::SeqCst));
+                    let val = self.gauges.get(gauge).map(Local::get);
                     if t >= *at && val.is_some_and(|v| v >= *min) {
                         self.fire(i, t, Some(stepper), crashes);
                     }
@@ -619,7 +617,7 @@ impl Nemesis {
                 format!("switch {switch} := {on}")
             }
             FaultAction::SetDial { dial, value } => {
-                self.dials[dial].store(*value, Ordering::SeqCst);
+                self.dials[dial].set(*value);
                 format!("dial {dial} := {value}")
             }
             FaultAction::Demote(tgt) => {
@@ -835,11 +833,11 @@ mod tests {
             FaultAction::Crash(FaultTarget::Stepper),
         );
         let mut nem = Nemesis::new(plan);
-        let g = Arc::new(AtomicI64::new(0));
-        nem.register_gauge("g", Arc::clone(&g));
+        let g = Local::new(0);
+        nem.register_gauge("g", g.clone());
         nem.validate(3).unwrap();
         assert!(post(&mut nem, 1, ProcId(2), &[]).is_empty());
-        g.store(1, Ordering::SeqCst);
+        g.set(1);
         assert_eq!(post(&mut nem, 2, ProcId(2), &[]), vec![ProcId(2)]);
         let inj = nem.take_injections();
         assert_eq!(inj.len(), 1);
@@ -865,16 +863,16 @@ mod tests {
             );
         let mut nem = Nemesis::new(plan);
         let s = Local::new(true);
-        let d = Arc::new(AtomicI64::new(0));
+        let d = Local::new(0);
         nem.register_switch("s", s.clone());
-        nem.register_dial("d", Arc::clone(&d));
+        nem.register_dial("d", d.clone());
         nem.validate(1).unwrap();
         assert!(pre(&mut nem, 0, &[0]).is_empty());
         assert!(!s.get());
-        assert_eq!(d.load(Ordering::SeqCst), 7);
+        assert_eq!(d.get(), 7);
     }
 
-    fn dial_plan(triggers: &[Trigger]) -> (Nemesis, Arc<AtomicI64>) {
+    fn dial_plan(triggers: &[Trigger]) -> (Nemesis, Local<i64>) {
         let mut plan = FaultPlan::new();
         for (i, trig) in triggers.iter().enumerate() {
             plan = plan.with(
@@ -886,9 +884,9 @@ mod tests {
             );
         }
         let mut nem = Nemesis::new(plan);
-        let d = Arc::new(AtomicI64::new(0));
-        nem.register_dial("d", Arc::clone(&d));
-        nem.register_gauge("g", Arc::new(AtomicI64::new(1)));
+        let d = Local::new(0);
+        nem.register_dial("d", d.clone());
+        nem.register_gauge("g", Local::new(1));
         nem.validate(2).unwrap();
         (nem, d)
     }
@@ -898,16 +896,16 @@ mod tests {
         let (mut nem, d) = dial_plan(&[Trigger::At(5), Trigger::At(9)]);
         for t in 0..5 {
             assert!(pre(&mut nem, t, &[0, 0]).is_empty());
-            assert_eq!(d.load(Ordering::SeqCst), 0, "fired early at t = {t}");
+            assert_eq!(d.get(), 0, "fired early at t = {t}");
         }
         pre(&mut nem, 5, &[0, 0]);
-        assert_eq!(d.load(Ordering::SeqCst), 1);
+        assert_eq!(d.get(), 1);
         for t in 6..9 {
             pre(&mut nem, t, &[0, 0]);
-            assert_eq!(d.load(Ordering::SeqCst), 1, "second event early at t = {t}");
+            assert_eq!(d.get(), 1, "second event early at t = {t}");
         }
         pre(&mut nem, 9, &[0, 0]);
-        assert_eq!(d.load(Ordering::SeqCst), 2);
+        assert_eq!(d.get(), 2);
         let times: Vec<u64> = nem.take_injections().iter().map(|r| r.time).collect();
         assert_eq!(times, vec![5, 9]);
     }
@@ -917,10 +915,10 @@ mod tests {
         let (mut nem, d) = dial_plan(&[Trigger::AfterProcSteps { proc: 1, count: 3 }]);
         for (t, c) in [(0, 0), (1, 1), (2, 2)] {
             pre(&mut nem, t, &[100, c]);
-            assert_eq!(d.load(Ordering::SeqCst), 0, "fired at count {c}");
+            assert_eq!(d.get(), 0, "fired at count {c}");
         }
         pre(&mut nem, 3, &[100, 3]);
-        assert_eq!(d.load(Ordering::SeqCst), 1);
+        assert_eq!(d.get(), 1);
         assert_eq!(nem.take_injections()[0].time, 3);
     }
 
@@ -969,8 +967,8 @@ mod tests {
             assert_eq!(crashes, vec![ProcId(7)], "the buffer is only appended to");
         }
         assert!(nem.take_injections().is_empty());
-        assert_eq!(d.load(Ordering::SeqCst), 2);
+        assert_eq!(d.get(), 2);
         post(&mut nem, 4, ProcId(1), &[]);
-        assert_eq!(d.load(Ordering::SeqCst), 3);
+        assert_eq!(d.get(), 3);
     }
 }

@@ -31,13 +31,12 @@
 //! decision window its [`DecisionLog`] was built for.
 
 use crate::ids::ProcId;
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// What a schedule may inspect when choosing the next process.
 #[derive(Debug)]
@@ -100,7 +99,7 @@ impl ScheduleView<'_> {
 ///
 /// If the returned process is not runnable, the runner falls back to the
 /// next runnable process in id order (so schedules may ignore crashes).
-pub trait Schedule: Send {
+pub trait Schedule {
     /// The process to step at time `view.time`.
     fn next(&mut self, view: &ScheduleView<'_>) -> ProcId;
 
@@ -481,7 +480,7 @@ pub struct Decision {
 #[derive(Clone)]
 pub struct DecisionLog {
     window: Range<u64>,
-    inner: Arc<Mutex<Vec<Decision>>>,
+    inner: Rc<RefCell<Vec<Decision>>>,
 }
 
 impl DecisionLog {
@@ -490,27 +489,27 @@ impl DecisionLog {
     pub fn new(window: Range<u64>) -> Self {
         DecisionLog {
             window,
-            inner: Arc::default(),
+            inner: Rc::default(),
         }
     }
 
     /// Number of recorded decisions.
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        self.inner.borrow().len()
     }
 
     /// Whether no decision has been recorded yet.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
+        self.inner.borrow().is_empty()
     }
 
     /// Copies out all recorded decisions, in decision order.
     pub fn snapshot(&self) -> Vec<Decision> {
-        self.inner.lock().clone()
+        self.inner.borrow().clone()
     }
 
     fn push(&self, d: Decision) {
-        self.inner.lock().push(d);
+        self.inner.borrow_mut().push(d);
     }
 }
 
@@ -605,10 +604,10 @@ struct CtlState {
 
 #[derive(Default)]
 struct CtlShared {
-    sets: Mutex<CtlState>,
-    /// Bumped by every mutation while `sets` is locked, so a schedule
-    /// that sees an unchanged version can skip re-reading the sets.
-    version: AtomicU64,
+    sets: RefCell<CtlState>,
+    /// Bumped by every mutation, so a schedule that sees an unchanged
+    /// version can skip re-reading the sets.
+    version: Cell<u64>,
 }
 
 /// Shared control handle of a [`NemesisSchedule`].
@@ -619,7 +618,7 @@ struct CtlShared {
 /// points, so they are deterministic.
 #[derive(Clone, Default)]
 pub struct ScheduleCtl {
-    inner: Arc<CtlShared>,
+    inner: Rc<CtlShared>,
 }
 
 impl ScheduleCtl {
@@ -629,11 +628,8 @@ impl ScheduleCtl {
     }
 
     fn update(&self, f: impl FnOnce(&mut CtlState)) {
-        let mut sets = self.inner.sets.lock();
-        f(&mut sets);
-        // SeqCst, and bumped before the lock is released: a reader that
-        // loads the new version and then locks sees the new sets.
-        self.inner.version.fetch_add(1, Ordering::SeqCst);
+        f(&mut self.inner.sets.borrow_mut());
+        self.inner.version.set(self.inner.version.get() + 1);
     }
 
     /// Removes `p` from the timely set: its step gaps start doubling, so
@@ -669,7 +665,7 @@ impl ScheduleCtl {
     /// Snapshot of the currently perturbed (demoted or flickering)
     /// processes.
     pub fn perturbed(&self) -> Vec<ProcId> {
-        let st = self.inner.sets.lock();
+        let st = self.inner.sets.borrow();
         st.demoted
             .union(&st.flickering)
             .copied()
@@ -749,7 +745,7 @@ impl NemesisSchedule {
     /// demoted or flickering process starts its pacing at `t`, a
     /// released one stops.
     fn sync(&mut self, n: usize, t: u64) {
-        let version = self.ctl.inner.version.load(Ordering::SeqCst);
+        let version = self.ctl.inner.version.get();
         if self.synced == Some((version, n)) {
             return;
         }
@@ -763,7 +759,7 @@ impl NemesisSchedule {
         self.synced = Some((version, n));
         self.demoted.clear();
         self.flickering.clear();
-        let st = self.ctl.inner.sets.lock();
+        let st = self.ctl.inner.sets.borrow();
         for p in 0..n {
             let s = &mut self.slow[p];
             if !st.demoted.contains(&p) {

@@ -52,9 +52,7 @@ pub enum Control {
 /// extent in the paper's model.
 ///
 /// A stepper stays on the thread that polls it, so the trait does not
-/// ask for `Send`; a backend that runs tasks on threads of their own
-/// moves a `Send` maker of the stepper instead (see
-/// [`TaskSpawner`](crate::TaskSpawner)).
+/// ask for `Send`.
 pub trait Stepper {
     /// Executes one segment. See the trait docs for the contract.
     fn step(&mut self, ctx: &mut StepCtx<'_>) -> Control;

@@ -26,8 +26,8 @@
 use crate::object::ObjectType;
 use crate::qa::{Entry, QaSession, Replica};
 use crate::tbwf::Fig8;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 use tbwf_registers::{RegisterFactory, SharedAtomic, SharedCas};
 use tbwf_sim::{step, Env, ProcId};
 
@@ -68,8 +68,8 @@ pub struct FlmsShared {
 
 impl FlmsShared {
     /// Creates the booster's shared registers for `n` processes.
-    pub fn new(factory: &RegisterFactory, n: usize) -> Arc<Self> {
-        Arc::new(FlmsShared {
+    pub fn new(factory: &RegisterFactory, n: usize) -> Rc<Self> {
+        Rc::new(FlmsShared {
             panic: factory.atomic("FLMS.panic", false),
             ts: (0..n)
                 .map(|q| factory.atomic(&format!("FLMS.ts[{q}]"), TS_INF))
@@ -149,11 +149,11 @@ pub async fn invoke_flms<T: ObjectType>(
 
 /// Herlihy-style wait-free universal construction from CAS, with helping.
 pub struct CasUniversal<T: ObjectType> {
-    ty: Arc<T>,
+    ty: Rc<T>,
     n: usize,
-    factory: Arc<RegisterFactory>,
+    factory: Rc<RegisterFactory>,
     announce: Vec<SharedAtomic<Option<Entry<T::Op>>>>,
-    decisions: Mutex<Vec<DecisionReg<T>>>,
+    decisions: RefCell<Vec<DecisionReg<T>>>,
 }
 
 /// One slot's decision register in the CAS construction.
@@ -161,32 +161,32 @@ type DecisionReg<T> = SharedCas<Option<Entry<<T as ObjectType>::Op>>>;
 
 impl<T: ObjectType> CasUniversal<T> {
     /// Creates the shared object for `n` processes.
-    pub fn new(ty: T, n: usize, factory: Arc<RegisterFactory>) -> Arc<Self> {
+    pub fn new(ty: T, n: usize, factory: Rc<RegisterFactory>) -> Rc<Self> {
         let announce = (0..n)
             .map(|q| factory.atomic(&format!("Announce[{q}]"), None))
             .collect();
-        Arc::new(CasUniversal {
-            ty: Arc::new(ty),
+        Rc::new(CasUniversal {
+            ty: Rc::new(ty),
             n,
             factory,
             announce,
-            decisions: Mutex::new(Vec::new()),
+            decisions: RefCell::new(Vec::new()),
         })
     }
 
     fn decision(&self, s: usize) -> DecisionReg<T> {
-        let mut d = self.decisions.lock();
+        let mut d = self.decisions.borrow_mut();
         while d.len() <= s {
             let i = d.len();
             d.push(self.factory.cas(&format!("Decide[{i}]"), None));
         }
-        Arc::clone(&d[s])
+        Rc::clone(&d[s])
     }
 
     /// Opens a session for process `p`.
-    pub fn session(self: &Arc<Self>, p: ProcId) -> CasSession<T> {
+    pub fn session(self: &Rc<Self>, p: ProcId) -> CasSession<T> {
         CasSession {
-            obj: Arc::clone(self),
+            obj: Rc::clone(self),
             p,
             replica: Replica::new(&self.ty, self.n),
             my_seq: 0,
@@ -196,7 +196,7 @@ impl<T: ObjectType> CasUniversal<T> {
 
 /// Per-process handle on a [`CasUniversal`] object.
 pub struct CasSession<T: ObjectType> {
-    obj: Arc<CasUniversal<T>>,
+    obj: Rc<CasUniversal<T>>,
     p: ProcId,
     replica: Replica<T>,
     my_seq: u64,
@@ -247,8 +247,8 @@ mod tests {
     use tbwf_registers::RegisterFactoryConfig;
     use tbwf_sim::FreeRunEnv;
 
-    fn factory() -> Arc<RegisterFactory> {
-        Arc::new(RegisterFactory::new(RegisterFactoryConfig::default()))
+    fn factory() -> Rc<RegisterFactory> {
+        Rc::new(RegisterFactory::new(RegisterFactoryConfig::default()))
     }
 
     #[test]
@@ -287,7 +287,7 @@ mod tests {
     #[test]
     fn flms_solo_completes() {
         let f = factory();
-        let obj = QaObject::new(Counter, 2, Arc::clone(&f));
+        let obj = QaObject::new(Counter, 2, Rc::clone(&f));
         let shared = FlmsShared::new(&f, 2);
         let env = FreeRunEnv::new(ProcId(0));
         let mut s = obj.session(ProcId(0));

@@ -15,12 +15,12 @@ use std::sync::Arc;
 use tbwf_omega::harness::install_omega;
 use tbwf_omega::OmegaKind;
 use tbwf_registers::{OpLog, RegisterFactory, RegisterFactoryConfig};
-use tbwf_sim::{spawn_task, Env, ProcId, RunConfig, RunReport, SimBuilder};
+use tbwf_sim::{Env, ProcId, RunConfig, RunReport, SimBuilder};
 
 /// Observation key: number of completed operations of a worker.
 pub const OBS_COMPLETED: &str = "completed";
 /// Observation key: each response value returned to a worker.
-pub const OBS_RESP: &str = "resp";
+const OBS_RESP: &str = "resp";
 
 /// The progress engine a workload runs on.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -79,9 +79,9 @@ fn add_worker(
     b: &mut SimBuilder,
     p: usize,
     ops: u64,
-    inc: impl AsyncFnMut(&dyn Env) -> i64 + Send + 'static,
+    inc: impl AsyncFnMut(&dyn Env) -> i64 + 'static,
 ) {
-    spawn_task(b, ProcId(p), "worker", move |env| worker(env, ops, inc));
+    b.spawn_task(ProcId(p), "worker", move |env| worker(env, ops, inc));
 }
 
 /// The result of a workload run.
@@ -97,8 +97,8 @@ pub struct WorkloadOutput {
 }
 
 impl WorkloadOutput {
-    /// All responses across processes (for linearizability checks).
-    pub fn all_responses(&self) -> Vec<i64> {
+    /// All responses across processes.
+    fn all_responses(&self) -> Vec<i64> {
         self.responses.iter().flatten().copied().collect()
     }
 
@@ -123,7 +123,7 @@ impl WorkloadOutput {
 
 /// Builds and runs an n-process increment workload on the chosen engine.
 pub fn run_counter_workload(cfg: &WorkloadConfig, run: RunConfig) -> WorkloadOutput {
-    let factory = Arc::new(RegisterFactory::new(cfg.factory));
+    let factory = Rc::new(RegisterFactory::new(cfg.factory));
     let mut b = SimBuilder::new();
     for p in 0..cfg.n {
         b.add_process(&format!("p{p}"));
@@ -134,7 +134,7 @@ pub fn run_counter_workload(cfg: &WorkloadConfig, run: RunConfig) -> WorkloadOut
         Engine::Tbwf(kind) | Engine::TbwfNonCanonical(kind) => {
             let canonical = matches!(cfg.engine, Engine::Tbwf(_));
             let omega_handles = install_omega(&mut b, &factory, cfg.n, kind);
-            let obj = QaObject::new(Counter, cfg.n, Arc::clone(&factory));
+            let obj = QaObject::new(Counter, cfg.n, Rc::clone(&factory));
             for p in 0..cfg.n {
                 let mut session = obj.session(ProcId(p));
                 let omega = omega_handles[p].clone();
@@ -144,7 +144,7 @@ pub fn run_counter_workload(cfg: &WorkloadConfig, run: RunConfig) -> WorkloadOut
             }
         }
         Engine::PlainOf => {
-            let obj = QaObject::new(Counter, cfg.n, Arc::clone(&factory));
+            let obj = QaObject::new(Counter, cfg.n, Rc::clone(&factory));
             for p in 0..cfg.n {
                 let mut session = obj.session(ProcId(p));
                 add_worker(&mut b, p, ops, async move |env| {
@@ -153,18 +153,18 @@ pub fn run_counter_workload(cfg: &WorkloadConfig, run: RunConfig) -> WorkloadOut
             }
         }
         Engine::FlmsBoost => {
-            let obj = QaObject::new(Counter, cfg.n, Arc::clone(&factory));
+            let obj = QaObject::new(Counter, cfg.n, Rc::clone(&factory));
             let shared = FlmsShared::new(&factory, cfg.n);
             for p in 0..cfg.n {
                 let mut session = obj.session(ProcId(p));
-                let shared = Arc::clone(&shared);
+                let shared = Rc::clone(&shared);
                 add_worker(&mut b, p, ops, async move |env| {
                     invoke_flms(env, &mut session, &shared, CounterOp::Inc).await
                 });
             }
         }
         Engine::HerlihyCas => {
-            let obj = CasUniversal::new(Counter, cfg.n, Arc::clone(&factory));
+            let obj = CasUniversal::new(Counter, cfg.n, Rc::clone(&factory));
             for p in 0..cfg.n {
                 let mut session = obj.session(ProcId(p));
                 add_worker(&mut b, p, ops, async move |env| {

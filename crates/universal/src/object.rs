@@ -7,13 +7,13 @@ use std::fmt;
 ///
 /// Instances (not just the type) define the object, so configurable types
 /// (e.g. a register file with `k` registers) are ordinary values.
-pub trait ObjectType: Send + Sync + 'static {
+pub trait ObjectType: 'static {
     /// The state of the object.
-    type State: Clone + PartialEq + fmt::Debug + Send + Sync;
+    type State: Clone + PartialEq + fmt::Debug;
     /// The operations of the object.
-    type Op: Clone + PartialEq + fmt::Debug + Send + Sync;
+    type Op: Clone + PartialEq + fmt::Debug;
     /// The responses of the object.
-    type Resp: Clone + PartialEq + fmt::Debug + Send + Sync;
+    type Resp: Clone + PartialEq + fmt::Debug;
 
     /// The initial state.
     fn initial(&self) -> Self::State;

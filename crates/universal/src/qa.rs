@@ -59,9 +59,9 @@
 //! step; the local code between two of them runs within one step.
 
 use crate::object::{ObjectType, Outcome};
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::rc::Rc;
 use tbwf_registers::{ReadOutcome, RegisterFactory, SharedAbortable};
 use tbwf_sim::{Env, ProcId};
 
@@ -85,7 +85,7 @@ pub struct Entry<Op> {
 /// two slots takes effect once. Shared by [`QaSession`] and the CAS
 /// baseline's session.
 pub(crate) struct Replica<T: ObjectType> {
-    ty: Arc<T>,
+    ty: Rc<T>,
     state: T::State,
     last_of: Vec<Option<(u64, T::Resp)>>,
     len: usize,
@@ -93,10 +93,10 @@ pub(crate) struct Replica<T: ObjectType> {
 
 impl<T: ObjectType> Replica<T> {
     /// The empty log's replica for `n` proposers.
-    pub(crate) fn new(ty: &Arc<T>, n: usize) -> Self {
+    pub(crate) fn new(ty: &Rc<T>, n: usize) -> Self {
         Replica {
             state: ty.initial(),
-            ty: Arc::clone(ty),
+            ty: Rc::clone(ty),
             last_of: vec![None; n],
             len: 0,
         }
@@ -142,19 +142,19 @@ struct RoundRegs<Op> {
 
 struct SlotRegs<Op> {
     d: SharedAbortable<Option<Entry<Op>>>,
-    rounds: Mutex<Vec<Arc<RoundRegs<Op>>>>,
+    rounds: RefCell<Vec<Rc<RoundRegs<Op>>>>,
 }
 
 /// The shared part of the query-abortable object: its register space.
 ///
 /// ```
-/// use std::sync::Arc;
+/// use std::rc::Rc;
 /// use tbwf_registers::{RegisterFactory, RegisterFactoryConfig};
 /// use tbwf_sim::{FreeRunEnv, ProcId};
 /// use tbwf_universal::object::{Counter, CounterOp};
 /// use tbwf_universal::{Outcome, QaObject};
 ///
-/// let factory = Arc::new(RegisterFactory::new(RegisterFactoryConfig::default()));
+/// let factory = Rc::new(RegisterFactory::new(RegisterFactoryConfig::default()));
 /// let obj = QaObject::new(Counter, 2, factory);
 /// let mut session = obj.session(ProcId(0));
 /// let env = FreeRunEnv::new(ProcId(0));
@@ -164,21 +164,21 @@ struct SlotRegs<Op> {
 /// assert_eq!(out, Outcome::Done(1));
 /// ```
 pub struct QaObject<T: ObjectType> {
-    ty: Arc<T>,
+    ty: Rc<T>,
     n: usize,
-    factory: Arc<RegisterFactory>,
-    slots: Mutex<Vec<Arc<SlotRegs<T::Op>>>>,
+    factory: Rc<RegisterFactory>,
+    slots: RefCell<Vec<Rc<SlotRegs<T::Op>>>>,
 }
 
 impl<T: ObjectType> QaObject<T> {
     /// Creates the shared object for `n` processes, allocating registers
     /// lazily from `factory`.
-    pub fn new(ty: T, n: usize, factory: Arc<RegisterFactory>) -> Arc<Self> {
-        Arc::new(QaObject {
-            ty: Arc::new(ty),
+    pub fn new(ty: T, n: usize, factory: Rc<RegisterFactory>) -> Rc<Self> {
+        Rc::new(QaObject {
+            ty: Rc::new(ty),
             n,
             factory,
-            slots: Mutex::new(Vec::new()),
+            slots: RefCell::new(Vec::new()),
         })
     }
 
@@ -192,20 +192,20 @@ impl<T: ObjectType> QaObject<T> {
         &self.ty
     }
 
-    fn slot(&self, s: usize) -> Arc<SlotRegs<T::Op>> {
-        let mut slots = self.slots.lock();
+    fn slot(&self, s: usize) -> Rc<SlotRegs<T::Op>> {
+        let mut slots = self.slots.borrow_mut();
         while slots.len() <= s {
             let i = slots.len();
-            slots.push(Arc::new(SlotRegs {
+            slots.push(Rc::new(SlotRegs {
                 d: self.factory.abortable(&format!("D[{i}]"), None),
-                rounds: Mutex::new(Vec::new()),
+                rounds: RefCell::new(Vec::new()),
             }));
         }
-        Arc::clone(&slots[s])
+        Rc::clone(&slots[s])
     }
 
-    fn round(&self, slot_idx: usize, slot: &SlotRegs<T::Op>, r: usize) -> Arc<RoundRegs<T::Op>> {
-        let mut rounds = slot.rounds.lock();
+    fn round(&self, slot_idx: usize, slot: &SlotRegs<T::Op>, r: usize) -> Rc<RoundRegs<T::Op>> {
+        let mut rounds = slot.rounds.borrow_mut();
         while rounds.len() <= r {
             let ri = rounds.len();
             let a = (0..self.n)
@@ -226,16 +226,16 @@ impl<T: ObjectType> QaObject<T> {
                     )
                 })
                 .collect();
-            rounds.push(Arc::new(RoundRegs { a, b }));
+            rounds.push(Rc::new(RoundRegs { a, b }));
         }
-        Arc::clone(&rounds[r])
+        Rc::clone(&rounds[r])
     }
 
     /// Opens a session for process `p`. Each process must use exactly one
     /// session for the lifetime of the object.
-    pub fn session(self: &Arc<Self>, p: ProcId) -> QaSession<T> {
+    pub fn session(self: &Rc<Self>, p: ProcId) -> QaSession<T> {
         QaSession {
-            obj: Arc::clone(self),
+            obj: Rc::clone(self),
             p,
             replica: Replica::new(&self.ty, self.n),
             my_seq: 0,
@@ -248,7 +248,6 @@ impl<T: ObjectType> QaObject<T> {
             b_written: false,
             known_decided: BTreeMap::new(),
             last_fate: None,
-            stats: SessionStats::default(),
         }
     }
 }
@@ -260,23 +259,10 @@ struct PendingOp<Op> {
     exposed: BTreeSet<usize>,
 }
 
-/// Counters describing one session's activity (for experiments).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SessionStats {
-    /// `apply` invocations.
-    pub applies: u64,
-    /// `query` invocations.
-    pub queries: u64,
-    /// Invocations that returned `Done`.
-    pub dones: u64,
-    /// Consensus rounds in which this session committed a value.
-    pub commits: u64,
-}
-
 /// One process's handle on a [`QaObject`]: its replica, pending operation
 /// and consensus-round state.
 pub struct QaSession<T: ObjectType> {
-    obj: Arc<QaObject<T>>,
+    obj: Rc<QaObject<T>>,
     p: ProcId,
     /// The replayed log; its length is the *frontier slot*, the first
     /// slot this session does not know to be decided.
@@ -296,18 +282,12 @@ pub struct QaSession<T: ObjectType> {
     /// answering for it after resolution (footnote 3: query reports the
     /// fate of the last non-query operation).
     last_fate: Option<Outcome<T::Resp>>,
-    stats: SessionStats,
 }
 
 impl<T: ObjectType> QaSession<T> {
     /// The owning process.
     pub fn pid(&self) -> ProcId {
         self.p
-    }
-
-    /// Session statistics.
-    pub fn stats(&self) -> SessionStats {
-        self.stats
     }
 
     /// A read-only view of the replica (the state after all decided
@@ -360,7 +340,6 @@ impl<T: ObjectType> QaSession<T> {
     /// Panics if a *different* operation is still pending (protocol
     /// misuse: its fate must be resolved through `query` first).
     pub async fn apply(&mut self, env: &dyn Env, op: T::Op) -> Outcome<T::Resp> {
-        self.stats.applies += 1;
         match &self.pending {
             None => {
                 self.my_seq += 1;
@@ -394,7 +373,6 @@ impl<T: ObjectType> QaSession<T> {
     /// already exposed to — if all exposures are closed, `query` answers
     /// `F` before proposing anywhere.
     pub async fn query(&mut self, env: &dyn Env) -> Outcome<T::Resp> {
-        self.stats.queries += 1;
         self.invoke(env, true).await
     }
 
@@ -405,7 +383,6 @@ impl<T: ObjectType> QaSession<T> {
         loop {
             let clean = self.catch_up(env).await;
             if let Some(out) = self.check_resolved() {
-                self.stats.dones += 1;
                 return out;
             }
             if query {
@@ -537,7 +514,6 @@ impl<T: ObjectType> QaSession<T> {
         if b_view.iter().all(|(c, w)| *c && w == first) {
             // Commit: the decision for slot `s` is `first`.
             let w = first.clone();
-            self.stats.commits += 1;
             self.known_decided.insert(s, w.clone());
             // Best-effort persist; an abort is fine (we know the
             // decision, and others re-derive it through the round chain).
@@ -578,8 +554,8 @@ mod tests {
     use tbwf_registers::RegisterFactoryConfig;
     use tbwf_sim::FreeRunEnv;
 
-    fn solo_setup() -> (Arc<QaObject<Counter>>, FreeRunEnv) {
-        let factory = Arc::new(RegisterFactory::new(RegisterFactoryConfig::default()));
+    fn solo_setup() -> (Rc<QaObject<Counter>>, FreeRunEnv) {
+        let factory = Rc::new(RegisterFactory::new(RegisterFactoryConfig::default()));
         let obj = QaObject::new(Counter, 2, factory);
         (obj, FreeRunEnv::new(ProcId(0)))
     }
@@ -720,16 +696,5 @@ mod tests {
             exposed: BTreeSet::new(),
         });
         let _ = apply(&mut s, &env, CounterOp::Inc);
-    }
-
-    #[test]
-    fn stats_track_activity() {
-        let (obj, env) = solo_setup();
-        let mut s = obj.session(ProcId(0));
-        complete(&mut s, &env, CounterOp::Inc, 10);
-        let st = s.stats();
-        assert!(st.applies >= 1);
-        assert!(st.dones >= 1);
-        assert!(st.commits >= 1);
     }
 }

@@ -7,7 +7,7 @@
 //! be a single consistent sequential history.
 
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::rc::Rc;
 use tbwf_registers::{RegisterFactory, RegisterFactoryConfig};
 use tbwf_sim::{FreeRunEnv, ProcId};
 use tbwf_universal::object::{Counter, CounterOp};
@@ -37,7 +37,7 @@ proptest! {
     /// responses are distinct and the union is exactly 1..=total.
     #[test]
     fn interleaved_increments_linearize(script in prop::collection::vec(0usize..3, 1..40), seed in 0u64..100) {
-        let factory = Arc::new(RegisterFactory::new(RegisterFactoryConfig { seed, ..Default::default() }));
+        let factory = Rc::new(RegisterFactory::new(RegisterFactoryConfig { seed, ..Default::default() }));
         let obj = QaObject::new(Counter, 3, factory);
         let envs: Vec<FreeRunEnv> = (0..3).map(|p| FreeRunEnv::new(ProcId(p))).collect();
         let mut sessions: Vec<QaSession<Counter>> =
@@ -56,7 +56,7 @@ proptest! {
     /// decided before it (session-local monotone view).
     #[test]
     fn gets_are_monotone(script in prop::collection::vec((0usize..3, prop::bool::ANY), 1..40)) {
-        let factory = Arc::new(RegisterFactory::new(RegisterFactoryConfig::default()));
+        let factory = Rc::new(RegisterFactory::new(RegisterFactoryConfig::default()));
         let obj = QaObject::new(Counter, 3, factory);
         let envs: Vec<FreeRunEnv> = (0..3).map(|p| FreeRunEnv::new(ProcId(p))).collect();
         let mut sessions: Vec<QaSession<Counter>> =
@@ -77,7 +77,7 @@ proptest! {
     /// All sessions converge to the same replica after replaying.
     #[test]
     fn replicas_agree_after_full_replay(script in prop::collection::vec(0usize..2, 1..30)) {
-        let factory = Arc::new(RegisterFactory::new(RegisterFactoryConfig::default()));
+        let factory = Rc::new(RegisterFactory::new(RegisterFactoryConfig::default()));
         let obj = QaObject::new(Counter, 2, factory);
         let envs: Vec<FreeRunEnv> = (0..2).map(|p| FreeRunEnv::new(ProcId(p))).collect();
         let mut sessions: Vec<QaSession<Counter>> =
