@@ -15,6 +15,13 @@
 //! therefore produces byte-identical output for any worker count — the
 //! property the E12 determinism test pins down.
 //!
+//! This is the only place a run meets another thread. A run's shared
+//! state (registers, process locals, schedule controls) lives in `Rc`
+//! and `RefCell` cells and is not `Send`, so a job builds and runs its
+//! campaign inside the worker: run descriptions go in by shared
+//! reference and `Send` outcomes come out, and the compiler rejects a
+//! job that tries to carry a run's objects across.
+//!
 //! Worker count resolution (first match wins):
 //!
 //! 1. an explicit `--jobs N` CLI value, passed as `Some(n)` to
