@@ -20,18 +20,18 @@ use tbwf_sim::{Env, Local, ProcId};
 /// `complete_` of an operation by `p`, which is the window a
 /// crash-mid-operation injection targets.
 #[derive(Default)]
-pub struct InflightGauges {
+pub(crate) struct InflightGauges {
     cells: RefCell<Vec<Local<i64>>>,
 }
 
 impl InflightGauges {
     /// Creates gauges with all counters at zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// The shared counter of process `p` (created on first use).
-    pub fn cell(&self, p: ProcId) -> Local<i64> {
+    pub(crate) fn cell(&self, p: ProcId) -> Local<i64> {
         let mut cells = self.cells.borrow_mut();
         while cells.len() <= p.0 {
             cells.push(Local::new(0));

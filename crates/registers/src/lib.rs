@@ -55,7 +55,6 @@ mod policy;
 pub mod stats;
 
 pub use cas::{CasRegister, SharedCas};
-pub use core_reg::InflightGauges;
 pub use factory::{RegisterFactory, RegisterFactoryConfig};
 pub use outcome::{ReadOutcome, WriteOutcome};
 pub use policy::{
