@@ -14,7 +14,7 @@
 //! returns it snatches leadership back — oscillation forever.
 
 use tbwf_bench::print_table;
-use tbwf_omega::harness::{install_omega_with, OmegaOptions};
+use tbwf_omega::harness::install_omega_with;
 use tbwf_omega::{add_candidate_driver, CandidateScript, OmegaKind, OBS_LEADER};
 use tbwf_registers::RegisterFactory;
 use tbwf_sim::schedule::RoundRobin;
@@ -26,13 +26,7 @@ fn run_blinker(self_punish: bool, steps: u64) -> (usize, Vec<i64>) {
     for p in 0..2 {
         b.add_process(&format!("p{p}"));
     }
-    let handles = install_omega_with(
-        &mut b,
-        &factory,
-        2,
-        OmegaKind::Atomic,
-        OmegaOptions { self_punish },
-    );
+    let handles = install_omega_with(&mut b, &factory, 2, OmegaKind::Atomic, self_punish);
     add_candidate_driver(
         &mut b,
         ProcId(0),

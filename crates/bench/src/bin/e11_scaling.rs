@@ -23,7 +23,7 @@
 
 use std::process::ExitCode;
 use tbwf::prelude::*;
-use tbwf_bench::print_table;
+use tbwf_bench::{positive_arg, print_table};
 use tbwf_omega::spec::convergence_time;
 use tbwf_sim::{resolve_jobs, Executor};
 
@@ -41,16 +41,7 @@ fn parse_args(args: &[String]) -> Result<Option<usize>, String> {
     while i < args.len() {
         match args[i].as_str() {
             "--jobs" => {
-                let raw = args
-                    .get(i + 1)
-                    .ok_or_else(|| "--jobs needs a number".to_string())?;
-                let v: usize = raw
-                    .parse()
-                    .map_err(|_| format!("--jobs: {raw:?} is not a number"))?;
-                if v == 0 {
-                    return Err("--jobs must be at least 1".into());
-                }
-                jobs = Some(v);
+                jobs = Some(positive_arg(args, i + 1, "--jobs")?);
                 i += 1;
             }
             other => return Err(format!("unknown argument {other:?}")),

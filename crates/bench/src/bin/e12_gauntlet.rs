@@ -26,7 +26,7 @@ use tbwf_bench::gauntlet::{
     ablation_scenario, artifact_json, campaign_list, read_artifact, run_campaigns, run_scenario,
     shrink, write_artifact, SystemKind,
 };
-use tbwf_bench::print_table;
+use tbwf_bench::{positive_arg, print_table};
 use tbwf_sim::{resolve_jobs, Executor};
 
 const RESULTS_DIR: &str = "results";
@@ -46,19 +46,6 @@ struct Cli {
     jobs: Option<usize>,
     run_ablation: bool,
     repro: Option<String>,
-}
-
-fn positive_arg(args: &[String], i: usize, flag: &str) -> Result<usize, String> {
-    let raw = args
-        .get(i)
-        .ok_or_else(|| format!("{flag} needs a number"))?;
-    let v: usize = raw
-        .parse()
-        .map_err(|_| format!("{flag}: {raw:?} is not a number"))?;
-    if v == 0 {
-        return Err(format!("{flag} must be at least 1"));
-    }
-    Ok(v)
 }
 
 fn parse_args(args: &[String]) -> Result<Cli, String> {

@@ -33,7 +33,7 @@ use tbwf::{TbwfRun, TbwfSystemBuilder, Workload};
 use tbwf_monitor::fig2::{OBS_FAULT, OBS_STATUS};
 use tbwf_monitor::props::{check_pair, CheckParams, PairRun};
 use tbwf_monitor::MonitorMesh;
-use tbwf_omega::harness::{install_omega_with, OmegaOptions};
+use tbwf_omega::harness::install_omega_with;
 use tbwf_omega::spec::{check_spec, OmegaRunData, SpecParams};
 use tbwf_omega::{add_external_candidate_driver, OmegaKind, OBS_LEADER};
 use tbwf_registers::{RegisterFactory, RegisterFactoryConfig};
@@ -380,15 +380,7 @@ fn run_omega(sc: &Scenario, mk_schedule: MkSchedule<'_>) -> (Outcome, RunReport)
     for p in 0..sc.n {
         b.add_process(&format!("p{p}"));
     }
-    let handles = install_omega_with(
-        &mut b,
-        &factory,
-        sc.n,
-        kind,
-        OmegaOptions {
-            self_punish: sc.self_punish,
-        },
-    );
+    let handles = install_omega_with(&mut b, &factory, sc.n, kind, sc.self_punish);
     let ctl = ScheduleCtl::new();
     let mut nem = base_nemesis(sc, &factory, &ctl);
     for (p, h) in handles.iter().enumerate() {

@@ -1,4 +1,4 @@
-//! Shared helpers for the experiment binaries (E1–E12 and `explore`).
+//! Shared helpers for the experiment binaries (E1–E13 and `explore`).
 //! See `EXPERIMENTS.md` at the workspace root for the mapping from
 //! experiments to paper claims.
 
@@ -38,6 +38,25 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
+/// Parses `args[i]`, the value of the CLI flag `flag`, as a count of at
+/// least 1.
+///
+/// # Errors
+///
+/// Names the flag when the value is missing, not a number, or zero.
+pub fn positive_arg(args: &[String], i: usize, flag: &str) -> Result<usize, String> {
+    let raw = args
+        .get(i)
+        .ok_or_else(|| format!("{flag} needs a number"))?;
+    let v: usize = raw
+        .parse()
+        .map_err(|_| format!("{flag}: {raw:?} is not a number"))?;
+    if v == 0 {
+        return Err(format!("{flag} must be at least 1"));
+    }
+    Ok(v)
+}
+
 /// Deterministic seed list for multi-seed experiments.
 pub fn seeds(k: usize) -> Vec<u64> {
     (0..k as u64).map(|i| 0xE4B5 + i * 7919).collect()
@@ -64,6 +83,24 @@ mod tests {
     fn summarize_formats() {
         assert_eq!(summarize(&[1, 5, 3]), "1..5 (S9)");
         assert_eq!(summarize(&[]), "-");
+    }
+
+    #[test]
+    fn positive_arg_accepts_only_counts() {
+        let args: Vec<String> = ["--jobs", "x", "0", "3"].map(String::from).into();
+        assert_eq!(positive_arg(&args, 3, "--jobs"), Ok(3));
+        assert_eq!(
+            positive_arg(&args, 4, "--jobs"),
+            Err("--jobs needs a number".to_string())
+        );
+        assert_eq!(
+            positive_arg(&args, 1, "--jobs"),
+            Err("--jobs: \"x\" is not a number".to_string())
+        );
+        assert_eq!(
+            positive_arg(&args, 2, "--jobs"),
+            Err("--jobs must be at least 1".to_string())
+        );
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use tbwf_bench::gauntlet::write_artifact;
-use tbwf_bench::print_table;
+use tbwf_bench::{positive_arg, print_table};
 use tbwf_check::{
     ablation_config, check, counterexample_from_artifact, replay_counterexample, suite,
     CheckReport, SuiteScale,
@@ -47,19 +47,6 @@ struct Cli {
     jobs: Option<usize>,
     run_ablation: bool,
     repro: Option<String>,
-}
-
-fn positive_arg(args: &[String], i: usize, flag: &str) -> Result<usize, String> {
-    let raw = args
-        .get(i)
-        .ok_or_else(|| format!("{flag} needs a number"))?;
-    let v: usize = raw
-        .parse()
-        .map_err(|_| format!("{flag}: {raw:?} is not a number"))?;
-    if v == 0 {
-        return Err(format!("{flag} must be at least 1"));
-    }
-    Ok(v)
 }
 
 fn parse_args(args: &[String]) -> Result<Cli, String> {

@@ -83,11 +83,22 @@ fn malformed_artifacts_are_refused() {
             edited(|t| t.replace("cand[0]", "cand[7]")),
         ),
         ("not_json", "{\"scenario\": ".to_string()),
+        (
+            "after_proc_steps",
+            edited(|t| {
+                let steps = "\"after_proc_steps\": {\"proc\": 0, \"count\": 2000}";
+                t.replacen("\"at\": 2000", steps, 1)
+            }),
+        ),
     ];
     for (name, text) in &cases {
         let (gauntlet, checker) = load(name, text);
-        assert!(gauntlet.is_err(), "{name}: the gauntlet accepted it");
-        assert!(checker.is_err(), "{name}: the checker accepted it");
+        for (loader, res) in [("gauntlet", gauntlet), ("checker", checker)] {
+            let err = res.expect_err(&format!("{name}: the {loader} accepted it"));
+            if *name == "after_proc_steps" {
+                assert!(err.contains("unknown trigger"), "{name}: {err}");
+            }
+        }
     }
 }
 

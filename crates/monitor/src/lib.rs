@@ -52,20 +52,6 @@ impl Status {
             Status::Inactive => 2,
         }
     }
-
-    /// Inverse of [`Status::code`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on codes other than 0, 1, 2.
-    pub fn from_code(code: i64) -> Self {
-        match code {
-            0 => Status::Unknown,
-            1 => Status::Active,
-            2 => Status::Inactive,
-            other => panic!("invalid status code {other}"),
-        }
-    }
 }
 
 impl fmt::Display for Status {
@@ -81,19 +67,6 @@ impl fmt::Display for Status {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn status_codes_roundtrip() {
-        for s in [Status::Unknown, Status::Active, Status::Inactive] {
-            assert_eq!(Status::from_code(s.code()), s);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid status code")]
-    fn bad_code_panics() {
-        let _ = Status::from_code(3);
-    }
 
     #[test]
     fn display() {

@@ -47,20 +47,6 @@ impl Default for OmegaSystemConfig {
     }
 }
 
-/// Behavioral options for [`install_omega_with`]; the default is the
-/// paper's exact algorithm, the other settings are ablation knobs.
-#[derive(Clone, Copy, Debug)]
-pub struct OmegaOptions {
-    /// Figure 3 lines 7–8 (self-punishment on re-candidacy).
-    pub self_punish: bool,
-}
-
-impl Default for OmegaOptions {
-    fn default() -> Self {
-        OmegaOptions { self_punish: true }
-    }
-}
-
 /// Installs the Ω∆ implementation (registers + algorithm tasks, but *no*
 /// candidate drivers) into `builder`. The `n` processes must already
 /// exist. Returns the per-process handles.
@@ -73,16 +59,18 @@ pub fn install_omega(
     n: usize,
     kind: OmegaKind,
 ) -> Vec<OmegaHandles> {
-    install_omega_with(b, factory, n, kind, OmegaOptions::default())
+    install_omega_with(b, factory, n, kind, true)
 }
 
-/// [`install_omega`] with explicit [`OmegaOptions`] (ablations).
+/// [`install_omega`] with the self-punishment of Figure 3 lines 7–8
+/// switchable: `self_punish = true` is the paper's exact algorithm,
+/// `false` the ablation.
 pub fn install_omega_with(
     b: &mut SimBuilder,
     factory: &RegisterFactory,
     n: usize,
     kind: OmegaKind,
-    options: OmegaOptions,
+    self_punish: bool,
 ) -> Vec<OmegaHandles> {
     let handles: Vec<OmegaHandles> = (0..n).map(|_| OmegaHandles::new()).collect();
     match kind {
@@ -98,7 +86,7 @@ pub fn install_omega_with(
                     handles: handles[p].clone(),
                     monitors: mesh.handles[p].clone(),
                     counter_regs: counter_regs.clone(),
-                    self_punish: options.self_punish,
+                    self_punish,
                 };
                 b.spawn_task(ProcId(p), "omega", |env| proc.run(env));
             }

@@ -6,7 +6,7 @@
 //! This guards against a vacuous checker (one that passes everything)
 //! using a real buggy implementation rather than a synthetic trace.
 
-use tbwf_omega::harness::{install_omega_with, OmegaOptions};
+use tbwf_omega::harness::install_omega_with;
 use tbwf_omega::{
     add_candidate_driver, check_spec, CandidateScript, OmegaKind, OmegaRunData, SpecParams,
 };
@@ -20,13 +20,7 @@ fn run_blinker_scenario(self_punish: bool) -> OmegaRunData {
     for p in 0..2 {
         b.add_process(&format!("p{p}"));
     }
-    let handles = install_omega_with(
-        &mut b,
-        &factory,
-        2,
-        OmegaKind::Atomic,
-        OmegaOptions { self_punish },
-    );
+    let handles = install_omega_with(&mut b, &factory, 2, OmegaKind::Atomic, self_punish);
     // p0: lowest id, blinks forever (R-candidate); p1: permanent.
     add_candidate_driver(
         &mut b,

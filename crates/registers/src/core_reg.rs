@@ -1,10 +1,10 @@
 //! The simulated register core: two-phase operations with overlap
-//! detection, and the three register kinds built on it.
+//! detection, and the two register kinds built on it.
 
 use crate::outcome::{ReadOutcome, WriteOutcome};
 use crate::policy::{AbortPolicy, EffectPolicy, PolicyDial};
 use crate::stats::{OpEvent, OpKind, OpLog};
-use crate::{AbortableRegister, AtomicRegister, OpToken, SafeRegister};
+use crate::{AbortableRegister, AtomicRegister, OpToken};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
@@ -25,11 +25,6 @@ pub(crate) struct InflightGauges {
 }
 
 impl InflightGauges {
-    /// Creates gauges with all counters at zero.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
     /// The shared counter of process `p` (created on first use).
     pub(crate) fn cell(&self, p: ProcId) -> Local<i64> {
         let mut cells = self.cells.borrow_mut();
@@ -40,17 +35,43 @@ impl InflightGauges {
     }
 }
 
+/// What every register of one factory shares: the operation log, the
+/// in-flight gauges, the policy dial and the base abort/effect policies.
+pub(crate) struct FactoryShared {
+    pub(crate) log: Arc<OpLog>,
+    pub(crate) gauges: InflightGauges,
+    pub(crate) dial: PolicyDial,
+    pub(crate) abort_policy: AbortPolicy,
+    pub(crate) effect_policy: EffectPolicy,
+}
+
+impl FactoryShared {
+    /// A fresh context with the given base policies.
+    pub(crate) fn new(abort_policy: AbortPolicy, effect_policy: EffectPolicy) -> Self {
+        FactoryShared {
+            log: Arc::new(OpLog::new()),
+            gauges: InflightGauges::default(),
+            dial: PolicyDial::new(),
+            abort_policy,
+            effect_policy,
+        }
+    }
+
+    /// The abort/effect policies in force right now (the base policies,
+    /// possibly overridden by the dial).
+    fn policies(&self) -> (AbortPolicy, EffectPolicy) {
+        self.dial.resolve((self.abort_policy, self.effect_policy))
+    }
+}
+
 /// An operation in flight between its invocation and response steps.
 struct Inflight<T> {
     id: u64,
-    kind: OpKind,
     /// The invoking process (its in-flight gauge is held until the
     /// response step).
     proc: ProcId,
     /// Set as soon as any other operation's interval overlaps this one.
     overlapped: bool,
-    /// Whether the overlap involved a write (needed by safe registers).
-    overlapped_write: bool,
     /// Time of the invocation step (for the operation log).
     invoked: u64,
     /// A write's value, captured at invocation.
@@ -72,14 +93,12 @@ struct CoreState<T> {
 pub(crate) struct RegCore<T> {
     name: String,
     state: RefCell<CoreState<T>>,
-    log: Arc<OpLog>,
-    gauges: Rc<InflightGauges>,
+    ctx: Rc<FactoryShared>,
 }
 
 /// What the core reports when an operation resolves.
 struct Resolution<T> {
     overlapped: bool,
-    overlapped_write: bool,
     /// Uniform samples for the abort and effect decisions.
     u_abort: f64,
     u_effect: f64,
@@ -93,7 +112,7 @@ struct Resolution<T> {
 }
 
 impl<T: Clone> RegCore<T> {
-    fn new(name: String, init: T, seed: u64, log: Arc<OpLog>, gauges: Rc<InflightGauges>) -> Self {
+    pub(crate) fn new(name: String, init: T, seed: u64, ctx: Rc<FactoryShared>) -> Self {
         RegCore {
             name,
             state: RefCell::new(CoreState {
@@ -103,8 +122,7 @@ impl<T: Clone> RegCore<T> {
                 rng: StdRng::seed_from_u64(seed),
                 gauge_cache: Vec::new(),
             }),
-            log,
-            gauges,
+            ctx,
         }
     }
 
@@ -115,7 +133,7 @@ impl<T: Clone> RegCore<T> {
             st.gauge_cache.resize(p.0 + 1, None);
         }
         st.gauge_cache[p.0]
-            .get_or_insert_with(|| self.gauges.cell(p))
+            .get_or_insert_with(|| self.ctx.gauges.cell(p))
             .update(|g| *g += delta);
     }
 
@@ -131,14 +149,8 @@ impl<T: Clone> RegCore<T> {
     /// survivors. Overlap marks already made by the dead operation stand:
     /// operations genuinely concurrent with it before the crash may still
     /// abort.
-    fn begin(
-        &self,
-        env: &dyn Env,
-        kind: OpKind,
-        proc: ProcId,
-        invoked: u64,
-        payload: Option<T>,
-    ) -> u64 {
+    fn begin(&self, env: &dyn Env, payload: Option<T>) -> OpToken {
+        let (proc, invoked) = (env.pid(), env.now());
         let mut guard = self.state.borrow_mut();
         let st = &mut *guard;
         let mut i = 0;
@@ -153,22 +165,18 @@ impl<T: Clone> RegCore<T> {
         let id = st.next_id;
         st.next_id += 1;
         let any = !st.inflight.is_empty();
-        let any_write = st.inflight.iter().any(|o| o.kind == OpKind::Write);
         for o in &mut st.inflight {
             o.overlapped = true;
-            o.overlapped_write |= kind == OpKind::Write;
         }
         st.inflight.push(Inflight {
             id,
-            kind,
             proc,
             overlapped: any,
-            overlapped_write: any_write,
             invoked,
             payload,
         });
         self.gauge_add(st, proc, 1);
-        id
+        OpToken::new(id)
     }
 
     /// Response step: remove the in-flight op, sample the adversary, and
@@ -176,7 +184,7 @@ impl<T: Clone> RegCore<T> {
     /// one borrow of the state.
     fn resolve_apply<R>(
         &self,
-        id: u64,
+        tok: OpToken,
         apply: impl FnOnce(&mut Resolution<T>, &mut T) -> R,
     ) -> (Resolution<T>, R) {
         let mut guard = self.state.borrow_mut();
@@ -184,7 +192,7 @@ impl<T: Clone> RegCore<T> {
         let pos = st
             .inflight
             .iter()
-            .position(|o| o.id == id)
+            .position(|o| o.id == tok.raw())
             .expect("resolving unknown operation");
         let op = st.inflight.remove(pos);
         // The adversary samples are always drawn, even when the current
@@ -196,7 +204,6 @@ impl<T: Clone> RegCore<T> {
         self.gauge_add(st, op.proc, -1);
         let mut res = Resolution {
             overlapped: op.overlapped,
-            overlapped_write: op.overlapped_write,
             u_abort,
             u_effect,
             invoked: op.invoked,
@@ -210,12 +217,12 @@ impl<T: Clone> RegCore<T> {
     /// Response step without a value effect (tests only; the register
     /// implementations fold their effect into [`Self::resolve_apply`]).
     #[cfg(test)]
-    fn resolve(&self, id: u64) -> Resolution<T> {
-        self.resolve_apply(id, |_, _| ()).0
+    fn resolve(&self, tok: OpToken) -> Resolution<T> {
+        self.resolve_apply(tok, |_, _| ()).0
     }
 
     fn record(&self, kind: OpKind, res: &Resolution<T>, aborted: bool) {
-        self.log.push(OpEvent {
+        self.ctx.log.push(OpEvent {
             invoked: res.invoked,
             proc: res.proc,
             kind,
@@ -227,94 +234,40 @@ impl<T: Clone> RegCore<T> {
 
 /// Simulated atomic register (linearizes at the response step).
 pub(crate) struct SimAtomicReg<T> {
-    core: RegCore<T>,
-}
-
-impl<T: Clone> SimAtomicReg<T> {
-    pub(crate) fn new(
-        name: String,
-        init: T,
-        seed: u64,
-        log: Arc<OpLog>,
-        gauges: Rc<InflightGauges>,
-    ) -> Self {
-        SimAtomicReg {
-            core: RegCore::new(name, init, seed, log, gauges),
-        }
-    }
+    pub(crate) core: RegCore<T>,
 }
 
 impl<T: Clone> AtomicRegister<T> for SimAtomicReg<T> {
     fn invoke_write(&self, env: &dyn Env, v: T) -> OpToken {
-        OpToken::new(
-            self.core
-                .begin(env, OpKind::Write, env.pid(), env.now(), Some(v)),
-        )
+        self.core.begin(env, Some(v))
     }
 
     fn complete_write(&self, _env: &dyn Env, tok: OpToken) {
-        let (res, ()) = self.core.resolve_apply(tok.raw(), |res, value| {
+        let (res, ()) = self.core.resolve_apply(tok, |res, value| {
             *value = res.payload.take().expect("write resolved without payload");
         });
         self.core.record(OpKind::Write, &res, false);
     }
 
     fn invoke_read(&self, env: &dyn Env) -> OpToken {
-        OpToken::new(
-            self.core
-                .begin(env, OpKind::Read, env.pid(), env.now(), None),
-        )
+        self.core.begin(env, None)
     }
 
     fn complete_read(&self, _env: &dyn Env, tok: OpToken) -> T {
-        let (res, v) = self.core.resolve_apply(tok.raw(), |_, value| value.clone());
+        let (res, v) = self.core.resolve_apply(tok, |_, value| value.clone());
         self.core.record(OpKind::Read, &res, false);
         v
     }
 }
 
-/// Simulated abortable register.
+/// Simulated abortable register; its base policies and the run-wide
+/// override dial come from the factory context.
 pub(crate) struct SimAbortableReg<T> {
-    core: RegCore<T>,
-    abort_policy: AbortPolicy,
-    effect_policy: EffectPolicy,
-    /// Run-wide override dial shared with the factory (and the nemesis).
-    dial: PolicyDial,
+    pub(crate) core: RegCore<T>,
     /// If set, only this process may write (single-writer enforcement).
-    writer: Option<ProcId>,
+    pub(crate) writer: Option<ProcId>,
     /// If set, only this process may read (single-reader enforcement).
-    reader: Option<ProcId>,
-}
-
-impl<T: Clone> SimAbortableReg<T> {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        name: String,
-        init: T,
-        seed: u64,
-        log: Arc<OpLog>,
-        gauges: Rc<InflightGauges>,
-        abort_policy: AbortPolicy,
-        effect_policy: EffectPolicy,
-        dial: PolicyDial,
-        writer: Option<ProcId>,
-        reader: Option<ProcId>,
-    ) -> Self {
-        SimAbortableReg {
-            core: RegCore::new(name, init, seed, log, gauges),
-            abort_policy,
-            effect_policy,
-            dial,
-            writer,
-            reader,
-        }
-    }
-
-    /// The abort/effect policies in force right now (base policies
-    /// possibly overridden by the dial).
-    fn policies(&self) -> (AbortPolicy, EffectPolicy) {
-        self.dial.resolve((self.abort_policy, self.effect_policy))
-    }
+    pub(crate) reader: Option<ProcId>,
 }
 
 impl<T: Clone> AbortableRegister<T> for SimAbortableReg<T> {
@@ -327,15 +280,12 @@ impl<T: Clone> AbortableRegister<T> for SimAbortableReg<T> {
                 self.core.name
             );
         }
-        OpToken::new(
-            self.core
-                .begin(env, OpKind::Write, env.pid(), env.now(), Some(v)),
-        )
+        self.core.begin(env, Some(v))
     }
 
     fn complete_write(&self, _env: &dyn Env, tok: OpToken) -> WriteOutcome {
-        let (abort_policy, effect_policy) = self.policies();
-        let (res, aborted) = self.core.resolve_apply(tok.raw(), |res, value| {
+        let (abort_policy, effect_policy) = self.core.ctx.policies();
+        let (res, aborted) = self.core.resolve_apply(tok, |res, value| {
             let v = res.payload.take().expect("write resolved without payload");
             let aborted = res.overlapped && abort_policy.aborts(res.u_abort);
             // An aborted write takes effect only if the effect policy says so.
@@ -361,15 +311,12 @@ impl<T: Clone> AbortableRegister<T> for SimAbortableReg<T> {
                 self.core.name
             );
         }
-        OpToken::new(
-            self.core
-                .begin(env, OpKind::Read, env.pid(), env.now(), None),
-        )
+        self.core.begin(env, None)
     }
 
     fn complete_read(&self, _env: &dyn Env, tok: OpToken) -> ReadOutcome<T> {
-        let (abort_policy, _) = self.policies();
-        let (res, v) = self.core.resolve_apply(tok.raw(), |res, value| {
+        let (abort_policy, _) = self.core.ctx.policies();
+        let (res, v) = self.core.resolve_apply(tok, |res, value| {
             if res.overlapped && abort_policy.aborts(res.u_abort) {
                 None
             } else {
@@ -389,72 +336,25 @@ impl<T: Clone> AbortableRegister<T> for SimAbortableReg<T> {
     }
 }
 
-/// Simulated safe register over `u64`.
-pub(crate) struct SimSafeReg {
-    core: RegCore<u64>,
-}
-
-impl SimSafeReg {
-    pub(crate) fn new(
-        name: String,
-        init: u64,
-        seed: u64,
-        log: Arc<OpLog>,
-        gauges: Rc<InflightGauges>,
-    ) -> Self {
-        SimSafeReg {
-            core: RegCore::new(name, init, seed, log, gauges),
-        }
-    }
-}
-
-impl SafeRegister for SimSafeReg {
-    fn invoke_write(&self, env: &dyn Env, v: u64) -> OpToken {
-        OpToken::new(
-            self.core
-                .begin(env, OpKind::Write, env.pid(), env.now(), Some(v)),
-        )
-    }
-
-    fn complete_write(&self, _env: &dyn Env, tok: OpToken) {
-        let (res, ()) = self.core.resolve_apply(tok.raw(), |res, value| {
-            *value = res.payload.take().expect("write resolved without payload");
-        });
-        self.core.record(OpKind::Write, &res, false);
-    }
-
-    fn invoke_read(&self, env: &dyn Env) -> OpToken {
-        OpToken::new(
-            self.core
-                .begin(env, OpKind::Read, env.pid(), env.now(), None),
-        )
-    }
-
-    fn complete_read(&self, _env: &dyn Env, tok: OpToken) -> u64 {
-        let (res, stored) = self.core.resolve_apply(tok.raw(), |_, value| *value);
-        let v = if res.overlapped_write {
-            // Arbitrary value: safe semantics under read/write overlap.
-            (res.u_abort * u64::MAX as f64) as u64
-        } else {
-            stored
-        };
-        self.core.record(OpKind::Read, &res, false);
-        v
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
     use tbwf_sim::FreeRunEnv;
 
-    fn log() -> Arc<OpLog> {
-        Arc::new(OpLog::new())
+    /// A register core with its own factory context under the given
+    /// base policies.
+    fn core(abort: AbortPolicy, effect: EffectPolicy) -> RegCore<i64> {
+        let ctx = Rc::new(FactoryShared::new(abort, effect));
+        RegCore::new("R".into(), 0, 1, ctx)
     }
 
-    fn gauges() -> Rc<InflightGauges> {
-        Rc::new(InflightGauges::new())
+    fn abortable(abort: AbortPolicy, effect: EffectPolicy) -> SimAbortableReg<i64> {
+        SimAbortableReg {
+            core: core(abort, effect),
+            writer: None,
+            reader: None,
+        }
     }
 
     // Solo operations: invoke, one step of the caller, complete.
@@ -510,7 +410,9 @@ mod tests {
     #[test]
     fn atomic_read_write_solo() {
         let env = FreeRunEnv::new(ProcId(0));
-        let r = SimAtomicReg::new("R".into(), 0i64, 1, log(), gauges());
+        let r = SimAtomicReg {
+            core: core(AbortPolicy::default(), EffectPolicy::default()),
+        };
         write(&r, &env, 7);
         assert_eq!(read(&r, &env), 7);
     }
@@ -518,18 +420,7 @@ mod tests {
     #[test]
     fn abortable_solo_never_aborts() {
         let env = FreeRunEnv::new(ProcId(0));
-        let r = SimAbortableReg::new(
-            "R".into(),
-            0i64,
-            1,
-            log(),
-            gauges(),
-            AbortPolicy::AlwaysOnOverlap,
-            EffectPolicy::Never,
-            PolicyDial::new(),
-            None,
-            None,
-        );
+        let r = abortable(AbortPolicy::AlwaysOnOverlap, EffectPolicy::Never);
         for i in 0..100 {
             assert_eq!(try_write(&r, &env, i), WriteOutcome::Ok);
             assert_eq!(try_read(&r, &env), ReadOutcome::Value(i));
@@ -539,24 +430,23 @@ mod tests {
     #[test]
     fn overlap_detection_marks_both_ops() {
         let env = FreeRunEnv::new(ProcId(0));
-        let r: RegCore<i64> = RegCore::new("R".into(), 0, 1, log(), gauges());
-        let a = r.begin(&env, OpKind::Read, ProcId(0), 0, None);
-        let b = r.begin(&env, OpKind::Write, ProcId(1), 0, Some(1));
+        let r = core(AbortPolicy::default(), EffectPolicy::default());
+        let a = r.begin(&env, None);
+        let b = r.begin(&FreeRunEnv::new(ProcId(1)), Some(1));
         let ra = r.resolve(a);
         let rb = r.resolve(b);
         assert!(ra.overlapped);
-        assert!(ra.overlapped_write);
         assert!(rb.overlapped);
-        assert!(!rb.overlapped_write);
     }
 
     #[test]
     fn sequential_ops_do_not_overlap() {
         let env = FreeRunEnv::new(ProcId(0));
-        let r: RegCore<i64> = RegCore::new("R".into(), 0, 1, log(), gauges());
-        let a = r.begin(&env, OpKind::Read, ProcId(0), 0, None);
+        let r = core(AbortPolicy::default(), EffectPolicy::default());
+        let a = r.begin(&env, None);
         let ra = r.resolve(a);
-        let b = r.begin(&env, OpKind::Write, ProcId(0), 1, Some(1));
+        env.advance();
+        let b = r.begin(&env, Some(1));
         let rb = r.resolve(b);
         assert!(!ra.overlapped);
         assert!(!rb.overlapped);
@@ -566,26 +456,20 @@ mod tests {
     #[should_panic(expected = "written by non-owner")]
     fn single_writer_enforced() {
         let env = FreeRunEnv::new(ProcId(3));
-        let r = SimAbortableReg::new(
-            "R".into(),
-            0i64,
-            1,
-            log(),
-            gauges(),
-            AbortPolicy::default(),
-            EffectPolicy::default(),
-            PolicyDial::new(),
-            Some(ProcId(0)),
-            None,
-        );
+        let r = SimAbortableReg {
+            writer: Some(ProcId(0)),
+            ..abortable(AbortPolicy::default(), EffectPolicy::default())
+        };
         let _ = r.invoke_write(&env, 1);
     }
 
     #[test]
     fn ops_are_logged() {
         let env = FreeRunEnv::new(ProcId(2));
-        let l = log();
-        let r = SimAtomicReg::new("Reg".into(), 0i64, 1, Arc::clone(&l), gauges());
+        let r = SimAtomicReg {
+            core: core(AbortPolicy::default(), EffectPolicy::default()),
+        };
+        let l = &r.core.ctx.log;
         write(&r, &env, 1); // invoked at 0
         read(&r, &env); // invoked at 1
         assert_eq!(l.abort_stats(), (2, 0, 0));
@@ -597,19 +481,8 @@ mod tests {
     #[test]
     fn overlapped_and_aborted_ops_are_counted() {
         let env = FreeRunEnv::new(ProcId(0));
-        let l = log();
-        let r = SimAbortableReg::new(
-            "R".into(),
-            0i64,
-            1,
-            Arc::clone(&l),
-            gauges(),
-            AbortPolicy::AlwaysOnOverlap,
-            EffectPolicy::Never,
-            PolicyDial::new(),
-            None,
-            None,
-        );
+        let r = abortable(AbortPolicy::AlwaysOnOverlap, EffectPolicy::Never);
+        let l = &r.core.ctx.log;
         let t1 = r.invoke_write(&env, 1);
         let t2 = r.invoke_read(&env);
         assert_eq!(r.complete_write(&env, t1), WriteOutcome::Aborted);
@@ -621,31 +494,14 @@ mod tests {
     }
 
     #[test]
-    fn safe_register_solo_reads_are_exact() {
-        let env = FreeRunEnv::new(ProcId(0));
-        let r = SimSafeReg::new("S".into(), 9, 1, log(), gauges());
-        let safe_read = |env: &FreeRunEnv| {
-            let t = r.invoke_read(env);
-            env.advance();
-            r.complete_read(env, t)
-        };
-        assert_eq!(safe_read(&env), 9);
-        let t = r.invoke_write(&env, 11);
-        env.advance();
-        r.complete_write(&env, t);
-        assert_eq!(safe_read(&env), 11);
-    }
-
-    #[test]
     fn inflight_gauge_tracks_invoke_to_complete_window() {
-        let g = gauges();
-        let r: RegCore<i64> = RegCore::new("R".into(), 0, 1, log(), Rc::clone(&g));
+        let r = core(AbortPolicy::default(), EffectPolicy::default());
         let env = FreeRunEnv::new(ProcId(2));
-        let cell = g.cell(ProcId(2));
+        let cell = r.ctx.gauges.cell(ProcId(2));
         assert_eq!(cell.get(), 0);
-        let a = r.begin(&env, OpKind::Write, ProcId(2), 0, Some(1));
+        let a = r.begin(&env, Some(1));
         assert_eq!(cell.get(), 1, "held between invoke and complete");
-        let b = r.begin(&env, OpKind::Read, ProcId(2), 0, None);
+        let b = r.begin(&env, None);
         assert_eq!(cell.get(), 2);
         r.resolve(a);
         r.resolve(b);
@@ -658,19 +514,7 @@ mod tests {
         // AlwaysOnOverlap, p0's next operations must still succeed: the
         // dead pending op is purged at the next invocation and no longer
         // counts as overlapping.
-        let g = gauges();
-        let r = SimAbortableReg::new(
-            "R".into(),
-            0i64,
-            1,
-            log(),
-            Rc::clone(&g),
-            AbortPolicy::AlwaysOnOverlap,
-            EffectPolicy::Never,
-            PolicyDial::new(),
-            None,
-            None,
-        );
+        let r = abortable(AbortPolicy::AlwaysOnOverlap, EffectPolicy::Never);
         let p1 = CrashyEnv {
             inner: FreeRunEnv::new(ProcId(1)),
             crashed: vec![],
@@ -686,25 +530,14 @@ mod tests {
         }
         // The dead op's gauge was released when it was purged, and the
         // crashed write never took effect.
-        assert_eq!(g.cell(ProcId(1)).get(), 0);
+        assert_eq!(r.core.ctx.gauges.cell(ProcId(1)).get(), 0);
     }
 
     #[test]
     fn dial_overrides_only_while_set() {
         let env = FreeRunEnv::new(ProcId(0));
-        let dial = PolicyDial::new();
-        let r = SimAbortableReg::new(
-            "R".into(),
-            0i64,
-            1,
-            log(),
-            gauges(),
-            AbortPolicy::Never,
-            EffectPolicy::Never,
-            dial.clone(),
-            None,
-            None,
-        );
+        let r = abortable(AbortPolicy::Never, EffectPolicy::Never);
+        let dial = &r.core.ctx.dial;
         // Overlapped ops under the base Never policy do not abort.
         let t1 = r.invoke_write(&env, 1);
         let t2 = r.invoke_write(&env, 2);

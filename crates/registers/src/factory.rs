@@ -1,10 +1,10 @@
 //! The register factory: creates named, logged, seeded registers for one
 //! run.
 
-use crate::core_reg::{InflightGauges, SimAbortableReg, SimAtomicReg, SimSafeReg};
+use crate::core_reg::{FactoryShared, RegCore, SimAbortableReg, SimAtomicReg};
 use crate::policy::{AbortPolicy, EffectPolicy, PolicyDial};
 use crate::stats::OpLog;
-use crate::{SafeRegister, SharedAbortable, SharedAtomic};
+use crate::{SharedAbortable, SharedAtomic};
 use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -52,84 +52,84 @@ impl Default for RegisterFactoryConfig {
 /// assert_eq!(factory.log().len(), 2);
 /// ```
 pub struct RegisterFactory {
-    config: RegisterFactoryConfig,
-    log: Arc<OpLog>,
+    seed: u64,
     counter: Cell<u64>,
-    dial: PolicyDial,
-    gauges: Rc<InflightGauges>,
+    shared: Rc<FactoryShared>,
 }
 
 impl RegisterFactory {
     /// Creates a factory with the given configuration.
     pub fn new(config: RegisterFactoryConfig) -> Self {
         RegisterFactory {
-            config,
-            log: Arc::new(OpLog::new()),
+            seed: config.seed,
             counter: Cell::new(0),
-            dial: PolicyDial::new(),
-            gauges: Rc::new(InflightGauges::new()),
+            shared: Rc::new(FactoryShared::new(
+                config.abort_policy,
+                config.effect_policy,
+            )),
         }
     }
 
     /// The shared operation log.
     pub fn log(&self) -> Arc<OpLog> {
-        Arc::clone(&self.log)
-    }
-
-    /// The factory configuration.
-    pub fn config(&self) -> RegisterFactoryConfig {
-        self.config
+        Arc::clone(&self.shared.log)
     }
 
     /// The run-wide policy-override dial shared by every abortable
     /// register of this factory (register its [`PolicyDial::handle`]
     /// with a nemesis to inject register fault bursts).
     pub fn policy_dial(&self) -> PolicyDial {
-        self.dial.clone()
+        self.shared.dial.clone()
     }
 
     /// The in-flight-operation gauge of process `p` across all registers
     /// of this factory (register it with a nemesis to crash `p` between
     /// `invoke_` and `complete_` of an operation).
     pub fn inflight_gauge(&self, p: ProcId) -> Local<i64> {
-        self.gauges.cell(p)
+        self.shared.gauges.cell(p)
     }
 
     fn next_seed(&self) -> u64 {
         // SplitMix-style derivation keeps per-register streams independent.
         let i = self.counter.get();
         self.counter.set(i + 1);
-        self.config
-            .seed
+        self.seed
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(i)
     }
 
+    /// The core of a new register: its own seed, the factory's context.
+    fn core<T: Clone>(&self, name: &str, init: T) -> RegCore<T> {
+        let seed = self.next_seed();
+        RegCore::new(name.to_string(), init, seed, Rc::clone(&self.shared))
+    }
+
     /// Creates a multi-writer multi-reader atomic register.
     pub fn atomic<T: Clone + 'static>(&self, name: &str, init: T) -> SharedAtomic<T> {
-        Rc::new(SimAtomicReg::new(
-            name.to_string(),
-            init,
-            self.next_seed(),
-            self.log(),
-            Rc::clone(&self.gauges),
-        ))
+        Rc::new(SimAtomicReg {
+            core: self.core(name, init),
+        })
+    }
+
+    /// An abortable register whose writes (reads) only `writer`
+    /// (`reader`) may invoke, if set.
+    fn owned<T: Clone + 'static>(
+        &self,
+        name: &str,
+        init: T,
+        writer: Option<ProcId>,
+        reader: Option<ProcId>,
+    ) -> SharedAbortable<T> {
+        Rc::new(SimAbortableReg {
+            core: self.core(name, init),
+            writer,
+            reader,
+        })
     }
 
     /// Creates a multi-writer multi-reader abortable register.
     pub fn abortable<T: Clone + 'static>(&self, name: &str, init: T) -> SharedAbortable<T> {
-        Rc::new(SimAbortableReg::new(
-            name.to_string(),
-            init,
-            self.next_seed(),
-            self.log(),
-            Rc::clone(&self.gauges),
-            self.config.abort_policy,
-            self.config.effect_policy,
-            self.dial.clone(),
-            None,
-            None,
-        ))
+        self.owned(name, init, None, None)
     }
 
     /// Creates a single-writer single-reader abortable register owned by
@@ -142,18 +142,7 @@ impl RegisterFactory {
         writer: ProcId,
         reader: ProcId,
     ) -> SharedAbortable<T> {
-        Rc::new(SimAbortableReg::new(
-            name.to_string(),
-            init,
-            self.next_seed(),
-            self.log(),
-            Rc::clone(&self.gauges),
-            self.config.abort_policy,
-            self.config.effect_policy,
-            self.dial.clone(),
-            Some(writer),
-            Some(reader),
-        ))
+        self.owned(name, init, Some(writer), Some(reader))
     }
 
     /// Creates a single-writer multi-reader abortable register owned by
@@ -164,29 +153,7 @@ impl RegisterFactory {
         init: T,
         writer: ProcId,
     ) -> SharedAbortable<T> {
-        Rc::new(SimAbortableReg::new(
-            name.to_string(),
-            init,
-            self.next_seed(),
-            self.log(),
-            Rc::clone(&self.gauges),
-            self.config.abort_policy,
-            self.config.effect_policy,
-            self.dial.clone(),
-            Some(writer),
-            None,
-        ))
-    }
-
-    /// Creates a safe register over `u64`.
-    pub fn safe(&self, name: &str, init: u64) -> Rc<dyn SafeRegister> {
-        Rc::new(SimSafeReg::new(
-            name.to_string(),
-            init,
-            self.next_seed(),
-            self.log(),
-            Rc::clone(&self.gauges),
-        ))
+        self.owned(name, init, Some(writer), None)
     }
 
     /// Creates a compare-and-swap register (used only by the strong-
@@ -230,15 +197,12 @@ mod tests {
         let env = FreeRunEnv::new(ProcId(0));
         let a = f.atomic("A", 1i64);
         let b = f.abortable("B", 2i64);
-        let s = f.safe("S", 3);
         let t = a.invoke_read(&env);
         assert_eq!(a.complete_read(&env, t), 1);
         assert_eq!(try_read(&*b, &env), ReadOutcome::Value(2));
-        let t = s.invoke_read(&env);
-        assert_eq!(s.complete_read(&env, t), 3);
         assert_eq!(try_write(&*b, &env, 9), WriteOutcome::Ok);
         assert_eq!(try_read(&*b, &env), ReadOutcome::Value(9));
-        assert_eq!(f.log().len(), 5);
+        assert_eq!(f.log().len(), 4);
     }
 
     #[test]

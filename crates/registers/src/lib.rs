@@ -1,5 +1,6 @@
-//! Shared registers for the TBWF reproduction: atomic, safe, and
-//! **abortable** registers.
+//! Shared registers for the TBWF reproduction: atomic and **abortable**
+//! registers (plus the compare-and-swap register of the strong-primitive
+//! baseline).
 //!
 //! # Model
 //!
@@ -16,8 +17,6 @@
 //!   `try_read`/`try_write` on an abortable one — which invokes, awaits
 //!   [`tbwf_sim::step()`], and completes;
 //! * an **atomic** register linearizes at the response and never aborts;
-//! * a **safe** register returns an arbitrary (seeded) value when a read
-//!   overlaps a write;
 //! * an **abortable** register *may abort* any operation that overlaps
 //!   another operation on the same register: an aborted read returns no
 //!   value, an aborted write returns `⊥` and *may or may not take effect*
@@ -36,8 +35,11 @@
 //! atomic read-modify-write, and a handle cannot leave the run's thread.
 //!
 //! All registers are created through a [`RegisterFactory`], which names
-//! each register (ownership-violation panics quote the name) and folds
-//! every completed operation into a shared [`OpLog`]. The log keeps
+//! each register (ownership-violation panics quote the name) and gives
+//! it its own seed and one context shared by all of the factory's
+//! registers: the base policies, the [`PolicyDial`], the per-process
+//! in-flight gauges and the [`OpLog`] that every completed operation is
+//! folded into. The log keeps
 //! counts and each process's latest write time, not a per-operation
 //! history, so its size does not grow with the run: the abort-rate
 //! ablation (E8) reads the counts, the write-efficiency experiment (E6)
@@ -163,27 +165,6 @@ impl<T: Clone> dyn AbortableRegister<T> + '_ {
         step().await;
         self.complete_write(env, tok)
     }
-}
-
-/// A safe register holding `u64` values.
-///
-/// A read that overlaps a write returns an *arbitrary* value (here: a
-/// seeded pseudo-random one). Included to demonstrate that abortable
-/// registers are *weaker* than safe registers: a safe write always takes
-/// effect, an abortable one may not.
-pub trait SafeRegister {
-    /// Invocation step of a write of `v` (the value is captured now).
-    fn invoke_write(&self, env: &dyn Env, v: u64) -> OpToken;
-
-    /// Response step of a write (always takes effect).
-    fn complete_write(&self, env: &dyn Env, tok: OpToken);
-
-    /// Invocation step of a read.
-    fn invoke_read(&self, env: &dyn Env) -> OpToken;
-
-    /// Response step of a read; an overlapping write makes the result
-    /// arbitrary.
-    fn complete_read(&self, env: &dyn Env, tok: OpToken) -> u64;
 }
 
 /// Shorthand for a shared atomic register handle.

@@ -57,14 +57,6 @@ impl<T> ReadOutcome<T> {
         }
     }
 
-    /// Borrowing accessor for the value.
-    pub fn as_value(&self) -> Option<&T> {
-        match self {
-            ReadOutcome::Value(v) => Some(v),
-            ReadOutcome::Aborted => None,
-        }
-    }
-
     /// Maps the value, preserving aborts.
     pub fn map<U>(self, f: impl FnOnce(T) -> U) -> ReadOutcome<U> {
         match self {
@@ -98,7 +90,6 @@ mod tests {
     #[test]
     fn read_outcome_accessors() {
         let r: ReadOutcome<i32> = ReadOutcome::Value(5);
-        assert_eq!(r.as_value(), Some(&5));
         assert_eq!(r.value(), Some(5));
         let a: ReadOutcome<i32> = ReadOutcome::Aborted;
         assert!(a.is_aborted());

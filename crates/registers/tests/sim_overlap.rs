@@ -4,7 +4,7 @@
 
 use std::rc::Rc;
 use tbwf_registers::{
-    AbortPolicy, EffectPolicy, ReadOutcome, RegisterFactory, RegisterFactoryConfig, SafeRegister,
+    AbortPolicy, EffectPolicy, ReadOutcome, RegisterFactory, RegisterFactoryConfig,
     SharedAbortable, WriteOutcome,
 };
 use tbwf_sim::schedule::Scripted;
@@ -16,12 +16,6 @@ fn factory(abort: AbortPolicy, effect: EffectPolicy) -> RegisterFactory {
         abort_policy: abort,
         effect_policy: effect,
     })
-}
-
-#[derive(Clone)]
-enum Reg {
-    Abortable(SharedAbortable<i64>),
-    Safe(Rc<dyn SafeRegister>),
 }
 
 /// One instruction of a [`Script`]: each takes one step (an operation's
@@ -37,29 +31,17 @@ enum Ins {
 enum Res {
     Wrote(WriteOutcome),
     Read(ReadOutcome<i64>),
-    SafeRead(u64),
 }
 
 /// A task running a fixed list of register instructions, then finishing;
 /// every response is appended to `out`.
-async fn run_ins(env: Rc<dyn Env>, reg: Reg, ins: Vec<Ins>, out: Local<Vec<Res>>) {
+async fn run_ins(env: Rc<dyn Env>, reg: SharedAbortable<i64>, ins: Vec<Ins>, out: Local<Vec<Res>>) {
     let env = &*env;
     for ins in ins {
-        let res = match (&reg, ins) {
-            (Reg::Abortable(r), Ins::Write(v)) => Res::Wrote(r.try_write(env, v).await),
-            (Reg::Abortable(r), Ins::Read) => Res::Read(r.try_read(env).await),
-            (Reg::Safe(r), Ins::Write(v)) => {
-                let tok = r.invoke_write(env, v as u64);
-                step().await;
-                r.complete_write(env, tok);
-                continue;
-            }
-            (Reg::Safe(r), Ins::Read) => {
-                let tok = r.invoke_read(env);
-                step().await;
-                Res::SafeRead(r.complete_read(env, tok))
-            }
-            (_, Ins::Idle) => {
+        let res = match ins {
+            Ins::Write(v) => Res::Wrote(reg.try_write(env, v).await),
+            Ins::Read => Res::Read(reg.try_read(env).await),
+            Ins::Idle => {
                 step().await;
                 continue;
             }
@@ -70,13 +52,18 @@ async fn run_ins(env: Rc<dyn Env>, reg: Reg, ins: Vec<Ins>, out: Local<Vec<Res>>
 
 /// Runs a writer script on p0 and a reader script on p1 under the
 /// repeating `script` schedule; returns each side's responses.
-fn run(reg: Reg, writer: &[Ins], reader: &[Ins], script: Vec<ProcId>) -> (Vec<Res>, Vec<Res>) {
+fn run(
+    reg: SharedAbortable<i64>,
+    writer: &[Ins],
+    reader: &[Ins],
+    script: Vec<ProcId>,
+) -> (Vec<Res>, Vec<Res>) {
     let mut b = SimBuilder::new();
     let mut outs = Vec::new();
     for (name, ins) in [("writer", writer), ("reader", reader)] {
         let out = Local::new(Vec::new());
         let pid = b.add_process(&format!("p{}", outs.len()));
-        let (reg, ins, task_out) = (reg.clone(), ins.to_vec(), out.clone());
+        let (reg, ins, task_out) = (Rc::clone(&reg), ins.to_vec(), out.clone());
         b.add_stepper(
             pid,
             name,
@@ -97,7 +84,7 @@ fn interleaved_ops_overlap_and_abort() {
     // With the [p0, p1] script the read's invocation (p1's first step,
     // t=1) falls inside the write's [t=0, t=2] interval.
     let (w, r) = run(
-        Reg::Abortable(f.abortable("R", 0i64)),
+        f.abortable("R", 0i64),
         &[Ins::Write(7)],
         &[Ins::Read],
         vec![ProcId(0), ProcId(1)],
@@ -121,7 +108,7 @@ fn sequential_ops_do_not_abort() {
     // p0 takes both its steps before p1's read begins; p1 also burns
     // steps until the writer has definitely finished.
     let (w, r) = run(
-        Reg::Abortable(f.abortable("R", 0i64)),
+        f.abortable("R", 0i64),
         &[Ins::Write(7)],
         &[Ins::Idle, Ins::Idle, Ins::Idle, Ins::Idle, Ins::Read],
         vec![ProcId(0), ProcId(0), ProcId(1)],
@@ -150,7 +137,7 @@ const RACE_THEN_SOLO: [Ins; 6] = [
 fn aborted_write_may_take_effect() {
     let f = factory(AbortPolicy::AlwaysOnOverlap, EffectPolicy::Always);
     let (w, r) = run(
-        Reg::Abortable(f.abortable("R", 0i64)),
+        f.abortable("R", 0i64),
         &[Ins::Write(42)],
         &RACE_THEN_SOLO,
         vec![ProcId(0), ProcId(1)],
@@ -172,7 +159,7 @@ fn aborted_write_may_take_effect() {
 fn aborted_write_may_not_take_effect() {
     let f = factory(AbortPolicy::AlwaysOnOverlap, EffectPolicy::Never);
     let (w, r) = run(
-        Reg::Abortable(f.abortable("R", 0i64)),
+        f.abortable("R", 0i64),
         &[Ins::Write(42)],
         &RACE_THEN_SOLO,
         vec![ProcId(0), ProcId(1)],
@@ -183,20 +170,4 @@ fn aborted_write_may_not_take_effect() {
         Some(&Res::Read(ReadOutcome::Value(0))),
         "no effect expected"
     );
-}
-
-/// Safe register: a read overlapping a write returns garbage, but
-/// reads overlapping only reads stay exact.
-#[test]
-fn safe_register_overlap_semantics() {
-    let f = factory(AbortPolicy::AlwaysOnOverlap, EffectPolicy::Never);
-    let (_, r) = run(
-        Reg::Safe(f.safe("S", 5)),
-        &[Ins::Write(9)],
-        &RACE_THEN_SOLO,
-        vec![ProcId(0), ProcId(1)],
-    );
-    assert_eq!(r.len(), 2, "both reads respond: {r:?}");
-    // The solo read must be exact (the write completed with value 9).
-    assert_eq!(r[1], Res::SafeRead(9));
 }

@@ -73,11 +73,6 @@ impl Executor {
         Executor { jobs }
     }
 
-    /// An executor sized by [`resolve_jobs`] (env override, else cores).
-    pub fn auto() -> Self {
-        Executor::new(resolve_jobs(None))
-    }
-
     /// The worker count.
     pub fn jobs(&self) -> usize {
         self.jobs

@@ -93,15 +93,6 @@ impl Json {
         }
     }
 
-    /// The value as an `f64` (integers are widened).
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Int(i) => Some(*i as f64),
-            Json::Float(f) => Some(*f),
-            _ => None,
-        }
-    }
-
     /// Serializes the value compactly (no whitespace).
     pub fn to_string_compact(&self) -> String {
         let mut out = String::new();

@@ -27,10 +27,10 @@
 //!
 //! The runner polls every step, but a poll scans the plan only when
 //! something can be due: the [`Nemesis`] caches the earliest unfired
-//! [`Trigger::At`] time and whether any [`Trigger::AfterProcSteps`],
-//! [`Trigger::OnObs`] or [`Trigger::OnGauge`] event is still armed, and
-//! recomputes these only when an event fires. Requested crashes go into a
-//! buffer the runner owns and reuses, so a quiet poll allocates nothing.
+//! [`Trigger::At`] time and whether any [`Trigger::OnObs`] or
+//! [`Trigger::OnGauge`] event is still armed, and recomputes these only
+//! when an event fires. Requested crashes go into a buffer the runner
+//! owns and reuses, so a quiet poll allocates nothing.
 
 use crate::ids::ProcId;
 use crate::json::Json;
@@ -58,14 +58,6 @@ pub enum FaultTarget {
 pub enum Trigger {
     /// At global time `t`, before the step at `t` is scheduled.
     At(u64),
-    /// As soon as `proc` has taken `count` steps (checked before each
-    /// slot).
-    AfterProcSteps {
-        /// The process whose steps are counted.
-        proc: usize,
-        /// The step count that arms the event.
-        count: u64,
-    },
     /// On the first observation with key `key` recorded at time ≥ `at`.
     /// If the action targets [`FaultTarget::ObsValue`], only observations
     /// with a non-negative value fire (a `leader = ?` announcement names
@@ -217,13 +209,6 @@ fn target_from_json(v: &Json) -> Result<FaultTarget, String> {
 fn event_to_json(e: &FaultEvent) -> Json {
     let trigger = match &e.trigger {
         Trigger::At(t) => Json::obj([("at", Json::Int(*t as i128))]),
-        Trigger::AfterProcSteps { proc, count } => Json::obj([(
-            "after_proc_steps",
-            Json::obj([
-                ("proc", Json::Int(*proc as i128)),
-                ("count", Json::Int(*count as i128)),
-            ]),
-        )]),
         Trigger::OnObs { at, key } => Json::obj([(
             "on_obs",
             Json::obj([
@@ -285,11 +270,6 @@ fn event_from_json(v: &Json) -> Result<FaultEvent, String> {
     let tv = req(v, "trigger")?;
     let trigger = if let Some(at) = tv.get("at") {
         Trigger::At(at.as_u64().ok_or("\"at\" must be a u64")?)
-    } else if let Some(aps) = tv.get("after_proc_steps") {
-        Trigger::AfterProcSteps {
-            proc: req_u64(aps, "proc")? as usize,
-            count: req_u64(aps, "count")?,
-        }
     } else if let Some(oo) = tv.get("on_obs") {
         Trigger::OnObs {
             at: req_u64(oo, "at")?,
@@ -368,8 +348,6 @@ pub struct Nemesis {
 struct Armed {
     /// Earliest unfired [`Trigger::At`] time (`u64::MAX` if none).
     next_at: u64,
-    /// Any unfired [`Trigger::AfterProcSteps`]?
-    steps: bool,
     /// Any unfired [`Trigger::OnObs`]?
     obs: bool,
     /// Any unfired [`Trigger::OnGauge`]?
@@ -380,7 +358,6 @@ impl Armed {
     fn of(plan: &FaultPlan, fired: &[bool]) -> Armed {
         let mut armed = Armed {
             next_at: u64::MAX,
-            steps: false,
             obs: false,
             gauge: false,
         };
@@ -390,7 +367,6 @@ impl Armed {
             }
             match e.trigger {
                 Trigger::At(at) => armed.next_at = armed.next_at.min(at),
-                Trigger::AfterProcSteps { .. } => armed.steps = true,
                 Trigger::OnObs { .. } => armed.obs = true,
                 Trigger::OnGauge { .. } => armed.gauge = true,
             }
@@ -507,29 +483,22 @@ impl Nemesis {
         self.armed.obs
     }
 
-    /// Pre-step poll: fires [`Trigger::At`] / [`Trigger::AfterProcSteps`]
-    /// events. Non-crash actions are applied internally; requested
-    /// crashes are appended to `crashes` for the runner to apply.
+    /// Pre-step poll: fires [`Trigger::At`] events. Non-crash actions are
+    /// applied internally; requested crashes are appended to `crashes`
+    /// for the runner to apply.
     #[inline]
-    pub(crate) fn poll_pre(&mut self, t: u64, step_counts: &[u64], crashes: &mut Vec<ProcId>) {
-        if t >= self.armed.next_at || self.armed.steps {
-            self.scan_pre(t, step_counts, crashes);
+    pub(crate) fn poll_pre(&mut self, t: u64, crashes: &mut Vec<ProcId>) {
+        if t >= self.armed.next_at {
+            self.scan_pre(t, crashes);
         }
     }
 
-    fn scan_pre(&mut self, t: u64, step_counts: &[u64], crashes: &mut Vec<ProcId>) {
+    fn scan_pre(&mut self, t: u64, crashes: &mut Vec<ProcId>) {
         for i in 0..self.plan.events.len() {
             if self.fired[i] {
                 continue;
             }
-            let due = match &self.plan.events[i].trigger {
-                Trigger::At(at) => *at <= t,
-                Trigger::AfterProcSteps { proc, count } => {
-                    step_counts.get(*proc).copied().unwrap_or(0) >= *count
-                }
-                _ => false,
-            };
-            if due {
+            if matches!(self.plan.events[i].trigger, Trigger::At(at) if at <= t) {
                 self.fire(i, t, None, crashes);
             }
         }
@@ -671,9 +640,9 @@ mod tests {
     use super::*;
 
     /// Runs the pre-step poll and returns the crashes it requested.
-    fn pre(nem: &mut Nemesis, t: u64, step_counts: &[u64]) -> Vec<ProcId> {
+    fn pre(nem: &mut Nemesis, t: u64) -> Vec<ProcId> {
         let mut crashes = Vec::new();
-        nem.poll_pre(t, step_counts, &mut crashes);
+        nem.poll_pre(t, &mut crashes);
         crashes
     }
 
@@ -703,7 +672,7 @@ mod tests {
                 FaultAction::Crash(FaultTarget::Stepper),
             )
             .with(
-                Trigger::AfterProcSteps { proc: 0, count: 7 },
+                Trigger::At(7),
                 FaultAction::SetSwitch {
                     switch: "cand[0]".to_string(),
                     on: false,
@@ -785,19 +754,14 @@ mod tests {
     fn pre_poll_fires_time_and_step_triggers_once() {
         let plan = FaultPlan::new()
             .with(Trigger::At(5), FaultAction::Crash(FaultTarget::Proc(1)))
-            .with(
-                Trigger::AfterProcSteps { proc: 0, count: 3 },
-                FaultAction::Crash(FaultTarget::Proc(0)),
-            );
+            .with(Trigger::At(7), FaultAction::Crash(FaultTarget::Proc(0)));
         let mut nem = Nemesis::new(plan);
         nem.validate(2).unwrap();
-        assert!(pre(&mut nem, 4, &[0, 0]).is_empty());
-        assert_eq!(pre(&mut nem, 5, &[0, 0]), vec![ProcId(1)]);
-        assert!(
-            pre(&mut nem, 6, &[2, 0]).is_empty(),
-            "fired events stay fired"
-        );
-        assert_eq!(pre(&mut nem, 7, &[3, 0]), vec![ProcId(0)]);
+        assert!(pre(&mut nem, 4).is_empty());
+        assert_eq!(pre(&mut nem, 5), vec![ProcId(1)]);
+        assert!(pre(&mut nem, 6).is_empty(), "fired events stay fired");
+        assert_eq!(pre(&mut nem, 7), vec![ProcId(0)]);
+        assert!(pre(&mut nem, 8).is_empty());
         assert_eq!(nem.take_injections().len(), 2);
     }
 
@@ -867,7 +831,7 @@ mod tests {
         nem.register_switch("s", s.clone());
         nem.register_dial("d", d.clone());
         nem.validate(1).unwrap();
-        assert!(pre(&mut nem, 0, &[0]).is_empty());
+        assert!(pre(&mut nem, 0).is_empty());
         assert!(!s.get());
         assert_eq!(d.get(), 7);
     }
@@ -895,31 +859,19 @@ mod tests {
     fn at_fires_exactly_at_its_time() {
         let (mut nem, d) = dial_plan(&[Trigger::At(5), Trigger::At(9)]);
         for t in 0..5 {
-            assert!(pre(&mut nem, t, &[0, 0]).is_empty());
+            assert!(pre(&mut nem, t).is_empty());
             assert_eq!(d.get(), 0, "fired early at t = {t}");
         }
-        pre(&mut nem, 5, &[0, 0]);
+        pre(&mut nem, 5);
         assert_eq!(d.get(), 1);
         for t in 6..9 {
-            pre(&mut nem, t, &[0, 0]);
+            pre(&mut nem, t);
             assert_eq!(d.get(), 1, "second event early at t = {t}");
         }
-        pre(&mut nem, 9, &[0, 0]);
+        pre(&mut nem, 9);
         assert_eq!(d.get(), 2);
         let times: Vec<u64> = nem.take_injections().iter().map(|r| r.time).collect();
         assert_eq!(times, vec![5, 9]);
-    }
-
-    #[test]
-    fn after_proc_steps_fires_exactly_at_its_count() {
-        let (mut nem, d) = dial_plan(&[Trigger::AfterProcSteps { proc: 1, count: 3 }]);
-        for (t, c) in [(0, 0), (1, 1), (2, 2)] {
-            pre(&mut nem, t, &[100, c]);
-            assert_eq!(d.get(), 0, "fired at count {c}");
-        }
-        pre(&mut nem, 3, &[100, 3]);
-        assert_eq!(d.get(), 1);
-        assert_eq!(nem.take_injections()[0].time, 3);
     }
 
     #[test]
@@ -950,20 +902,20 @@ mod tests {
     fn disarmed_poll_pre_fires_nothing() {
         let (mut nem, d) = dial_plan(&[
             Trigger::At(2),
-            Trigger::AfterProcSteps { proc: 0, count: 1 },
+            Trigger::At(1),
             Trigger::OnGauge {
                 at: 0,
                 gauge: "g".to_string(),
                 min: 1,
             },
         ]);
-        pre(&mut nem, 2, &[1, 0]);
+        pre(&mut nem, 2);
         assert_eq!(nem.take_injections().len(), 2);
-        // Every pre-step trigger has fired: no time or count re-arms them,
+        // Every pre-step trigger has fired: no later time re-arms them,
         // and the pre-step poll leaves the post-step event alone.
-        for (t, c) in [(3, 1), (1 << 40, 1 << 40), (u64::MAX, u64::MAX)] {
+        for t in [3, 1 << 40, u64::MAX] {
             let mut crashes = vec![ProcId(7)];
-            nem.poll_pre(t, &[c, c], &mut crashes);
+            nem.poll_pre(t, &mut crashes);
             assert_eq!(crashes, vec![ProcId(7)], "the buffer is only appended to");
         }
         assert!(nem.take_injections().is_empty());

@@ -298,7 +298,6 @@ impl Sim {
         // as they go. Observations are rare next to steps, so their log is
         // not pre-sized at all.
         let mut steps = StepLog::with_capacity((config.max_steps as usize).min(1 << 22));
-        let mut step_counts = vec![0u64; n];
         let mut crashes_applied: Vec<(u64, ProcId)> = Vec::new();
         config.crashes.sort_by_key(|(t, _)| *t);
         let mut crash_iter = config.crashes.iter().peekable();
@@ -328,7 +327,7 @@ impl Sim {
                 crash_iter.next();
             }
             if let Some(nem) = config.nemesis.as_mut() {
-                nem.poll_pre(t, &step_counts, &mut nem_crashes);
+                nem.poll_pre(t, &mut nem_crashes);
                 for cp in nem_crashes.drain(..) {
                     crash(&mut self.procs, &mut runnable, t, cp);
                 }
@@ -393,7 +392,6 @@ impl Sim {
             }
             if granted {
                 steps.push(p);
-                step_counts[p.0] += 1;
                 if let Some(nem) = config.nemesis.as_mut() {
                     let obs = self.run.obs.borrow();
                     let step_obs = if watch_obs { &obs[obs_mark..] } else { &[] };

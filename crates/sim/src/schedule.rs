@@ -15,8 +15,8 @@
 //!   runs solo;
 //! * [`SeededRandom`] / [`Weighted`] — randomized interleavings for
 //!   property-based testing;
-//! * [`Scripted`] — an explicit step sequence for adversarial
-//!   counterexamples (e.g. the boosting-starvation run of E5);
+//! * [`Scripted`] — an explicit, cyclically repeated step sequence, for
+//!   tests that need operations to overlap (or not) exactly as planned;
 //! * [`NemesisSchedule`] — a round-robin base whose timely set can be
 //!   perturbed *mid-run* through a [`ScheduleCtl`] handle, which is how
 //!   the nemesis (see the [`nemesis`](crate::nemesis) module) demotes and
@@ -73,14 +73,6 @@ impl ScheduleView<'_> {
         self.runnable.iter().any(|&r| r)
     }
 
-    /// The runnable processes, in id order.
-    pub fn runnable_set(&self) -> Vec<ProcId> {
-        (0..self.n)
-            .filter(|&p| self.runnable[p])
-            .map(ProcId)
-            .collect()
-    }
-
     /// The runnable set as a bitmask: bit `p` is set iff `p` is runnable.
     ///
     /// # Panics
@@ -104,8 +96,9 @@ pub trait Schedule {
     fn next(&mut self, view: &ScheduleView<'_>) -> ProcId;
 
     /// The set of processes this schedule *intends* to keep timely, if it
-    /// has a designed ground truth. Used by experiments for labelling;
-    /// tests always re-measure timeliness from the trace.
+    /// has a designed ground truth. Only the schedule tests read it (the
+    /// benchmark's `Stamped` wrapper forwards it); experiments and oracles
+    /// measure timeliness from the trace instead.
     fn intended_timely(&self, n: usize) -> Vec<ProcId> {
         (0..n).map(ProcId).collect()
     }
@@ -914,10 +907,8 @@ mod tests {
     #[test]
     fn runnable_set_and_mask() {
         let v = view(&[true, false, true], 0);
-        assert_eq!(v.runnable_set(), vec![ProcId(0), ProcId(2)]);
         assert_eq!(v.runnable_mask(), 0b101);
         let none = view(&[false, false], 0);
-        assert!(none.runnable_set().is_empty());
         assert_eq!(none.runnable_mask(), 0);
     }
 

@@ -3,8 +3,10 @@
 //! Timeliness is a property of *infinite* runs; on the finite prefixes the
 //! simulator produces we report exact witness bounds over the prefix and
 //! offer a windowed growth test to distinguish "bounded forever" from
-//! "grows without bound" behaviors. Experiments additionally know their
-//! schedule's *intended* timely set; tests cross-check the two.
+//! "grows without bound" behaviors. A schedule also declares the timely
+//! set it *intends* ([`Schedule::intended_timely`](crate::Schedule::intended_timely));
+//! only the schedule tests read that, while experiments and oracles use
+//! the measured set.
 //!
 //! Of the windowed test's per-window bounds, only the first window's and
 //! the last window's decide the verdict, together with whether the process

@@ -44,16 +44,6 @@ impl<R> Outcome<R> {
             _ => None,
         }
     }
-
-    /// Whether the outcome is `⊥`.
-    pub fn is_bot(&self) -> bool {
-        matches!(self, Outcome::Bot)
-    }
-
-    /// Whether the outcome is `F`.
-    pub fn is_no_effect(&self) -> bool {
-        matches!(self, Outcome::NoEffect)
-    }
 }
 
 /// Replays `ops` sequentially from the initial state — the reference
@@ -146,11 +136,9 @@ mod tests {
     fn outcome_accessors() {
         let d: Outcome<i64> = Outcome::Done(5);
         assert_eq!(d.done(), Some(5));
-        assert!(!d.is_bot());
         let b: Outcome<i64> = Outcome::Bot;
-        assert!(b.is_bot());
         assert_eq!(b.done(), None);
         let f: Outcome<i64> = Outcome::NoEffect;
-        assert!(f.is_no_effect());
+        assert_eq!(f.done(), None);
     }
 }

@@ -12,7 +12,7 @@
 use std::rc::Rc;
 use tbwf::prelude::*;
 use tbwf_monitor::fig2::{activity_monitor, MonitoredSide, MonitoringSide};
-use tbwf_omega::harness::{install_omega_with, OmegaOptions};
+use tbwf_omega::harness::install_omega_with;
 use tbwf_omega::{add_candidate_driver, add_external_candidate_driver, install_omega_fd};
 use tbwf_registers::{DIAL_ABORT_STORM, DIAL_BASE};
 use tbwf_sim::schedule::SeededRandom;
@@ -110,7 +110,7 @@ fn omega_scripts() -> Vec<CandidateScript> {
 fn omega_run(kind: OmegaKind, self_punish: bool, nemesis: Option<Nemesis>, crash: bool) -> u64 {
     let factory = RegisterFactory::default();
     let mut b = processes(3);
-    let handles = install_omega_with(&mut b, &factory, 3, kind, OmegaOptions { self_punish });
+    let handles = install_omega_with(&mut b, &factory, 3, kind, self_punish);
     for (p, script) in omega_scripts().into_iter().enumerate() {
         add_candidate_driver(&mut b, ProcId(p), &handles[p], script);
     }
