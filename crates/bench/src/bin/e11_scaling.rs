@@ -17,9 +17,9 @@
 //!    minimum per-process count stays positive.
 //!
 //! Every cell of both series is an independent seeded run, so the grid
-//! executes on the work-sharded executor (all cores, `TBWF_JOBS`
-//! override); rows are collected by grid index, keeping the tables
-//! byte-identical to a serial sweep.
+//! executes on the work-sharded executor (`--jobs`, default all cores);
+//! rows are collected by grid index, keeping the tables byte-identical to
+//! a serial sweep.
 
 use std::process::ExitCode;
 use tbwf::prelude::*;
@@ -32,8 +32,7 @@ const NS: [usize; 8] = [2, 3, 4, 6, 8, 16, 32, 64];
 const USAGE: &str = "\
 usage: e11_scaling [--jobs N]
 
-  --jobs N    worker threads (default: TBWF_JOBS env, else all cores;
-              must be at least 1)";
+  --jobs N    worker threads (default: all cores; must be at least 1)";
 
 fn parse_args(args: &[String]) -> Result<Option<usize>, String> {
     let mut jobs = None;

@@ -32,19 +32,16 @@ use tbwf_sim::{resolve_jobs, Executor};
 const RESULTS_DIR: &str = "results";
 
 const USAGE: &str = "\
-usage: e12_gauntlet [--campaigns N] [--jobs N] [--skip-ablation] [--repro FILE]
+usage: e12_gauntlet [--campaigns N] [--jobs N] [--repro FILE]
 
   --campaigns N    total campaigns across the four system kinds
                    (default 240; must be at least 1)
-  --jobs N         worker threads (default: TBWF_JOBS env, else all cores;
-                   must be at least 1)
-  --skip-ablation  skip the self-punishment ablation demonstration
+  --jobs N         worker threads (default: all cores; must be at least 1)
   --repro FILE     replay a repro artifact instead of running campaigns";
 
 struct Cli {
     total: usize,
     jobs: Option<usize>,
-    run_ablation: bool,
     repro: Option<String>,
 }
 
@@ -52,7 +49,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut cli = Cli {
         total: 240,
         jobs: None,
-        run_ablation: true,
         repro: None,
     };
     let mut i = 0;
@@ -66,7 +62,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 cli.jobs = Some(positive_arg(args, i + 1, "--jobs")?);
                 i += 1;
             }
-            "--skip-ablation" => cli.run_ablation = false,
             "--repro" => {
                 cli.repro = Some(
                     args.get(i + 1)
@@ -233,13 +228,11 @@ fn main() -> ExitCode {
     } else {
         println!("\nall campaigns passed");
     }
-    if cli.run_ablation {
-        match ablation() {
-            Ok(()) => println!("ablation detected and shrunk as expected"),
-            Err(e) => {
-                eprintln!("ablation FAILED: {e}");
-                ok = false;
-            }
+    match ablation() {
+        Ok(()) => println!("ablation detected and shrunk as expected"),
+        Err(e) => {
+            eprintln!("ablation FAILED: {e}");
+            ok = false;
         }
     }
     if ok {

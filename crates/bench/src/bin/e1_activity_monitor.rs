@@ -11,7 +11,7 @@
 use std::rc::Rc;
 use tbwf_bench::print_table;
 use tbwf_monitor::fig2::{activity_monitor, OBS_FAULT, OBS_STATUS};
-use tbwf_monitor::props::{check_pair, CheckParams, PairRun};
+use tbwf_monitor::props::{check_pair, PairRun};
 use tbwf_registers::RegisterFactory;
 use tbwf_sim::schedule::{GapGrowth, PartiallySynchronous, RoundRobin, Schedule};
 use tbwf_sim::{step, Env, FutureTask, Local, ProcId, RunConfig, SimBuilder};
@@ -124,12 +124,7 @@ fn run_one(mon: InputScript, act: InputScript, beh: QBehavior, steps: u64) -> Pa
         )),
         _ => Box::new(RoundRobin::new()),
     };
-    let mut config = RunConfig {
-        max_steps: steps,
-        crashes: Vec::new(),
-        schedule,
-        nemesis: None,
-    };
+    let mut config = RunConfig::new(steps, schedule);
     if matches!(beh, QBehavior::Crash) {
         config = config.crash(steps / 4, ProcId(1));
     }
@@ -162,7 +157,7 @@ fn main() {
         for mon in scripts {
             for act in scripts {
                 let run = run_one(mon, act, beh, steps);
-                let rep = check_pair(&run, CheckParams::default());
+                let rep = check_pair(&run);
                 let verd = [rep.p1, rep.p2, rep.p3, rep.p4, rep.p5, rep.p6];
                 let cells: Vec<String> = verd
                     .iter()

@@ -8,7 +8,6 @@
 use tbwf_bench::print_table;
 use tbwf_omega::{
     check_spec, run_omega_system, CandidateScript, OmegaKind, OmegaRunData, OmegaSystemConfig,
-    SpecParams,
 };
 use tbwf_sim::schedule::{Flicker, GapGrowth, PartiallySynchronous, RoundRobin, Schedule};
 use tbwf_sim::{ProcId, RunConfig};
@@ -119,12 +118,7 @@ fn main() {
                 scripts: sc.scripts.clone(),
                 ..Default::default()
             };
-            let mut run = RunConfig {
-                max_steps: steps,
-                crashes: Vec::new(),
-                schedule: (sc.schedule)(n),
-                nemesis: None,
-            };
+            let mut run = RunConfig::new(steps, (sc.schedule)(n));
             if let Some((t, p)) = sc.crash {
                 run = run.crash(t, p);
             }
@@ -132,7 +126,7 @@ fn main() {
             out.report.assert_no_panics();
             let timely = (sc.timely)(n);
             let data = OmegaRunData::from_trace(&out.report.trace, n, &timely);
-            let v = check_spec(&data, SpecParams::default(), false);
+            let v = check_spec(&data, false);
             if !v.ok {
                 failures += 1;
             }

@@ -11,7 +11,6 @@
 use tbwf_bench::print_table;
 use tbwf_omega::{
     check_spec, run_omega_system, CandidateScript, OmegaKind, OmegaRunData, OmegaSystemConfig,
-    SpecParams,
 };
 use tbwf_registers::{AbortPolicy, EffectPolicy, RegisterFactoryConfig};
 use tbwf_sim::schedule::{GapGrowth, PartiallySynchronous, RoundRobin, Schedule};
@@ -54,12 +53,7 @@ fn main() {
                         GapGrowth::Linear(4),
                     ))
                 };
-                let mut run = RunConfig {
-                    max_steps: steps,
-                    crashes: Vec::new(),
-                    schedule,
-                    nemesis: None,
-                };
+                let mut run = RunConfig::new(steps, schedule);
                 if let Some((t, p)) = crash {
                     run = run.crash(t, p);
                 }
@@ -70,7 +64,7 @@ fn main() {
                     .filter(|p| p.0 < timely_k && Some(*p) != crash.map(|(_, c)| c))
                     .collect();
                 let data = OmegaRunData::from_trace(&out.report.trace, n, &timely);
-                let v = check_spec(&data, SpecParams::default(), false);
+                let v = check_spec(&data, false);
                 if !v.ok {
                     failures += 1;
                 }

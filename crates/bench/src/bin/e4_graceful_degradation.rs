@@ -27,7 +27,7 @@ fn main() {
     for kind in [OmegaKind::Atomic, OmegaKind::Abortable] {
         for k in 1..=n {
             let timely: Vec<ProcId> = (0..k).map(ProcId).collect();
-            let schedule = PartiallySynchronous::new(timely.clone(), 4, true);
+            let schedule = PartiallySynchronous::new(timely.clone(), 4);
             let run = TbwfSystemBuilder::new(Counter)
                 .processes(n)
                 .omega(kind)

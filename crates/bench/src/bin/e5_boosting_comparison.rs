@@ -45,21 +45,9 @@ fn main() {
             let schedule: Box<dyn Schedule> = if k == n {
                 Box::new(RoundRobin::new())
             } else {
-                Box::new(PartiallySynchronous::new(
-                    (0..k).map(ProcId).collect(),
-                    4,
-                    true,
-                ))
+                Box::new(PartiallySynchronous::new((0..k).map(ProcId).collect(), 4))
             };
-            let out = run_counter_workload(
-                &cfg,
-                RunConfig {
-                    max_steps: steps,
-                    crashes: Vec::new(),
-                    schedule,
-                    nemesis: None,
-                },
-            );
+            let out = run_counter_workload(&cfg, RunConfig::new(steps, schedule));
             out.report.assert_no_panics();
             out.assert_distinct_responses();
             let timely: Vec<u64> = out.completed[..k].to_vec();

@@ -118,12 +118,7 @@ fn heartbeat_detector(slow_writer: bool, two_regs: bool, steps: u64) -> (u64, u6
     } else {
         Box::new(RoundRobin::new())
     };
-    let report = b.build().run(RunConfig {
-        max_steps: steps,
-        crashes: Vec::new(),
-        schedule,
-        nemesis: None,
-    });
+    let report = b.build().run(RunConfig::new(steps, schedule));
     report.assert_no_panics();
     let timely = report
         .trace

@@ -86,7 +86,6 @@ fn parse_schedule(spec: &str, n: usize, steps: u64) -> Result<Box<dyn Schedule>,
         Ok(Box::new(PartiallySynchronous::new(
             (0..k).map(ProcId).collect(),
             4,
-            true,
         )))
     } else if let Some(seed) = spec.strip_prefix("random:") {
         let seed: u64 = seed
@@ -119,12 +118,7 @@ fn run_counter(cli: &Cli, schedule: Box<dyn Schedule>) -> TbwfRun<Counter> {
         .processes(cli.n)
         .omega(cli.omega)
         .workload_all(Workload::Unlimited(CounterOp::Inc))
-        .run(RunConfig {
-            max_steps: cli.steps,
-            crashes: Vec::new(),
-            schedule,
-            nemesis: None,
-        })
+        .run(RunConfig::new(cli.steps, schedule))
 }
 
 fn main() -> ExitCode {
@@ -151,14 +145,9 @@ fn main() -> ExitCode {
     let measured = tbwf_sim::timeliness::measured_timely_set(&run.report.trace.steps, n, &[]);
     println!("measured timely set:              {measured:?}\n");
 
-    println!(
-        "step timeline (one column ≈ {} steps; ' .:#' = share of steps):",
-        steps / 64
-    );
-    print!(
-        "{}",
-        run.report.trace.ascii_timeline(n, (steps / 64).max(1))
-    );
+    let bucket = (steps / 64).max(1);
+    println!("step timeline (one column ≈ {bucket} steps; ' .:#' = share of steps):");
+    print!("{}", run.report.trace.ascii_timeline(n, bucket));
 
     println!("\nleader timeline at p0 (last 8 changes):");
     let series = run.report.trace.obs_series(ProcId(0), OBS_LEADER, 0);

@@ -31,10 +31,10 @@ use tbwf::linearize::check_run_linearizable;
 use tbwf::prelude::OBS_COMPLETED;
 use tbwf::{TbwfRun, TbwfSystemBuilder, Workload};
 use tbwf_monitor::fig2::{OBS_FAULT, OBS_STATUS};
-use tbwf_monitor::props::{check_pair, CheckParams, PairRun};
+use tbwf_monitor::props::{check_pair, PairRun};
 use tbwf_monitor::MonitorMesh;
 use tbwf_omega::harness::install_omega_with;
-use tbwf_omega::spec::{check_spec, OmegaRunData, SpecParams};
+use tbwf_omega::spec::{check_spec, OmegaRunData};
 use tbwf_omega::{add_external_candidate_driver, OmegaKind, OBS_LEADER};
 use tbwf_registers::{RegisterFactory, RegisterFactoryConfig};
 use tbwf_registers::{DIAL_ABORT_NO_EFFECT, DIAL_ABORT_STORM, DIAL_BASE, DIAL_CALM};
@@ -358,7 +358,7 @@ fn run_monitor(sc: &Scenario, mk_schedule: MkSchedule<'_>) -> (Outcome, RunRepor
                 q_p_timely: measured.contains(&ProcId(q)),
                 p_correct: trace.is_correct(ProcId(p)),
             };
-            let rep = check_pair(&pair, CheckParams::default());
+            let rep = check_pair(&pair);
             if !rep.all_ok() {
                 out.violations.push(Violation::new(
                     "monitor-props",
@@ -396,7 +396,7 @@ fn run_omega(sc: &Scenario, mk_schedule: MkSchedule<'_>) -> (Outcome, RunReport)
 
     // Definition 5 against the measured timely set.
     let data = OmegaRunData::from_trace(trace, sc.n, &measured);
-    let verdict = check_spec(&data, SpecParams::default(), false);
+    let verdict = check_spec(&data, false);
     for f in &verdict.failures {
         out.violations.push(Violation::new("omega-spec", f.clone()));
     }
@@ -553,7 +553,7 @@ fn run_tbwf(sc: &Scenario, mk_schedule: MkSchedule<'_>) -> (Outcome, RunReport) 
         .workload_all(Workload::Unlimited(CounterOp::Inc))
         .run_wired(
             RunConfig::new(sc.steps, mk_schedule(ctl.clone())),
-            |factory, cfg| cfg.nemesis = Some(base_nemesis(sc, factory, &ctl)),
+            |factory, cfg| cfg.with_nemesis(base_nemesis(sc, factory, &ctl)),
         );
 
     let (mut out, measured, _) = outcome_from_report(&run.report, sc.n);

@@ -33,19 +33,16 @@ use tbwf_sim::{resolve_jobs, Executor};
 const RESULTS_DIR: &str = "results";
 
 const USAGE: &str = "\
-usage: e13_model_check [--quick] [--jobs N] [--skip-ablation] [--repro FILE]
+usage: e13_model_check [--quick] [--jobs N] [--repro FILE]
 
   --quick          smoke bounds (depth 3, one preemption) instead of the
                    full experiment bounds
-  --jobs N         worker threads (default: TBWF_JOBS env, else all cores;
-                   must be at least 1)
-  --skip-ablation  skip the self-punishment ablation demonstration
+  --jobs N         worker threads (default: all cores; must be at least 1)
   --repro FILE     replay a counterexample artifact instead of checking";
 
 struct Cli {
     scale: SuiteScale,
     jobs: Option<usize>,
-    run_ablation: bool,
     repro: Option<String>,
 }
 
@@ -53,7 +50,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut cli = Cli {
         scale: SuiteScale::Full,
         jobs: None,
-        run_ablation: true,
         repro: None,
     };
     let mut i = 0;
@@ -64,7 +60,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 cli.jobs = Some(positive_arg(args, i + 1, "--jobs")?);
                 i += 1;
             }
-            "--skip-ablation" => cli.run_ablation = false,
             "--repro" => {
                 cli.repro = Some(
                     args.get(i + 1)
@@ -236,13 +231,11 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    if cli.run_ablation {
-        match ablation(cli.scale, &executor) {
-            Ok(()) => println!("ablation counterexample found and shrunk as expected"),
-            Err(e) => {
-                eprintln!("ablation FAILED: {e}");
-                ok = false;
-            }
+    match ablation(cli.scale, &executor) {
+        Ok(()) => println!("ablation counterexample found and shrunk as expected"),
+        Err(e) => {
+            eprintln!("ablation FAILED: {e}");
+            ok = false;
         }
     }
     if ok {

@@ -28,8 +28,6 @@ use tbwf_sim::timeliness::measured_timely_set;
 use tbwf_sim::{
     DecisionLog, Executor, NemesisSchedule, ProcId, RunReport, ScriptedWindow, Tapped, Trigger,
 };
-use tbwf_universal::object::CounterOp;
-use tbwf_universal::{replay, Counter};
 
 use crate::config::CheckConfig;
 use crate::enumerate::{enumerate, Leaf};
@@ -198,8 +196,8 @@ impl Fnv {
 /// FNV-1a fingerprint of a terminal run: the full step sequence, every
 /// observation, the crash record, the oracle-relevant plan digest (which
 /// processes the plan churns — the quiescence exemptions), and for Fig-7
-/// runs the sequential replay of the completed operations (the abstract
-/// object state). Two leaves with equal fingerprints present identical
+/// runs the abstract counter state, which equals the number of completed
+/// increments. Two leaves with equal fingerprints present identical
 /// evidence to every oracle, so their verdicts must agree; the check
 /// loop asserts exactly that.
 pub fn fingerprint(sc: &Scenario, report: &RunReport) -> u64 {
@@ -226,16 +224,14 @@ pub fn fingerprint(sc: &Scenario, report: &RunReport) -> u64 {
         h.byte(c as u8);
     }
     if sc.kind == SystemKind::Tbwf {
-        let completed: usize = (0..sc.n)
+        let completed: i64 = (0..sc.n)
             .map(|p| {
                 trace
-                    .obs_series(ProcId(p), tbwf::prelude::OBS_COMPLETED, 0)
-                    .last()
-                    .map_or(0, |&(_, v)| v.max(0) as usize)
+                    .last_value(ProcId(p), tbwf::prelude::OBS_COMPLETED, 0)
+                    .map_or(0, |v| v.max(0))
             })
             .sum();
-        let (state, _) = replay(&Counter, &vec![CounterOp::Inc; completed]);
-        h.i64(state);
+        h.i64(completed);
     }
     h.0
 }

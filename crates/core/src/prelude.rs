@@ -26,7 +26,7 @@ pub use tbwf_monitor::{activity_monitor, MonitorMesh, Status};
 
 pub use tbwf_omega::{
     check_spec, run_omega_system, CandidateScript, OmegaHandles, OmegaKind, OmegaRunData,
-    OmegaSystemConfig, SpecParams,
+    OmegaSystemConfig,
 };
 
 pub use tbwf_universal::baselines::{

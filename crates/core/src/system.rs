@@ -211,12 +211,13 @@ impl<T: ObjectType> TbwfSystemBuilder<T> {
 
     /// Builds the system and executes the run.
     pub fn run(self, run: RunConfig) -> TbwfRun<T> {
-        self.run_wired(run, |_, _| {})
+        self.run_wired(run, |_, run| run)
     }
 
-    /// Like [`TbwfSystemBuilder::run`], but calls `wire` with the
-    /// register factory and the run configuration after the system is
-    /// assembled and before the run starts.
+    /// Like [`TbwfSystemBuilder::run`], but first passes the register
+    /// factory and the run configuration to `wire`, and runs the
+    /// configuration `wire` returns (typically
+    /// `|factory, run| run.with_nemesis(..)`).
     ///
     /// This is the fault-injection hook: the factory is created
     /// internally by the builder, so a nemesis that wants to register
@@ -227,11 +228,10 @@ impl<T: ObjectType> TbwfSystemBuilder<T> {
     pub fn run_wired(
         self,
         run: RunConfig,
-        wire: impl FnOnce(&RegisterFactory, &mut RunConfig),
+        wire: impl FnOnce(&RegisterFactory, RunConfig) -> RunConfig,
     ) -> TbwfRun<T> {
-        let mut run = run;
         let factory = Rc::new(RegisterFactory::new(self.factory));
-        wire(&factory, &mut run);
+        let run = wire(&factory, run);
         let mut b = SimBuilder::new();
         for p in 0..self.n {
             b.add_process(&format!("p{p}"));

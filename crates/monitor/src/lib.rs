@@ -26,7 +26,7 @@ pub mod props;
 
 pub use fig2::{activity_monitor, ActivityMonitorPair, MonitoredSide, MonitoringSide};
 pub use mesh::{MonitorMesh, ProcessMonitorHandles};
-pub use props::{check_pair, CheckParams, PairRun, PropReport, PropVerdict};
+pub use props::{check_pair, PairRun, PropReport, PropVerdict};
 
 use std::fmt;
 

@@ -5,39 +5,24 @@
 //! after which …", "increases without bound"). On finite traces we use the
 //! stabilization helpers of [`tbwf_sim::analysis`]: an *antecedent* such
 //! as "eventually always `monitoring = on`" is taken to hold when the
-//! input was in that state for at least [`CheckParams::antecedent_frac`]
+//! input was in that state for at least [`ANTECEDENT_FRAC`]
 //! of the run; the matching *consequent* must then hold for at least
-//! [`CheckParams::consequent_frac`] of the run (the gap leaves the
+//! [`CONSEQUENT_FRAC`] of the run (the gap leaves the
 //! algorithm time to converge). Boundedness and unbounded growth use
 //! [`bounded_suffix`] and [`increases_without_bound`].
 
 use crate::Status;
 use tbwf_sim::analysis::{bounded_suffix, increases_without_bound, stable_fraction};
 
-/// Thresholds for the finite-trace property checks.
-#[derive(Clone, Copy, Debug)]
-pub struct CheckParams {
-    /// Minimum final-streak fraction for an input to count as "eventually
-    /// always" in that state.
-    pub antecedent_frac: f64,
-    /// Minimum final-streak fraction required of the output.
-    pub consequent_frac: f64,
-    /// Fraction of the run over which a "bounded" counter must be flat.
-    pub bounded_frac: f64,
-    /// Number of windows across which an "unbounded" counter must grow.
-    pub growth_windows: usize,
-}
-
-impl Default for CheckParams {
-    fn default() -> Self {
-        CheckParams {
-            antecedent_frac: 0.25,
-            consequent_frac: 0.05,
-            bounded_frac: 0.25,
-            growth_windows: 4,
-        }
-    }
-}
+/// Minimum final-streak fraction of the run for an input to count as
+/// "eventually always" in that state.
+pub const ANTECEDENT_FRAC: f64 = 0.25;
+/// Minimum final-streak fraction of the run required of the output.
+pub const CONSEQUENT_FRAC: f64 = 0.05;
+/// Fraction of the run over which a "bounded" counter must be flat.
+pub const BOUNDED_FRAC: f64 = 0.25;
+/// Number of windows across which an "unbounded" counter must grow.
+pub const GROWTH_WINDOWS: usize = 4;
 
 /// Everything the checker needs to know about one `A(p, q)` pair in one
 /// run. All series are `(time, value)` with the conventions of the crate
@@ -123,7 +108,7 @@ fn ev_always(series: &[(u64, i64)], total: u64, frac: f64, pred: impl Fn(i64) ->
 }
 
 /// Evaluates Properties 1–6 for one pair over one run.
-pub fn check_pair(run: &PairRun, params: CheckParams) -> PropReport {
+pub fn check_pair(run: &PairRun) -> PropReport {
     let t = run.total_time;
     if !run.p_correct {
         // Definition 9 only constrains runs in which p is correct.
@@ -138,10 +123,10 @@ pub fn check_pair(run: &PairRun, params: CheckParams) -> PropReport {
         };
     }
 
-    let mon_off = ev_always(&run.monitoring, t, params.antecedent_frac, |v| v == 0);
-    let mon_on = ev_always(&run.monitoring, t, params.antecedent_frac, |v| v == 1);
-    let act_off = ev_always(&run.active_for, t, params.antecedent_frac, |v| v == 0);
-    let act_on = ev_always(&run.active_for, t, params.antecedent_frac, |v| v == 1);
+    let mon_off = ev_always(&run.monitoring, t, ANTECEDENT_FRAC, |v| v == 0);
+    let mon_on = ev_always(&run.monitoring, t, ANTECEDENT_FRAC, |v| v == 1);
+    let act_off = ev_always(&run.active_for, t, ANTECEDENT_FRAC, |v| v == 0);
+    let act_on = ev_always(&run.active_for, t, ANTECEDENT_FRAC, |v| v == 1);
     let q_crashed = run.q_crash.is_some();
 
     let verdict = |applicable: bool, holds: bool| {
@@ -157,14 +142,14 @@ pub fn check_pair(run: &PairRun, params: CheckParams) -> PropReport {
     // Property 1.
     let p1 = verdict(
         mon_off,
-        ev_always(&run.status, t, params.consequent_frac, |v| {
+        ev_always(&run.status, t, CONSEQUENT_FRAC, |v| {
             v == Status::Unknown.code()
         }),
     );
     // Property 2.
     let p2 = verdict(
         mon_on,
-        ev_always(&run.status, t, params.consequent_frac, |v| {
+        ev_always(&run.status, t, CONSEQUENT_FRAC, |v| {
             v != Status::Unknown.code()
         }),
     );
@@ -173,14 +158,14 @@ pub fn check_pair(run: &PairRun, params: CheckParams) -> PropReport {
     // satisfies "≠ active".
     let p3 = verdict(
         q_crashed || act_off,
-        ev_always(&run.status, t, params.consequent_frac, |v| {
+        ev_always(&run.status, t, CONSEQUENT_FRAC, |v| {
             v != Status::Active.code()
         }),
     );
     // Property 4.
     let p4 = verdict(
         run.q_p_timely && act_on,
-        ev_always(&run.status, t, params.consequent_frac, |v| {
+        ev_always(&run.status, t, CONSEQUENT_FRAC, |v| {
             v != Status::Inactive.code()
         }),
     );
@@ -188,16 +173,13 @@ pub fn check_pair(run: &PairRun, params: CheckParams) -> PropReport {
     // eventually-always active-for = off, (d) eventually-always
     // monitoring = off.
     let p5_applicable = run.q_p_timely || q_crashed || act_off || mon_off;
-    let p5 = verdict(
-        p5_applicable,
-        bounded_suffix(&run.fault, t, params.bounded_frac),
-    );
+    let p5 = verdict(p5_applicable, bounded_suffix(&run.fault, t, BOUNDED_FRAC));
     // Property 6: unbounded when q is correct but not p-timely while both
     // sides stay on.
     let p6_applicable = !run.q_p_timely && !q_crashed && act_on && mon_on;
     let p6 = verdict(
         p6_applicable,
-        increases_without_bound(&run.fault, t, params.growth_windows),
+        increases_without_bound(&run.fault, t, GROWTH_WINDOWS),
     );
 
     PropReport {
@@ -230,7 +212,7 @@ mod tests {
     #[test]
     fn healthy_pair_satisfies_all() {
         let r = base_run();
-        let rep = check_pair(&r, CheckParams::default());
+        let rep = check_pair(&r);
         assert!(rep.all_ok(), "violations: {:?}", rep.violations());
         assert_eq!(rep.p2, PropVerdict::Holds);
         assert_eq!(rep.p4, PropVerdict::Holds);
@@ -242,7 +224,7 @@ mod tests {
     fn crashed_p_makes_everything_vacuous() {
         let mut r = base_run();
         r.p_correct = false;
-        let rep = check_pair(&r, CheckParams::default());
+        let rep = check_pair(&r);
         assert_eq!(rep.p1, PropVerdict::NotApplicable);
         assert!(rep.all_ok());
     }
@@ -251,7 +233,7 @@ mod tests {
     fn stuck_unknown_violates_p2() {
         let mut r = base_run();
         r.status = vec![(0, 0)]; // ? forever while monitoring on
-        let rep = check_pair(&r, CheckParams::default());
+        let rep = check_pair(&r);
         assert_eq!(rep.p2, PropVerdict::Violated);
         assert!(!rep.all_ok());
         assert_eq!(rep.violations(), vec![2]);
@@ -261,7 +243,7 @@ mod tests {
     fn growing_fault_on_timely_q_violates_p5() {
         let mut r = base_run();
         r.fault = (0..20).map(|i| (i * 50, i as i64)).collect();
-        let rep = check_pair(&r, CheckParams::default());
+        let rep = check_pair(&r);
         assert_eq!(rep.p5, PropVerdict::Violated);
     }
 
@@ -272,11 +254,11 @@ mod tests {
         r.status = vec![(0, 0), (50, 2)];
         // growing fault counter: p6 holds
         r.fault = (0..20).map(|i| (i * 50, i as i64)).collect();
-        let rep = check_pair(&r, CheckParams::default());
+        let rep = check_pair(&r);
         assert_eq!(rep.p6, PropVerdict::Holds);
         // flat fault counter: p6 violated
         r.fault = vec![(0, 0), (100, 3)];
-        let rep = check_pair(&r, CheckParams::default());
+        let rep = check_pair(&r);
         assert_eq!(rep.p6, PropVerdict::Violated);
     }
 
@@ -287,7 +269,7 @@ mod tests {
         r.q_p_timely = false;
         r.status = vec![(0, 0), (50, 1), (150, 2)];
         r.fault = vec![(0, 0), (150, 1)];
-        let rep = check_pair(&r, CheckParams::default());
+        let rep = check_pair(&r);
         assert_eq!(rep.p3, PropVerdict::Holds);
         assert_eq!(rep.p5, PropVerdict::Holds);
         assert_eq!(rep.p6, PropVerdict::NotApplicable);
@@ -299,7 +281,7 @@ mod tests {
         r.monitoring = vec![(0, 0)];
         r.status = vec![(0, 0)];
         r.fault = vec![(0, 0)];
-        let rep = check_pair(&r, CheckParams::default());
+        let rep = check_pair(&r);
         assert_eq!(rep.p1, PropVerdict::Holds);
         assert_eq!(rep.p2, PropVerdict::NotApplicable);
     }

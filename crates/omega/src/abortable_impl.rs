@@ -334,7 +334,7 @@ impl AbortableOmegaProcess {
 #[cfg(test)]
 mod tests {
     use crate::harness::{run_omega_system, OmegaKind, OmegaSystemConfig};
-    use crate::spec::{check_spec, OmegaRunData, SpecParams};
+    use crate::spec::{check_spec, OmegaRunData};
     use crate::CandidateScript;
     use tbwf_sim::schedule::RoundRobin;
     use tbwf_sim::{ProcId, RunConfig};
@@ -351,7 +351,7 @@ mod tests {
         out.report.assert_no_panics();
         let timely: Vec<ProcId> = (0..3).map(ProcId).collect();
         let data = OmegaRunData::from_trace(&out.report.trace, 3, &timely);
-        let v = check_spec(&data, SpecParams::default(), false);
+        let v = check_spec(&data, false);
         assert!(v.ok, "spec failures: {:?}", v.failures);
         let l = v.elected.expect("a leader must be elected");
         for p in 0..3 {

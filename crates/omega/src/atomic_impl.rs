@@ -145,7 +145,7 @@ impl AtomicOmegaProcess {
 #[cfg(test)]
 mod tests {
     use crate::harness::{run_omega_system, OmegaKind, OmegaSystemConfig};
-    use crate::spec::{check_spec, OmegaRunData, SpecParams};
+    use crate::spec::{check_spec, OmegaRunData};
     use crate::CandidateScript;
     use tbwf_sim::schedule::RoundRobin;
     use tbwf_sim::{ProcId, RunConfig};
@@ -162,7 +162,7 @@ mod tests {
         out.report.assert_no_panics();
         let timely: Vec<ProcId> = (0..3).map(ProcId).collect();
         let data = OmegaRunData::from_trace(&out.report.trace, 3, &timely);
-        let v = check_spec(&data, SpecParams::default(), false);
+        let v = check_spec(&data, false);
         assert!(v.ok, "spec failures: {:?}", v.failures);
         // With equal counters the smallest id wins.
         assert_eq!(v.elected, Some(ProcId(0)));
@@ -185,7 +185,7 @@ mod tests {
         assert_eq!(out.handles[2].leader.get(), None);
         let timely: Vec<ProcId> = (0..3).map(ProcId).collect();
         let data = OmegaRunData::from_trace(&out.report.trace, 3, &timely);
-        let v = check_spec(&data, SpecParams::default(), false);
+        let v = check_spec(&data, false);
         assert!(v.ok, "spec failures: {:?}", v.failures);
     }
 

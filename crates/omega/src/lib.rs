@@ -37,9 +37,7 @@ pub use drivers::{
 };
 pub use harness::{run_omega_system, OmegaKind, OmegaSystemConfig};
 pub use omega_fd::{install_omega_fd, OmegaFdHandle};
-pub use spec::{
-    check_spec, classify_candidate, CandidateClass, OmegaRunData, OmegaVerdict, SpecParams,
-};
+pub use spec::{check_spec, classify_candidate, CandidateClass, OmegaRunData, OmegaVerdict};
 
 use tbwf_sim::{Env, Local, ProcId};
 

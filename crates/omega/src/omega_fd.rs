@@ -118,7 +118,7 @@ mod tests {
         // converge on it at p0 itself (the others are too slow to matter
         // within the prefix, but must not corrupt p0's view).
         let (handles, _) = run_fd(3, OmegaKind::Abortable, || {
-            RunConfig::new(300_000, PartiallySynchronous::new(vec![ProcId(0)], 4, true))
+            RunConfig::new(300_000, PartiallySynchronous::new(vec![ProcId(0)], 4))
         });
         assert_eq!(handles[0].leader.get(), ProcId(0));
     }

@@ -30,41 +30,26 @@ pub enum CandidateClass {
     Unclassified,
 }
 
-/// Thresholds for the finite-trace spec check.
-#[derive(Clone, Copy, Debug)]
-pub struct SpecParams {
-    /// Final-streak fraction for classifying N/P candidates.
-    pub class_frac: f64,
-    /// Windows for the "infinitely often" classification of R candidates.
-    pub io_windows: usize,
-    /// Required final-streak fraction of the leader outputs.
-    pub consequent_frac: f64,
-}
-
-impl Default for SpecParams {
-    fn default() -> Self {
-        SpecParams {
-            class_frac: 0.3,
-            io_windows: 3,
-            consequent_frac: 0.05,
-        }
-    }
-}
+/// Final-streak fraction of the run for which a `candidate` series must
+/// hold one value to classify the process as an N or P candidate.
+pub const CLASS_FRAC: f64 = 0.3;
+/// Number of windows in which an R candidate's `candidate` must be both
+/// true and false (the finite-trace "infinitely often").
+pub const IO_WINDOWS: usize = 3;
+/// Final-streak fraction of the run for which a leader output must hold
+/// its converged value.
+pub const CONSEQUENT_FRAC: f64 = 0.05;
 
 /// Classifies one correct process from its `candidate` series.
-pub fn classify_candidate(
-    series: &[(u64, i64)],
-    total_time: u64,
-    params: SpecParams,
-) -> CandidateClass {
-    if stable_fraction(series, total_time, |v| v == 0) >= params.class_frac {
+pub fn classify_candidate(series: &[(u64, i64)], total_time: u64) -> CandidateClass {
+    if stable_fraction(series, total_time, |v| v == 0) >= CLASS_FRAC {
         return CandidateClass::Never;
     }
-    if stable_fraction(series, total_time, |v| v == 1) >= params.class_frac {
+    if stable_fraction(series, total_time, |v| v == 1) >= CLASS_FRAC {
         return CandidateClass::Permanent;
     }
-    let io_true = holds_infinitely_often(series, total_time, params.io_windows, |v| v == 1);
-    let io_false = holds_infinitely_often(series, total_time, params.io_windows, |v| v == 0);
+    let io_true = holds_infinitely_often(series, total_time, IO_WINDOWS, |v| v == 1);
+    let io_false = holds_infinitely_often(series, total_time, IO_WINDOWS, |v| v == 0);
     if io_true && io_false {
         return CandidateClass::Repeated;
     }
@@ -108,17 +93,13 @@ impl OmegaRunData {
     }
 
     /// The candidacy class of each process (crashed ⇒ `None`).
-    pub fn classes(&self, params: SpecParams) -> Vec<Option<CandidateClass>> {
+    pub fn classes(&self) -> Vec<Option<CandidateClass>> {
         (0..self.n)
             .map(|p| {
                 if self.crashed[p] {
                     None
                 } else {
-                    Some(classify_candidate(
-                        &self.candidate[p],
-                        self.total_time,
-                        params,
-                    ))
+                    Some(classify_candidate(&self.candidate[p], self.total_time))
                 }
             })
             .collect()
@@ -191,8 +172,8 @@ pub struct OmegaVerdict {
 /// Checks Definition 5 on a run. With `canonical = true` it checks the
 /// stronger Theorem 7 instead (the elected leader must be a *permanent*
 /// timely candidate).
-pub fn check_spec(data: &OmegaRunData, params: SpecParams, canonical: bool) -> OmegaVerdict {
-    let classes = data.classes(params);
+pub fn check_spec(data: &OmegaRunData, canonical: bool) -> OmegaVerdict {
+    let classes = data.classes();
     let mut failures = Vec::new();
 
     let in_class = |p: usize, c: CandidateClass| classes[p] == Some(c);
@@ -232,7 +213,7 @@ pub fn check_spec(data: &OmegaRunData, params: SpecParams, canonical: bool) -> O
             }
             // (a) eventually always leader_ℓ = ℓ.
             if stable_fraction(&data.leader[l], data.total_time, |v| v == l as i64)
-                < params.consequent_frac
+                < CONSEQUENT_FRAC
             {
                 failures.push(format!("leader_p{l} does not stabilize to p{l}"));
             }
@@ -240,7 +221,7 @@ pub fn check_spec(data: &OmegaRunData, params: SpecParams, canonical: bool) -> O
             for p in 0..data.n {
                 if in_class(p, CandidateClass::Permanent)
                     && stable_fraction(&data.leader[p], data.total_time, |v| v == l as i64)
-                        < params.consequent_frac
+                        < CONSEQUENT_FRAC
                 {
                     failures.push(format!(
                         "leader_p{p} (P-candidate) does not stabilize to p{l}"
@@ -252,7 +233,7 @@ pub fn check_spec(data: &OmegaRunData, params: SpecParams, canonical: bool) -> O
                 if in_class(p, CandidateClass::Repeated)
                     && stable_fraction(&data.leader[p], data.total_time, |v| {
                         v == -1 || v == l as i64
-                    }) < params.consequent_frac
+                    }) < CONSEQUENT_FRAC
                 {
                     failures.push(format!(
                         "leader_p{p} (R-candidate) leaves {{?, p{l}}} near the end"
@@ -269,7 +250,7 @@ pub fn check_spec(data: &OmegaRunData, params: SpecParams, canonical: bool) -> O
             let ok = if series.is_empty() {
                 true // never observed a change from the initial `?`
             } else {
-                stable_fraction(series, data.total_time, |v| v == -1) >= params.consequent_frac
+                stable_fraction(series, data.total_time, |v| v == -1) >= CONSEQUENT_FRAC
             };
             if !ok {
                 failures.push(format!("leader_p{p} (N-candidate) does not return to ?"));
@@ -295,20 +276,13 @@ mod tests {
 
     #[test]
     fn classification_basics() {
-        let p = SpecParams::default();
         assert_eq!(
-            classify_candidate(&steady(1), 1000, p),
+            classify_candidate(&steady(1), 1000),
             CandidateClass::Permanent
         );
-        assert_eq!(
-            classify_candidate(&steady(0), 1000, p),
-            CandidateClass::Never
-        );
+        assert_eq!(classify_candidate(&steady(0), 1000), CandidateClass::Never);
         let blink: Vec<(u64, i64)> = (0..20).map(|i| (i * 50, (i % 2) as i64)).collect();
-        assert_eq!(
-            classify_candidate(&blink, 1000, p),
-            CandidateClass::Repeated
-        );
+        assert_eq!(classify_candidate(&blink, 1000), CandidateClass::Repeated);
     }
 
     fn two_proc_data(leader0: Vec<(u64, i64)>, leader1: Vec<(u64, i64)>) -> OmegaRunData {
@@ -325,7 +299,7 @@ mod tests {
     #[test]
     fn agreement_on_lowest_counter_leader_passes() {
         let d = two_proc_data(vec![(0, -1), (100, 0)], vec![(0, -1), (120, 0)]);
-        let v = check_spec(&d, SpecParams::default(), false);
+        let v = check_spec(&d, false);
         assert!(v.ok, "failures: {:?}", v.failures);
         assert_eq!(v.elected, Some(ProcId(0)));
     }
@@ -333,7 +307,7 @@ mod tests {
     #[test]
     fn disagreement_fails() {
         let d = two_proc_data(vec![(0, 0)], vec![(0, 1)]);
-        let v = check_spec(&d, SpecParams::default(), false);
+        let v = check_spec(&d, false);
         assert!(!v.ok);
         assert!(v.failures.iter().any(|f| f.contains("does not stabilize")));
     }
@@ -341,7 +315,7 @@ mod tests {
     #[test]
     fn no_election_for_timely_p_candidate_fails() {
         let d = two_proc_data(vec![(0, -1)], vec![(0, -1)]);
-        let v = check_spec(&d, SpecParams::default(), false);
+        let v = check_spec(&d, false);
         assert!(!v.ok);
     }
 
@@ -350,7 +324,7 @@ mod tests {
         let mut d = two_proc_data(vec![(0, 0)], vec![(0, 0)]);
         d.candidate[1] = steady(0); // p1 never candidates…
         d.leader[1] = vec![(0, 0)]; // …but still outputs a leader forever
-        let v = check_spec(&d, SpecParams::default(), false);
+        let v = check_spec(&d, false);
         assert!(!v.ok);
         assert!(v.failures.iter().any(|f| f.contains("N-candidate")));
     }
@@ -360,9 +334,9 @@ mod tests {
         let mut d = two_proc_data(vec![(0, 1)], vec![(0, 1)]);
         // p1 (the elected one) is an R-candidate.
         d.candidate[1] = (0..20).map(|i| (i * 50, (i % 2) as i64)).collect();
-        let lax = check_spec(&d, SpecParams::default(), false);
+        let lax = check_spec(&d, false);
         assert!(lax.ok, "Def 5 allows an R leader: {:?}", lax.failures);
-        let strict = check_spec(&d, SpecParams::default(), true);
+        let strict = check_spec(&d, true);
         assert!(!strict.ok, "Thm 7 forbids an R leader");
     }
 
@@ -388,7 +362,7 @@ mod tests {
     fn empty_system_without_timely_p_only_checks_condition2() {
         let mut d = two_proc_data(vec![(0, -1)], vec![(0, -1)]);
         d.candidate = vec![steady(0), steady(0)];
-        let v = check_spec(&d, SpecParams::default(), false);
+        let v = check_spec(&d, false);
         assert!(v.ok, "failures: {:?}", v.failures);
         assert_eq!(v.elected, None);
     }

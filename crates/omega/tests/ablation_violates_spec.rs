@@ -7,9 +7,7 @@
 //! using a real buggy implementation rather than a synthetic trace.
 
 use tbwf_omega::harness::install_omega_with;
-use tbwf_omega::{
-    add_candidate_driver, check_spec, CandidateScript, OmegaKind, OmegaRunData, SpecParams,
-};
+use tbwf_omega::{add_candidate_driver, check_spec, CandidateScript, OmegaKind, OmegaRunData};
 use tbwf_registers::RegisterFactory;
 use tbwf_sim::schedule::RoundRobin;
 use tbwf_sim::{ProcId, RunConfig, SimBuilder};
@@ -41,7 +39,7 @@ fn run_blinker_scenario(self_punish: bool) -> OmegaRunData {
 #[test]
 fn faithful_algorithm_passes_the_blinker_scenario() {
     let data = run_blinker_scenario(true);
-    let v = check_spec(&data, SpecParams::default(), false);
+    let v = check_spec(&data, false);
     assert!(
         v.ok,
         "the paper's algorithm must satisfy Def. 5: {:?}",
@@ -52,7 +50,7 @@ fn faithful_algorithm_passes_the_blinker_scenario() {
 #[test]
 fn ablated_algorithm_fails_the_blinker_scenario() {
     let data = run_blinker_scenario(false);
-    let v = check_spec(&data, SpecParams::default(), false);
+    let v = check_spec(&data, false);
     assert!(
         !v.ok,
         "without self-punishment the oscillation must violate Def. 5 \

@@ -1,7 +1,7 @@
 //! Property tests: the candidacy classifier and spec checker.
 
 use proptest::prelude::*;
-use tbwf_omega::{check_spec, classify_candidate, CandidateClass, OmegaRunData, SpecParams};
+use tbwf_omega::{check_spec, classify_candidate, CandidateClass, OmegaRunData};
 
 proptest! {
     /// A series that ends in a long true-streak classifies Permanent.
@@ -11,7 +11,7 @@ proptest! {
         series.sort_by_key(|(t, _)| *t);
         series.dedup_by_key(|(t, _)| *t);
         series.push((500, 1)); // long final true streak over [500, 1000)
-        let c = classify_candidate(&series, 1000, SpecParams::default());
+        let c = classify_candidate(&series, 1000);
         prop_assert_eq!(c, CandidateClass::Permanent);
     }
 
@@ -27,7 +27,7 @@ proptest! {
             t += period;
         }
         prop_assume!(series.len() >= 8);
-        let c = classify_candidate(&series, 1000, SpecParams::default());
+        let c = classify_candidate(&series, 1000);
         prop_assert_eq!(c, CandidateClass::Repeated);
     }
 
@@ -46,7 +46,7 @@ proptest! {
             crashed: vec![false; n],
             timely: vec![true; n],
         };
-        let v = check_spec(&data, SpecParams::default(), false);
+        let v = check_spec(&data, false);
         prop_assert!(v.ok, "failures: {:?}", v.failures);
     }
 
@@ -66,7 +66,7 @@ proptest! {
             crashed: vec![false; n],
             timely: vec![true; n],
         };
-        let v = check_spec(&data, SpecParams::default(), false);
+        let v = check_spec(&data, false);
         prop_assert!(!v.ok, "split-brain accepted");
     }
 }

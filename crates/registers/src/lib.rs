@@ -256,9 +256,9 @@ mod tests {
         let plan = FaultPlan::new().with(on_gauge, FaultAction::Crash(FaultTarget::Stepper));
         let mut nemesis = Nemesis::new(plan);
         nemesis.register_gauge("p0", factory.inflight_gauge(p0));
-        let mut config = RunConfig::new(10, RoundRobin::new());
-        config.nemesis = Some(nemesis);
-        let report = b.build().run(config);
+        let report = b
+            .build()
+            .run(RunConfig::new(10, RoundRobin::new()).with_nemesis(nemesis));
         report.assert_no_panics();
         // The crash fires after the invocation step, so the response step
         // never runs and the write never completes.

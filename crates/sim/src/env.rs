@@ -44,12 +44,12 @@ pub trait Env {
     /// Whether process `p` has crashed in this run.
     ///
     /// Simulator environments report the run's crash flags, set the
-    /// moment a crash (from the static plan or a nemesis injection)
-    /// takes effect: a crashed process takes no further steps, so its
-    /// pending operations can no longer interfere with operations invoked
-    /// after the crash (see `RegCore` in `tbwf-registers`). Environments
-    /// with no crash model (free-running tests) use this default and
-    /// report every process alive.
+    /// moment a crash of the run's fault plan takes effect: a crashed
+    /// process takes no further steps, so its pending operations can no
+    /// longer interfere with operations invoked after the crash (see
+    /// `RegCore` in `tbwf-registers`). Environments with no crash model
+    /// (free-running tests) use this default and report every process
+    /// alive.
     fn is_crashed(&self, _p: ProcId) -> bool {
         false
     }

@@ -22,36 +22,21 @@
 //! reference and `Send` outcomes come out, and the compiler rejects a
 //! job that tries to carry a run's objects across.
 //!
-//! Worker count resolution (first match wins):
-//!
-//! 1. an explicit `--jobs N` CLI value, passed as `Some(n)` to
-//!    [`resolve_jobs`];
-//! 2. the `TBWF_JOBS` environment variable;
-//! 3. [`std::thread::available_parallelism`] (all cores).
+//! The worker count is an explicit `--jobs N` CLI value, passed as
+//! `Some(n)` to [`resolve_jobs`], else all cores
+//! ([`std::thread::available_parallelism`]).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
-/// Environment variable overriding the default worker count.
-pub const JOBS_ENV: &str = "TBWF_JOBS";
-
-/// Resolves the worker count: `explicit` (a `--jobs` flag), else
-/// [`JOBS_ENV`], else all available cores. Always at least 1; zero or
-/// unparsable overrides are ignored.
+/// Resolves the worker count: `explicit` (a `--jobs` flag), else all
+/// available cores. Always at least 1; an explicit zero is ignored.
 pub fn resolve_jobs(explicit: Option<usize>) -> usize {
-    explicit
-        .filter(|&j| j >= 1)
-        .or_else(|| {
-            std::env::var(JOBS_ENV)
-                .ok()
-                .and_then(|s| s.trim().parse().ok())
-                .filter(|&j| j >= 1)
-        })
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
+    explicit.filter(|&j| j >= 1).unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// A fixed-width pool for executing independent jobs across cores.

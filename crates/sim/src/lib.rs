@@ -37,10 +37,11 @@
 //!
 //! # Fault injection
 //!
-//! Beyond the static crash plan of [`RunConfig`], a run can carry a
-//! [`Nemesis`]: a deterministic, trace-aware fault injector. Its
-//! [`FaultPlan`] crashes processes when a predicate over the trace fires
-//! ("crash the current leader", "crash between invoke and complete"),
+//! Every fault of a run, a crash at a fixed time included, goes through
+//! its [`Nemesis`]: a deterministic, trace-aware fault injector.
+//! [`RunConfig::crash`] appends a timed crash to its [`FaultPlan`], and
+//! the plan can also crash processes when a predicate over the trace
+//! fires ("crash the current leader", "crash between invoke and complete"),
 //! flips registered switches (candidacy churn), turns registered dials
 //! (register fault bursts), and perturbs the timely set of a
 //! [`NemesisSchedule`] mid-run. The [`nemesis`] module documents the

@@ -138,9 +138,9 @@ impl Schedule for RoundRobin {
 }
 
 /// A designated timely set steps round-robin; the remaining processes get
-/// one step every `gap` rounds of the timely set — and if `growing_gaps`
-/// is set, the gap doubles each time, so the slow processes are *not*
-/// timely (no fixed bound exists).
+/// one step every `gap` rounds of the timely set. With [`PartiallySynchronous::new`]
+/// the gap doubles each time, so the slow processes are *not* timely (no
+/// fixed bound exists).
 #[derive(Clone, Debug)]
 pub struct PartiallySynchronous {
     timely: Vec<ProcId>,
@@ -169,18 +169,10 @@ pub enum GapGrowth {
 impl PartiallySynchronous {
     /// Creates a schedule in which exactly `timely` keeps a constant step
     /// cadence. `gap` is the initial number of timely steps between two
-    /// consecutive slow-process steps; `growing_gaps` selects
-    /// [`GapGrowth::Doubling`] (true) or [`GapGrowth::Constant`] (false).
-    pub fn new(timely: Vec<ProcId>, gap: u64, growing_gaps: bool) -> Self {
-        Self::with_growth(
-            timely,
-            gap,
-            if growing_gaps {
-                GapGrowth::Doubling
-            } else {
-                GapGrowth::Constant
-            },
-        )
+    /// consecutive slow-process steps, and it doubles after every slow
+    /// step ([`GapGrowth::Doubling`]).
+    pub fn new(timely: Vec<ProcId>, gap: u64) -> Self {
+        Self::with_growth(timely, gap, GapGrowth::Doubling)
     }
 
     /// Creates the schedule with an explicit gap-growth law.
@@ -872,7 +864,7 @@ mod tests {
 
     #[test]
     fn partially_synchronous_growing_gaps() {
-        let mut s = PartiallySynchronous::new(vec![ProcId(0), ProcId(1)], 2, true);
+        let mut s = PartiallySynchronous::new(vec![ProcId(0), ProcId(1)], 2);
         let r = [true, true, true];
         let mut slow_times = Vec::new();
         for t in 0..200 {

@@ -111,8 +111,8 @@ pub struct Trace {
     /// several can share a time when a task exits and its successor
     /// steps in the same slot).
     pub obs: Vec<Obs>,
-    /// Crash events `(time, process)` that were applied during the run
-    /// (from the static crash plan and from nemesis injections alike).
+    /// Crash events `(time, process)` that were applied during the run,
+    /// in the order they took effect: the run's one crash record.
     pub crashes: Vec<(u64, ProcId)>,
     /// Nemesis injections applied during the run, in firing order.
     pub injections: Vec<crate::nemesis::InjectionRecord>,

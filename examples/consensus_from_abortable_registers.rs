@@ -58,7 +58,7 @@ fn main() {
     }
     let run = b.run(RunConfig::new(
         steps,
-        PartiallySynchronous::new(vec![ProcId(0)], 4, true),
+        PartiallySynchronous::new(vec![ProcId(0)], 4),
     ));
     run.report.assert_no_panics();
     println!("one timely (p0):  completed = {:?}", run.completed);

@@ -62,7 +62,7 @@ fn main() {
     // Check the Ω∆ specification (Definition 5) on the trace.
     let timely: Vec<ProcId> = (0..4).map(ProcId).collect();
     let data = OmegaRunData::from_trace(&out.report.trace, 4, &timely);
-    let verdict = check_spec(&data, SpecParams::default(), false);
+    let verdict = check_spec(&data, false);
     println!("  classes: {:?}", verdict.classes);
     println!(
         "  elected leader: {:?}  spec ok: {}",

@@ -25,7 +25,7 @@ fn main() {
 
     for k in 1..=n {
         let timely: Vec<ProcId> = (0..k).map(ProcId).collect();
-        let schedule = PartiallySynchronous::new(timely.clone(), 4, true);
+        let schedule = PartiallySynchronous::new(timely.clone(), 4);
         let run = TbwfSystemBuilder::new(Counter)
             .processes(n)
             .omega(OmegaKind::Atomic)

@@ -10,7 +10,7 @@
 //!
 //! * [`sim`] — deterministic partial-synchrony simulator (Section 3's
 //!   model: steps, schedules, crashes, measured timeliness);
-//! * [`registers`] — atomic / safe / **abortable** registers;
+//! * [`registers`] — atomic and **abortable** registers;
 //! * [`monitor`] — activity monitors `A(p, q)` (Figure 2);
 //! * [`omega`] — the dynamic leader elector Ω∆ from atomic registers
 //!   (Figure 3) and from abortable registers (Figures 4–6);

@@ -34,11 +34,12 @@ fn fuzz_once(seed: u64) {
     }
     let mut cfg = RunConfig::new(steps, SeededRandom::new(seed ^ 0xF00D));
     // Crash up to one process, at a random time, sometimes.
+    let mut crashed: Vec<ProcId> = Vec::new();
     if rng.random_bool(0.4) {
         let victim = ProcId(rng.random_range(0..n));
         cfg = cfg.crash(rng.random_range(0..steps / 2), victim);
+        crashed.push(victim);
     }
-    let crashed: Vec<ProcId> = cfg.crashes.iter().map(|(_, p)| *p).collect();
 
     let run = b.run(cfg);
     run.report.assert_no_panics();

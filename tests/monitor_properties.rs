@@ -5,7 +5,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 use tbwf::prelude::*;
 use tbwf_monitor::fig2::{activity_monitor, OBS_FAULT, OBS_STATUS};
-use tbwf_monitor::props::{check_pair, CheckParams, PairRun};
+use tbwf_monitor::props::{check_pair, PairRun};
 use tbwf_sim::schedule::GapGrowth;
 
 struct PairSetup {
@@ -47,12 +47,7 @@ fn run_pair(s: PairSetup) -> PairRun {
             GapGrowth::Linear(4),
         ))
     };
-    let mut cfg = RunConfig {
-        max_steps: s.steps,
-        crashes: Vec::new(),
-        schedule,
-        nemesis: None,
-    };
+    let mut cfg = RunConfig::new(s.steps, schedule);
     if let Some(t) = s.q_crash_at {
         cfg = cfg.crash(t, ProcId(1));
     }
@@ -81,7 +76,7 @@ fn timely_active_q_satisfies_all_properties() {
         q_crash_at: None,
         steps: 50_000,
     });
-    let rep = check_pair(&run, CheckParams::default());
+    let rep = check_pair(&run);
     assert!(rep.all_ok(), "violations: {:?}", rep.violations());
     // Property 4 must be *applicable* here, not just vacuous.
     assert_eq!(rep.p4, tbwf_monitor::PropVerdict::Holds);
@@ -97,7 +92,7 @@ fn non_timely_q_grows_fault_counter_without_bound() {
         q_crash_at: None,
         steps: 60_000,
     });
-    let rep = check_pair(&run, CheckParams::default());
+    let rep = check_pair(&run);
     assert_eq!(
         rep.p6,
         tbwf_monitor::PropVerdict::Holds,
@@ -115,7 +110,7 @@ fn crashed_q_is_eventually_inactive_with_bounded_faults() {
         q_crash_at: Some(10_000),
         steps: 60_000,
     });
-    let rep = check_pair(&run, CheckParams::default());
+    let rep = check_pair(&run);
     assert_eq!(rep.p3, tbwf_monitor::PropVerdict::Holds);
     assert_eq!(rep.p5, tbwf_monitor::PropVerdict::Holds);
     assert!(rep.all_ok(), "violations: {:?}", rep.violations());
@@ -130,7 +125,7 @@ fn monitoring_off_keeps_status_unknown_forever() {
         q_crash_at: None,
         steps: 30_000,
     });
-    let rep = check_pair(&run, CheckParams::default());
+    let rep = check_pair(&run);
     assert_eq!(rep.p1, tbwf_monitor::PropVerdict::Holds);
     assert!(
         run.fault.len() <= 1,

@@ -41,7 +41,7 @@ fn crash_mid_operation_never_wedges_survivors() {
                 );
                 let mut nem = Nemesis::new(plan);
                 nem.register_gauge("inflight[1]", factory.inflight_gauge(ProcId(1)));
-                cfg.nemesis = Some(nem);
+                cfg.with_nemesis(nem)
             },
         );
     run.report.assert_no_panics();

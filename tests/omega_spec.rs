@@ -19,18 +19,10 @@ fn check(
         scripts,
         ..Default::default()
     };
-    let out = run_omega_system(
-        &cfg,
-        RunConfig {
-            max_steps: steps,
-            crashes: Vec::new(),
-            schedule,
-            nemesis: None,
-        },
-    );
+    let out = run_omega_system(&cfg, RunConfig::new(steps, schedule));
     out.report.assert_no_panics();
     let data = OmegaRunData::from_trace(&out.report.trace, n, &timely);
-    let v = check_spec(&data, SpecParams::default(), canonical);
+    let v = check_spec(&data, canonical);
     assert!(v.ok, "{kind:?} n={n}: spec failures: {:?}", v.failures);
 }
 

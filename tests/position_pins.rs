@@ -118,10 +118,10 @@ fn omega_run(kind: OmegaKind, self_punish: bool, nemesis: Option<Nemesis>, crash
     if crash {
         config = config.crash(15_000, ProcId(0));
     }
-    config.nemesis = nemesis.map(|mut nem| {
+    if let Some(mut nem) = nemesis {
         nem.register_dial("policy", factory.policy_dial().handle());
-        nem
-    });
+        config = config.with_nemesis(nem);
+    }
     run(b, config)
 }
 
@@ -196,9 +196,10 @@ fn every_candidate_script() {
         .with(Trigger::At(90), set(false));
     let mut nem = Nemesis::new(plan);
     nem.register_switch("ext", desired);
-    let mut config = RunConfig::new(400, SeededRandom::new(3));
-    config.nemesis = Some(nem);
-    let d = run(b, config);
+    let d = run(
+        b,
+        RunConfig::new(400, SeededRandom::new(3)).with_nemesis(nem),
+    );
     assert_eq!(
         d, 0xa15a_09d7_0891_56e8,
         "candidate drivers digest {d:#018x}"
@@ -264,7 +265,7 @@ fn figure7_under_an_abort_storm() {
                     .with(Trigger::At(35_000), set(DIAL_BASE));
                 let mut nem = Nemesis::new(plan);
                 nem.register_dial("policy", factory.policy_dial().handle());
-                cfg.nemesis = Some(nem);
+                cfg.with_nemesis(nem)
             },
         );
     run.report.assert_no_panics();

@@ -32,7 +32,7 @@ fn all_timely_implies_everyone_progresses() {
 fn only_timely_processes_are_guaranteed_progress() {
     for kind in [OmegaKind::Atomic, OmegaKind::Abortable] {
         let timely: Vec<ProcId> = vec![ProcId(0), ProcId(1)];
-        let schedule = PartiallySynchronous::new(timely, 4, true);
+        let schedule = PartiallySynchronous::new(timely, 4);
         let run = inc_system(4, kind, 2).run(RunConfig::new(300_000, schedule));
         run.report.assert_no_panics();
         assert!(
