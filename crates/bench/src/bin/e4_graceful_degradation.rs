@@ -13,6 +13,7 @@
 //! The paper has no empirical section; this experiment renders its
 //! Section 1.1 narrative as a measurable curve (see EXPERIMENTS.md).
 
+use tbwf::linearize::counter_history_violations;
 use tbwf::prelude::*;
 use tbwf_bench::{print_table, summarize};
 
@@ -41,12 +42,9 @@ fn main() {
             if min_timely == 0 {
                 starved += 1;
             }
-            // Linearizability invariant on the side.
-            let mut resp: Vec<i64> = run.results.iter().flatten().map(|r| r.resp).collect();
-            let total = resp.len();
-            resp.sort_unstable();
-            resp.dedup();
-            assert_eq!(resp.len(), total, "duplicate counter responses");
+            // Linearizability on the side.
+            let violations = counter_history_violations(&run);
+            assert!(violations.is_empty(), "{kind:?}, k = {k}: {violations:?}");
             rows.push(vec![
                 format!("{kind:?}"),
                 k.to_string(),

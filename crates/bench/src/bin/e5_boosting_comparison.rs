@@ -13,11 +13,9 @@
 //!   either way; Herlihy's CAS construction is immune but needs a strong
 //!   primitive.
 
+use tbwf::linearize::counter_history_violations;
+use tbwf::prelude::*;
 use tbwf_bench::{print_table, summarize};
-use tbwf_omega::OmegaKind;
-use tbwf_sim::schedule::{PartiallySynchronous, RoundRobin, Schedule};
-use tbwf_sim::{ProcId, RunConfig};
-use tbwf_universal::harness::{run_counter_workload, Engine, WorkloadConfig};
 
 fn main() {
     let n = 4;
@@ -49,7 +47,8 @@ fn main() {
             };
             let out = run_counter_workload(&cfg, RunConfig::new(steps, schedule));
             out.report.assert_no_panics();
-            out.assert_distinct_responses();
+            let violations = counter_history_violations(&out);
+            assert!(violations.is_empty(), "{ename}, {rname}: {violations:?}");
             let timely: Vec<u64> = out.completed[..k].to_vec();
             let slow: Vec<u64> = out.completed[k..].to_vec();
             rows.push(vec![

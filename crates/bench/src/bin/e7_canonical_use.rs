@@ -10,11 +10,9 @@
 //! We run the same all-timely workload with and without the wait and
 //! report the per-process completion counts and a Jain fairness index.
 
+use tbwf::linearize::counter_history_violations;
+use tbwf::prelude::*;
 use tbwf_bench::print_table;
-use tbwf_omega::OmegaKind;
-use tbwf_sim::schedule::RoundRobin;
-use tbwf_sim::RunConfig;
-use tbwf_universal::harness::{run_counter_workload, Engine, WorkloadConfig};
 
 fn jain(xs: &[u64]) -> f64 {
     let sum: f64 = xs.iter().map(|&x| x as f64).sum();
@@ -46,7 +44,8 @@ fn main() {
         };
         let out = run_counter_workload(&cfg, RunConfig::new(steps, RoundRobin::new()));
         out.report.assert_no_panics();
-        out.assert_distinct_responses();
+        let violations = counter_history_violations(&out);
+        assert!(violations.is_empty(), "{name}: {violations:?}");
         let f = jain(&out.completed);
         rows.push(vec![
             name.to_string(),

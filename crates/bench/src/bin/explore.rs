@@ -6,8 +6,8 @@
 //! degradation.
 
 use std::process::ExitCode;
+use tbwf::linearize::counter_history_violations;
 use tbwf::prelude::*;
-use tbwf_bench::gauntlet::counter_history_violations;
 use tbwf_omega::OBS_LEADER;
 use tbwf_sim::StepLog;
 
@@ -158,9 +158,9 @@ fn main() -> ExitCode {
     // The step budget can cut off an increment that has taken effect
     // before its response is reported, so the history is checked with the
     // counter oracle, which is sound on such a history.
-    let violations = counter_history_violations(&run, n);
+    let violations = counter_history_violations(&run);
     for v in &violations {
-        eprintln!("explore: {}: {}", v.invariant, v.detail);
+        eprintln!("explore: linearizable: {v}");
     }
     if !violations.is_empty() {
         return ExitCode::FAILURE;
@@ -193,7 +193,7 @@ mod tests {
         let schedule = parse_schedule(&cli.sched_spec, cli.n, cli.steps).unwrap();
         let run = run_counter(&cli, schedule);
         run.report.assert_no_panics();
-        let violations = counter_history_violations(&run, cli.n);
+        let violations = counter_history_violations(&run);
         assert!(violations.is_empty(), "{violations:?}");
     }
 }

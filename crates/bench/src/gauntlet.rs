@@ -27,9 +27,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
-use tbwf::linearize::check_run_linearizable;
+use tbwf::linearize::counter_history_violations;
 use tbwf::prelude::OBS_COMPLETED;
-use tbwf::{TbwfRun, TbwfSystemBuilder, Workload};
+use tbwf::{TbwfSystemBuilder, Workload};
 use tbwf_monitor::fig2::{OBS_FAULT, OBS_STATUS};
 use tbwf_monitor::props::{check_pair, PairRun};
 use tbwf_monitor::MonitorMesh;
@@ -456,94 +456,6 @@ fn run_omega(sc: &Scenario, mk_schedule: MkSchedule<'_>) -> (Outcome, RunReport)
     (out, report)
 }
 
-/// The counter-history oracle of a TBWF counter run of `n` processes:
-/// its `linearizable` violations, empty on a sound history.
-///
-/// Every history is checked for distinct ranks, at most one unreported
-/// increment per process, well-formed intervals, and ranks that respect
-/// real-time order. Sound on a history cut off by a crash, a halt or the
-/// end of the run: the Wing & Gong search, which needs a complete
-/// history, runs only when every effective increment was reported.
-pub fn counter_history_violations(run: &TbwfRun<Counter>, n: usize) -> Vec<Violation> {
-    let mut violations = Vec::new();
-    // Each increment's response is its rank in the linearization order,
-    // so reported responses must be distinct (a duplicate rank means two
-    // increments linearized at the same point — a genuine safety
-    // violation). The ranks need not be contiguous: a process crashed or
-    // halted between an increment taking effect and its response being
-    // reported leaves a hole, at most one per process.
-    let ops = || run.results.iter().flatten();
-    let mut resp: Vec<i64> = ops().map(|r| r.resp).collect();
-    let total_ops = resp.len();
-    resp.sort_unstable();
-    if resp.windows(2).any(|w| w[0] == w[1]) {
-        violations.push(Violation::new(
-            "linearizable",
-            format!("duplicate increment rank among {total_ops} responses"),
-        ));
-    }
-    let max_resp = resp.last().copied().unwrap_or(0);
-    if max_resp - total_ops as i64 > n as i64 {
-        violations.push(Violation::new(
-            "linearizable",
-            format!(
-                "{} unreported effective increments (max rank {max_resp}, {total_ops} responses) \
-                 exceeds one in-flight operation per process (n = {n})",
-                max_resp - total_ops as i64,
-            ),
-        ));
-    }
-    for (p, r) in run.results.iter().enumerate() {
-        if r.iter().any(|op| op.time < op.invoked) {
-            violations.push(Violation::new(
-                "linearizable",
-                format!("p{p} reports an inverted operation interval"),
-            ));
-        }
-    }
-    // Ranks respect real time: an increment that responded no later than
-    // another was invoked has the lower rank. One sweep in invocation
-    // order folds every increment responded by then into its maximum
-    // rank. (`>` rather than `≥`: ranks of distinct increments are
-    // distinct, checked above, and an increment never precedes itself.)
-    let mut by_invocation: Vec<(u64, i64)> = ops().map(|r| (r.invoked, r.resp)).collect();
-    let mut by_response: Vec<(u64, i64)> = ops().map(|r| (r.time, r.resp)).collect();
-    by_invocation.sort_unstable();
-    by_response.sort_unstable();
-    let (mut responded, mut max_rank) = (0, i64::MIN);
-    for &(invoked, rank) in &by_invocation {
-        while responded < by_response.len() && by_response[responded].0 <= invoked {
-            max_rank = max_rank.max(by_response[responded].1);
-            responded += 1;
-        }
-        if max_rank > rank {
-            violations.push(Violation::new(
-                "linearizable",
-                format!(
-                    "rank {rank} (invoked at {invoked}) is below rank {max_rank} of an increment \
-                     that had already responded"
-                ),
-            ));
-            break;
-        }
-    }
-
-    // On small *complete* histories — every effective increment reported,
-    // i.e. the ranks are exactly 1..=total — run the full Wing & Gong
-    // search on top of the rank tests. Gauntlet-scale campaigns produce
-    // thousands of operations and skip this; the model checker's short
-    // horizons land under the cap.
-    if total_ops <= 256 && max_resp == total_ops as i64 {
-        if let Err(e) = check_run_linearizable(&Counter, run) {
-            violations.push(Violation::new(
-                "linearizable",
-                format!("no linearization of the {total_ops}-operation history exists ({e:?})"),
-            ));
-        }
-    }
-    violations
-}
-
 fn run_tbwf(sc: &Scenario, mk_schedule: MkSchedule<'_>) -> (Outcome, RunReport) {
     let ctl = ScheduleCtl::new();
     let run = TbwfSystemBuilder::new(Counter)
@@ -559,8 +471,11 @@ fn run_tbwf(sc: &Scenario, mk_schedule: MkSchedule<'_>) -> (Outcome, RunReport) 
     let (mut out, measured, _) = outcome_from_report(&run.report, sc.n);
     let trace = &run.report.trace;
 
-    out.violations
-        .extend(counter_history_violations(&run, sc.n));
+    out.violations.extend(
+        counter_history_violations(&run)
+            .into_iter()
+            .map(|m| Violation::new("linearizable", m)),
+    );
 
     // Timeliness-based wait-freedom: every measured-timely process keeps
     // completing operations after the settle point.
@@ -1036,85 +951,5 @@ mod tests {
                 out.violations
             );
         }
-    }
-
-    /// A fault-free two-process counter run of `steps` steps under
-    /// round-robin.
-    fn counter_run_of(steps: u64) -> TbwfRun<Counter> {
-        TbwfSystemBuilder::new(Counter)
-            .processes(2)
-            .workload_all(Workload::Unlimited(CounterOp::Inc))
-            .run(RunConfig::new(steps, tbwf_sim::schedule::RoundRobin::new()))
-    }
-
-    fn counter_run() -> TbwfRun<Counter> {
-        counter_run_of(5_000)
-    }
-
-    fn max_rank(run: &TbwfRun<Counter>) -> i64 {
-        run.results.iter().flatten().map(|r| r.resp).max().unwrap()
-    }
-
-    #[test]
-    fn counter_oracle_accepts_a_truncated_history() {
-        let mut run = counter_run();
-        assert!(counter_history_violations(&run, 2).is_empty());
-        // The process whose last increment is not the latest one loses
-        // that response, as if the run had been cut off before reporting
-        // it: the increment took effect, so its rank leaves a hole.
-        let top = max_rank(&run);
-        let p = (0..2)
-            .find(|&p| run.results[p].last().is_some_and(|r| r.resp != top))
-            .unwrap();
-        run.results[p].pop();
-        assert_eq!(max_rank(&run), top);
-        let total = run.results.iter().map(Vec::len).sum::<usize>() as i64;
-        assert_eq!(top, total + 1, "one hole in the ranks");
-        let violations = counter_history_violations(&run, 2);
-        assert!(violations.is_empty(), "{violations:?}");
-    }
-
-    #[test]
-    fn counter_oracle_flags_ranks_against_real_time() {
-        let mut run = counter_run_of(60_000);
-        let total = run.results.iter().map(Vec::len).sum::<usize>();
-        assert!(
-            total > 256,
-            "the Wing & Gong search must not run ({total} ops)"
-        );
-        // A hole, so the history is incomplete as well.
-        let top = max_rank(&run);
-        let p = (0..2)
-            .find(|&p| run.results[p].last().is_some_and(|r| r.resp != top))
-            .unwrap();
-        run.results[p].pop();
-        assert!(counter_history_violations(&run, 2).is_empty());
-        // p0's first increment responded before its last was invoked, so
-        // swapping their ranks breaks real-time order and nothing else.
-        let ops = &mut run.results[0];
-        let last = ops.len() - 1;
-        assert!(ops[0].time <= ops[last].invoked);
-        let (first_rank, last_rank) = (ops[0].resp, ops[last].resp);
-        ops[0].resp = last_rank;
-        ops[last].resp = first_rank;
-        let violations = counter_history_violations(&run, 2);
-        assert_eq!(violations.len(), 1, "{violations:?}");
-        assert!(
-            violations[0].detail.contains("already responded"),
-            "{violations:?}"
-        );
-    }
-
-    #[test]
-    fn counter_oracle_flags_a_duplicated_rank() {
-        let mut run = counter_run();
-        run.results[0][0].resp = run.results[1][0].resp;
-        let violations = counter_history_violations(&run, 2);
-        assert!(
-            violations
-                .iter()
-                .any(|v| v.detail.starts_with("duplicate increment rank")),
-            "{violations:?}"
-        );
     }
 }

@@ -12,7 +12,9 @@
 //! 7–8) disabled, the checker must *find* the quiescence violation —
 //! a single well-placed candidacy flip — and shrink it to one placed
 //! injection, written to `results/e13_counterexample.json` in the
-//! gauntlet repro format extended with the decision-window script.
+//! gauntlet repro format extended with the decision-window script. A
+//! `--quick` run prints its counterexample instead, leaving the committed
+//! full-scale artifact alone.
 //!
 //! Exploration is sharded across fixed chunks of the canonical leaf
 //! list (`--jobs`), so every report is byte-identical for every worker
@@ -36,7 +38,8 @@ const USAGE: &str = "\
 usage: e13_model_check [--quick] [--jobs N] [--repro FILE]
 
   --quick          smoke bounds (depth 3, one preemption) instead of the
-                   full experiment bounds
+                   full experiment bounds; prints the ablation
+                   counterexample instead of writing it to results/
   --jobs N         worker threads (default: all cores; must be at least 1)
   --repro FILE     replay a counterexample artifact instead of checking";
 
@@ -198,6 +201,15 @@ fn ablation(scale: SuiteScale, executor: &Executor) -> Result<(), String> {
     }
     if cex.outcome.violations.is_empty() {
         return Err("shrunk counterexample no longer reproduces".into());
+    }
+    // The committed artifact is the full-scale counterexample; a quick
+    // run prints its own instead of overwriting it.
+    if scale == SuiteScale::Quick {
+        println!(
+            "  shrunk counterexample (quick scale, not written): {}",
+            cex.to_json().to_string_compact()
+        );
+        return Ok(());
     }
     let path = write_artifact(Path::new(RESULTS_DIR), "e13_counterexample", &cex.to_json())
         .map_err(|e| format!("cannot write artifact: {e}"))?;

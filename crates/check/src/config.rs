@@ -19,13 +19,19 @@ pub struct InjectionSpec {
     /// the fact the sleep-set pruning rule exploits. `None`: conservatively
     /// assume every process may observe it (never commutes).
     pub transparent_to_others: Option<usize>,
-    /// `Some(p)`: the action crashes process `p`. Drives the enumerator's
-    /// runnable-mask prediction (a crashed process takes no further window
-    /// step).
-    pub crashes: Option<usize>,
 }
 
 impl InjectionSpec {
+    /// `Some(p)`: the action crashes process `p`. Drives the enumerator's
+    /// runnable-mask prediction (a crashed process takes no further window
+    /// step).
+    pub fn crashes(&self) -> Option<usize> {
+        match self.action {
+            FaultAction::Crash(FaultTarget::Proc(p)) => Some(p),
+            _ => None,
+        }
+    }
+
     /// Sets process `p`'s external candidacy switch (Ω∆ kinds only).
     /// Only `p`'s own driver task reads the desired-candidacy flag, so
     /// the flip is transparent to steps of every other process.
@@ -37,7 +43,6 @@ impl InjectionSpec {
                 on,
             },
             transparent_to_others: Some(p),
-            crashes: None,
         }
     }
 
@@ -48,7 +53,6 @@ impl InjectionSpec {
             label: format!("crash p{p}"),
             action: FaultAction::Crash(FaultTarget::Proc(p)),
             transparent_to_others: None,
-            crashes: Some(p),
         }
     }
 
@@ -62,7 +66,6 @@ impl InjectionSpec {
                 value,
             },
             transparent_to_others: None,
-            crashes: None,
         }
     }
 
@@ -77,7 +80,6 @@ impl InjectionSpec {
             label: format!("demote p{p}"),
             action: FaultAction::Demote(FaultTarget::Proc(p)),
             transparent_to_others: None,
-            crashes: None,
         }
     }
 }
@@ -146,7 +148,7 @@ impl CheckConfig {
             }
         }
         for (i, spec) in self.catalogue.iter().enumerate() {
-            if let Some(p) = spec.crashes {
+            if let Some(p) = spec.crashes() {
                 if p >= n {
                     return Err(format!("catalogue[{i}] crashes p{p}, but n = {n}"));
                 }

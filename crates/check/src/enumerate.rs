@@ -152,7 +152,7 @@ fn descend(
             if st.used[c] {
                 continue;
             }
-            if let Some(t) = cfg.catalogue[c].crashes {
+            if let Some(t) = cfg.catalogue[c].crashes() {
                 // Crashing an already-crashed process is a no-op; the
                 // placement would duplicate the crash-free leaf.
                 if st.crashed[t] {
@@ -161,7 +161,7 @@ fn descend(
             }
             st.used[c] = true;
             st.injections.push((slot, c));
-            let crash_target = cfg.catalogue[c].crashes;
+            let crash_target = cfg.catalogue[c].crashes();
             if let Some(t) = crash_target {
                 st.crashed[t] = true;
             }

@@ -97,13 +97,7 @@ pub fn run_leaf(cfg: &CheckConfig, leaf: &Leaf) -> LeafRun {
 /// processes crashed by injections at or before this slot".
 fn validate_window(cfg: &CheckConfig, leaf: &Leaf, log: &DecisionLog) {
     let n = cfg.scenario.n;
-    let w0 = cfg.window_start;
-    let end = w0 + cfg.depth as u64;
-    let decisions = log.snapshot();
-    let window: Vec<_> = decisions
-        .iter()
-        .filter(|d| d.time >= w0 && d.time < end)
-        .collect();
+    let window = log.snapshot();
     assert_eq!(
         window.len(),
         cfg.depth,
@@ -117,7 +111,7 @@ fn validate_window(cfg: &CheckConfig, leaf: &Leaf, log: &DecisionLog) {
     for (k, d) in window.iter().enumerate() {
         for &(slot, cat) in &leaf.injections {
             if slot == k {
-                if let Some(t) = cfg.catalogue[cat].crashes {
+                if let Some(t) = cfg.catalogue[cat].crashes() {
                     crashed_mask |= 1 << t;
                 }
             }
@@ -368,7 +362,7 @@ mod tests {
         let crash = cfg
             .catalogue
             .iter()
-            .position(|c| c.crashes == Some(1))
+            .position(|c| c.crashes() == Some(1))
             .expect("monitor_n2 can crash p1");
         let leaf = Leaf {
             steps: vec![ProcId(0), ProcId(1), ProcId(0), ProcId(0)],

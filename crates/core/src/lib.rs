@@ -8,11 +8,15 @@
 //! * a library of sequential [`types`] (counter, fetch-and-add, stack,
 //!   FIFO queue, double-ended queue, register file, CAS object) usable
 //!   with every universal construction in the workspace;
-//! * the high-level [`system`] builder: assemble an n-process simulated
-//!   system running any object type under the paper's TBWF construction
-//!   (Ω∆ + query-abortable object, Figure 7) or one of the baselines,
-//!   execute scripted workloads under a chosen partial-synchrony
-//!   schedule, and collect per-process results;
+//! * the high-level [`system`] runner: [`TbwfSystemBuilder`] assembles an
+//!   n-process simulated system running any object type under the
+//!   paper's TBWF construction (Ω∆ + query-abortable object, Figure 7),
+//!   and [`system::run_counter_workload`] runs an increment workload on
+//!   that construction or on one of the baselines; both execute the
+//!   workloads under a chosen partial-synchrony schedule and collect
+//!   per-process results;
+//! * [`linearize`]: a complete linearizability checker and the
+//!   counter-history oracle every counter run is checked with;
 //! * a [`prelude`] re-exporting the commonly used items from all the
 //!   member crates.
 //!

@@ -19,10 +19,17 @@
 //! effect — which our per-type invariant tests cover separately by
 //! checking, e.g., that no value is popped twice. The checker here is
 //! used on histories where every invoked operation completed.
+//!
+//! Counter runs of any length, complete or cut off, go through
+//! [`counter_history_violations`]: an increment's response is its rank,
+//! so ranks, holes and real-time order are checked directly, and the
+//! complete search runs on top when the history is small and complete.
 
+use crate::system::TbwfRun;
 use std::collections::HashSet;
 use std::hash::Hash;
 use tbwf_sim::ProcId;
+use tbwf_universal::object::Counter;
 use tbwf_universal::ObjectType;
 
 /// One completed operation of a concurrent history.
@@ -161,7 +168,7 @@ where
 
 /// Extracts the completed-operation history of a run, process-major in
 /// completion order — the form [`check_linearizable`] consumes.
-fn run_history<T: ObjectType>(run: &crate::system::TbwfRun<T>) -> Vec<HistoryEvent<T>> {
+fn run_history<T: ObjectType>(run: &TbwfRun<T>) -> Vec<HistoryEvent<T>> {
     run.results
         .iter()
         .enumerate()
@@ -177,9 +184,8 @@ fn run_history<T: ObjectType>(run: &crate::system::TbwfRun<T>) -> Vec<HistoryEve
         .collect()
 }
 
-/// Checks the complete history of a
-/// [`TbwfRun`](crate::system::TbwfRun); on success returns the history
-/// indices in linearization order.
+/// Checks the complete history of a [`TbwfRun`]; on success returns the
+/// history indices in linearization order.
 ///
 /// Only sound when the history is *complete* — no operation took effect
 /// without its response being reported (see the crate-level caveat on
@@ -188,10 +194,7 @@ fn run_history<T: ObjectType>(run: &crate::system::TbwfRun<T>) -> Vec<HistoryEve
 /// # Errors
 ///
 /// Exactly those of [`check_linearizable`].
-pub fn check_run_linearizable<T>(
-    ty: &T,
-    run: &crate::system::TbwfRun<T>,
-) -> Result<Vec<usize>, LinearizeError>
+pub fn check_run_linearizable<T>(ty: &T, run: &TbwfRun<T>) -> Result<Vec<usize>, LinearizeError>
 where
     T: ObjectType,
     T::State: Hash + Eq,
@@ -199,14 +202,13 @@ where
     check_linearizable(ty, &run_history(run))
 }
 
-/// Convenience: checks the complete history of a
-/// [`TbwfRun`](crate::system::TbwfRun).
+/// Convenience: checks the complete history of a [`TbwfRun`].
 ///
 /// # Panics
 ///
 /// Panics (with a descriptive message) if the history is not
 /// linearizable — this is meant for tests and experiments.
-pub fn assert_run_linearizable<T>(ty: &T, run: &crate::system::TbwfRun<T>)
+pub fn assert_run_linearizable<T>(ty: &T, run: &TbwfRun<T>)
 where
     T: ObjectType,
     T::State: Hash + Eq,
@@ -219,11 +221,97 @@ where
     }
 }
 
+/// The counter-history oracle of a run of increments: why its history is
+/// not linearizable, one message per broken rule, empty on a sound
+/// history.
+///
+/// Every history is checked for ranks that are positive and distinct, at
+/// most one unreported increment per process, well-formed intervals, and
+/// ranks that respect real-time order. Sound on a history cut off by a
+/// crash, a halt or the end of the run: the Wing & Gong search of
+/// [`check_run_linearizable`], which needs a complete history, runs only
+/// when every effective increment was reported.
+pub fn counter_history_violations(run: &TbwfRun<Counter>) -> Vec<String> {
+    let n = run.results.len();
+    let mut violations = Vec::new();
+    // Each increment's response is its rank in the linearization order,
+    // so reported responses must be distinct (a duplicate rank means two
+    // increments linearized at the same point — a genuine safety
+    // violation). The ranks need not be contiguous: a process crashed or
+    // halted between an increment taking effect and its response being
+    // reported leaves a hole, at most one per process.
+    let ops = || run.results.iter().flatten();
+    let mut resp: Vec<i64> = ops().map(|r| r.resp).collect();
+    let total_ops = resp.len();
+    resp.sort_unstable();
+    if let Some(&low) = resp.first().filter(|&&r| r < 1) {
+        violations.push(format!("increment rank {low} is below 1"));
+    }
+    if resp.windows(2).any(|w| w[0] == w[1]) {
+        violations.push(format!(
+            "duplicate increment rank among {total_ops} responses"
+        ));
+    }
+    let max_resp = resp.last().copied().unwrap_or(0);
+    if max_resp - total_ops as i64 > n as i64 {
+        violations.push(format!(
+            "{} unreported effective increments (max rank {max_resp}, {total_ops} responses) \
+             exceeds one in-flight operation per process (n = {n})",
+            max_resp - total_ops as i64,
+        ));
+    }
+    for (p, r) in run.results.iter().enumerate() {
+        if r.iter().any(|op| op.time < op.invoked) {
+            violations.push(format!("p{p} reports an inverted operation interval"));
+        }
+    }
+    // Ranks respect real time: an increment that responded no later than
+    // another was invoked has the lower rank. One sweep in invocation
+    // order folds every increment responded by then into its maximum
+    // rank. (`>` rather than `≥`: ranks of distinct increments are
+    // distinct, checked above, and an increment never precedes itself.)
+    let mut by_invocation: Vec<(u64, i64)> = ops().map(|r| (r.invoked, r.resp)).collect();
+    let mut by_response: Vec<(u64, i64)> = ops().map(|r| (r.time, r.resp)).collect();
+    by_invocation.sort_unstable();
+    by_response.sort_unstable();
+    let (mut responded, mut max_rank) = (0, i64::MIN);
+    for &(invoked, rank) in &by_invocation {
+        while responded < by_response.len() && by_response[responded].0 <= invoked {
+            max_rank = max_rank.max(by_response[responded].1);
+            responded += 1;
+        }
+        if max_rank > rank {
+            violations.push(format!(
+                "rank {rank} (invoked at {invoked}) is below rank {max_rank} of an increment \
+                 that had already responded"
+            ));
+            break;
+        }
+    }
+
+    // On small *complete* histories — every effective increment reported,
+    // i.e. the ranks are exactly 1..=total — run the full Wing & Gong
+    // search on top of the rank tests. Long campaigns produce thousands
+    // of operations and skip this; the model checker's short horizons
+    // land under the cap.
+    if total_ops <= 256 && max_resp == total_ops as i64 {
+        if let Err(e) = check_run_linearizable(&Counter, run) {
+            violations.push(format!(
+                "no linearization of the {total_ops}-operation history exists ({e:?})"
+            ));
+        }
+    }
+    violations
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::system::{TbwfSystemBuilder, Workload};
     use crate::types::{Stack, StackOp, StackResp};
-    use tbwf_universal::object::{Counter, CounterOp};
+    use tbwf_sim::schedule::RoundRobin;
+    use tbwf_sim::RunConfig;
+    use tbwf_universal::object::CounterOp;
 
     fn ev<T: ObjectType>(
         p: usize,
@@ -395,6 +483,99 @@ mod tests {
         assert_eq!(
             check_linearizable(&Counter, &h),
             Err(LinearizeError::NotLinearizable)
+        );
+    }
+
+    /// A fault-free two-process counter run of `steps` steps under
+    /// round-robin.
+    fn counter_run_of(steps: u64) -> TbwfRun<Counter> {
+        TbwfSystemBuilder::new(Counter)
+            .processes(2)
+            .workload_all(Workload::Unlimited(CounterOp::Inc))
+            .run(RunConfig::new(steps, RoundRobin::new()))
+    }
+
+    fn counter_run() -> TbwfRun<Counter> {
+        counter_run_of(5_000)
+    }
+
+    fn max_rank(run: &TbwfRun<Counter>) -> i64 {
+        run.results.iter().flatten().map(|r| r.resp).max().unwrap()
+    }
+
+    #[test]
+    fn counter_oracle_accepts_a_truncated_history() {
+        let mut run = counter_run();
+        assert!(counter_history_violations(&run).is_empty());
+        // The process whose last increment is not the latest one loses
+        // that response, as if the run had been cut off before reporting
+        // it: the increment took effect, so its rank leaves a hole.
+        let top = max_rank(&run);
+        let p = (0..2)
+            .find(|&p| run.results[p].last().is_some_and(|r| r.resp != top))
+            .unwrap();
+        run.results[p].pop();
+        assert_eq!(max_rank(&run), top);
+        let total = run.results.iter().map(Vec::len).sum::<usize>() as i64;
+        assert_eq!(top, total + 1, "one hole in the ranks");
+        let violations = counter_history_violations(&run);
+        assert!(violations.is_empty(), "{violations:?}");
+    }
+
+    #[test]
+    fn counter_oracle_flags_ranks_against_real_time() {
+        let mut run = counter_run_of(60_000);
+        let total = run.results.iter().map(Vec::len).sum::<usize>();
+        assert!(
+            total > 256,
+            "the Wing & Gong search must not run ({total} ops)"
+        );
+        // A hole, so the history is incomplete as well.
+        let top = max_rank(&run);
+        let p = (0..2)
+            .find(|&p| run.results[p].last().is_some_and(|r| r.resp != top))
+            .unwrap();
+        run.results[p].pop();
+        assert!(counter_history_violations(&run).is_empty());
+        // p0's first increment responded before its last was invoked, so
+        // swapping their ranks breaks real-time order and nothing else.
+        let ops = &mut run.results[0];
+        let last = ops.len() - 1;
+        assert!(ops[0].time <= ops[last].invoked);
+        let (first_rank, last_rank) = (ops[0].resp, ops[last].resp);
+        ops[0].resp = last_rank;
+        ops[last].resp = first_rank;
+        let violations = counter_history_violations(&run);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(
+            violations[0].contains("already responded"),
+            "{violations:?}"
+        );
+    }
+
+    #[test]
+    fn counter_oracle_flags_a_rank_below_one() {
+        let mut run = counter_run();
+        run.results[0][0].resp = 0;
+        let violations = counter_history_violations(&run);
+        assert!(
+            violations
+                .iter()
+                .any(|v| v == "increment rank 0 is below 1"),
+            "{violations:?}"
+        );
+    }
+
+    #[test]
+    fn counter_oracle_flags_a_duplicated_rank() {
+        let mut run = counter_run();
+        run.results[0][0].resp = run.results[1][0].resp;
+        let violations = counter_history_violations(&run);
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.starts_with("duplicate increment rank")),
+            "{violations:?}"
         );
     }
 }

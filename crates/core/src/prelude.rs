@@ -1,7 +1,10 @@
 //! One-stop imports for users of the TBWF workspace.
 
 pub use crate::linearize::{assert_run_linearizable, check_linearizable, HistoryEvent};
-pub use crate::system::{OpResult, TbwfRun, TbwfSystemBuilder, Workload, OBS_COMPLETED};
+pub use crate::system::{
+    run_counter_workload, Engine, OpResult, TbwfRun, TbwfSystemBuilder, Workload, WorkloadConfig,
+    OBS_COMPLETED,
+};
 pub use crate::types::{
     CasObject, CasOp, CasResp, Consensus, ConsensusOp, ConsensusResp, Deque, DequeOp, DequeResp,
     FetchAdd, FetchAddOp, Queue, QueueOp, QueueResp, RegFile, RegFileOp, RegFileResp, Snapshot,
@@ -32,7 +35,6 @@ pub use tbwf_omega::{
 pub use tbwf_universal::baselines::{
     invoke_flms, invoke_obstruction_free, CasUniversal, FlmsShared,
 };
-pub use tbwf_universal::harness::{run_counter_workload, Engine, WorkloadConfig};
 pub use tbwf_universal::object::{Counter, CounterOp};
 pub use tbwf_universal::tbwf::invoke_tbwf;
 pub use tbwf_universal::{ObjectType, Outcome, QaObject, QaSession};

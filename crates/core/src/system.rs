@@ -1,18 +1,66 @@
-//! The high-level system builder: any object type, any schedule, full
-//! TBWF stack (Ω∆ + query-abortable object + Figure 7 workers).
+//! The system runner: an n-process simulated system running increment
+//! or scripted workloads on any progress engine — the paper's TBWF stack
+//! (Ω∆ + query-abortable object + Figure 7 workers) or one of the
+//! baselines it is compared against.
+//!
+//! Two entry points share one runner: [`TbwfSystemBuilder`] runs any
+//! object type on the TBWF engine, and [`run_counter_workload`] runs the
+//! increment workload of the E4/E5/E7 experiments on any [`Engine`].
 
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 use tbwf_omega::harness::install_omega;
-use tbwf_omega::{OmegaHandles, OmegaKind};
+use tbwf_omega::OmegaKind;
 use tbwf_registers::{AbortPolicy, EffectPolicy, OpLog, RegisterFactory, RegisterFactoryConfig};
 use tbwf_sim::{Env, ProcId, RunConfig, RunReport, SimBuilder};
-use tbwf_universal::qa::{QaObject, QaSession};
+use tbwf_universal::baselines::{invoke_flms, invoke_obstruction_free, CasUniversal, FlmsShared};
+use tbwf_universal::object::{Counter, CounterOp};
+use tbwf_universal::qa::QaObject;
 use tbwf_universal::tbwf::invoke_tbwf;
 use tbwf_universal::ObjectType;
 
-pub use tbwf_universal::harness::OBS_COMPLETED;
+/// Observation key: number of completed operations of a worker.
+pub const OBS_COMPLETED: &str = "completed";
+
+/// The progress engine a workload runs on.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Engine {
+    /// The paper's construction: Ω∆ + query-abortable object (Figure 7).
+    Tbwf(OmegaKind),
+    /// Figure 7 without the canonical line-2 wait (for E7 only).
+    TbwfNonCanonical(OmegaKind),
+    /// The query-abortable object driven directly (obstruction-free).
+    PlainOf,
+    /// FLMS-style panic-flag boosting (assumes all-timely).
+    FlmsBoost,
+    /// Herlihy-style wait-free construction from CAS.
+    HerlihyCas,
+}
+
+/// Configuration of a counter workload run.
+#[derive(Clone, Copy, Debug)]
+pub struct WorkloadConfig {
+    /// Number of processes; each runs one worker performing increments.
+    pub n: usize,
+    /// Progress engine.
+    pub engine: Engine,
+    /// Register backend configuration.
+    pub factory: RegisterFactoryConfig,
+    /// Operations per worker (`u64::MAX` = keep going until the run ends).
+    pub ops_per_proc: u64,
+}
+
+impl Default for WorkloadConfig {
+    fn default() -> Self {
+        WorkloadConfig {
+            n: 3,
+            engine: Engine::Tbwf(OmegaKind::Atomic),
+            factory: RegisterFactoryConfig::default(),
+            ops_per_proc: u64::MAX,
+        }
+    }
+}
 
 /// The operation script of one process.
 pub enum Workload<T: ObjectType> {
@@ -73,7 +121,8 @@ impl<T: ObjectType> Clone for OpResult<T> {
     }
 }
 
-/// The outcome of a [`TbwfSystemBuilder::run`].
+/// The outcome of a [`TbwfSystemBuilder::run`] or a
+/// [`run_counter_workload`].
 pub struct TbwfRun<T: ObjectType> {
     /// The simulation report (trace, crashes, task outcomes).
     pub report: RunReport,
@@ -103,23 +152,22 @@ impl<T: ObjectType> TbwfRun<T> {
 /// Per-process completed operations, shared by the workers of a run.
 type ResultSink<T> = Rc<RefCell<Vec<Vec<OpResult<T>>>>>;
 
-/// The scripted Figure 7 worker of process `p`: one [`invoke_tbwf`] per
-/// workload entry, each result pushed into `sink` as it completes. The
-/// next operation starts in the step that completed the previous one.
+/// The worker of process `p` on every engine: one `invoke` per workload
+/// entry, each result pushed into `sink` as it completes. The next
+/// operation starts in the step that completed the previous one.
 async fn worker<T: ObjectType>(
     env: Rc<dyn Env>,
     p: usize,
     workload: Workload<T>,
-    mut session: QaSession<T>,
-    omega: OmegaHandles,
     sink: ResultSink<T>,
+    mut invoke: impl AsyncFnMut(&dyn Env, T::Op) -> T::Resp,
 ) {
     let env = &*env;
     env.observe(OBS_COMPLETED, 0, 0);
     let mut i = 0;
     while let Some(op) = workload.op_at(i) {
         let invoked = env.now();
-        let resp = invoke_tbwf(env, &mut session, &omega, op.clone(), true).await;
+        let resp = invoke(env, op.clone()).await;
         i += 1;
         sink.borrow_mut()[p].push(OpResult {
             invoked,
@@ -129,6 +177,102 @@ async fn worker<T: ObjectType>(
         });
         env.observe(OBS_COMPLETED, 0, i as i64);
     }
+}
+
+/// Spawns a [`worker`] for every process whose workload is not
+/// [`Workload::Idle`]; `invocation(p)` is process `p`'s operation on the
+/// engine.
+fn spawn_workers<T: ObjectType, F>(
+    b: &mut SimBuilder,
+    workloads: Vec<Workload<T>>,
+    sink: &ResultSink<T>,
+    mut invocation: impl FnMut(ProcId) -> F,
+) where
+    F: AsyncFnMut(&dyn Env, T::Op) -> T::Resp + 'static,
+{
+    for (p, workload) in workloads.into_iter().enumerate() {
+        if matches!(workload, Workload::Idle) {
+            continue;
+        }
+        let invoke = invocation(ProcId(p));
+        let sink = Rc::clone(sink);
+        b.spawn_task(ProcId(p), "worker", move |env| {
+            worker(env, p, workload, sink, invoke)
+        });
+    }
+}
+
+/// Names one process per workload, installs `engine` over registers from
+/// `factory`, spawns the workers and executes the run.
+fn run_engine<T: ObjectType>(
+    ty: T,
+    engine: Engine,
+    factory: Rc<RegisterFactory>,
+    workloads: Vec<Workload<T>>,
+    run: RunConfig,
+) -> TbwfRun<T> {
+    let n = workloads.len();
+    let mut b = SimBuilder::new();
+    for p in 0..n {
+        b.add_process(&format!("p{p}"));
+    }
+    let sink: ResultSink<T> = Rc::new(RefCell::new((0..n).map(|_| Vec::new()).collect()));
+    match engine {
+        Engine::Tbwf(kind) | Engine::TbwfNonCanonical(kind) => {
+            let canonical = matches!(engine, Engine::Tbwf(_));
+            let omega = install_omega(&mut b, &factory, n, kind);
+            let obj = QaObject::new(ty, n, Rc::clone(&factory));
+            spawn_workers(&mut b, workloads, &sink, |p| {
+                let mut session = obj.session(p);
+                let omega = omega[p.0].clone();
+                async move |env: &dyn Env, op| {
+                    invoke_tbwf(env, &mut session, &omega, op, canonical).await
+                }
+            });
+        }
+        Engine::PlainOf => {
+            let obj = QaObject::new(ty, n, Rc::clone(&factory));
+            spawn_workers(&mut b, workloads, &sink, |p| {
+                let mut session = obj.session(p);
+                async move |env: &dyn Env, op| invoke_obstruction_free(env, &mut session, op).await
+            });
+        }
+        Engine::FlmsBoost => {
+            let obj = QaObject::new(ty, n, Rc::clone(&factory));
+            let shared = FlmsShared::new(&factory, n);
+            spawn_workers(&mut b, workloads, &sink, |p| {
+                let mut session = obj.session(p);
+                let shared = Rc::clone(&shared);
+                async move |env: &dyn Env, op| invoke_flms(env, &mut session, &shared, op).await
+            });
+        }
+        Engine::HerlihyCas => {
+            let obj = CasUniversal::new(ty, n, Rc::clone(&factory));
+            spawn_workers(&mut b, workloads, &sink, |p| {
+                let mut session = obj.session(p);
+                async move |env: &dyn Env, op| session.apply(env, op).await
+            });
+        }
+    }
+    let report = b.build().run(run);
+    let results = sink.take();
+    let completed = results.iter().map(|r| r.len() as u64).collect();
+    TbwfRun {
+        report,
+        results,
+        completed,
+        log: factory.log(),
+    }
+}
+
+/// Builds and runs an n-process increment workload on the chosen engine:
+/// every process performs `cfg.ops_per_proc` increments.
+pub fn run_counter_workload(cfg: &WorkloadConfig, run: RunConfig) -> TbwfRun<Counter> {
+    let workloads = (0..cfg.n)
+        .map(|_| Workload::Repeat(CounterOp::Inc, cfg.ops_per_proc))
+        .collect();
+    let factory = Rc::new(RegisterFactory::new(cfg.factory));
+    run_engine(Counter, cfg.engine, factory, workloads, run)
 }
 
 /// Builder for a complete TBWF system over an arbitrary object type.
@@ -232,41 +376,106 @@ impl<T: ObjectType> TbwfSystemBuilder<T> {
     ) -> TbwfRun<T> {
         let factory = Rc::new(RegisterFactory::new(self.factory));
         let run = wire(&factory, run);
-        let mut b = SimBuilder::new();
-        for p in 0..self.n {
-            b.add_process(&format!("p{p}"));
-        }
-        let omega_handles = install_omega(&mut b, &factory, self.n, self.omega);
-        let obj = QaObject::new(self.ty, self.n, Rc::clone(&factory));
-        let sink: ResultSink<T> = Rc::new(RefCell::new((0..self.n).map(|_| Vec::new()).collect()));
-        for (p, workload) in self.workloads.into_iter().enumerate() {
-            if matches!(workload, Workload::Idle) {
-                continue;
-            }
-            let session = obj.session(ProcId(p));
-            let omega = omega_handles[p].clone();
-            let sink = Rc::clone(&sink);
-            b.spawn_task(ProcId(p), "worker", move |env| {
-                worker(env, p, workload, session, omega, sink)
-            });
-        }
-        let report = b.build().run(run);
-        let results = sink.take();
-        let completed = results.iter().map(|r| r.len() as u64).collect();
-        TbwfRun {
-            report,
-            results,
-            completed,
-            log: factory.log(),
-        }
+        run_engine(
+            self.ty,
+            Engine::Tbwf(self.omega),
+            factory,
+            self.workloads,
+            run,
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linearize::counter_history_violations;
     use crate::types::{Stack, StackOp, StackResp};
-    use tbwf_sim::schedule::RoundRobin;
+    use tbwf_sim::schedule::{RoundRobin, SeededRandom};
+
+    #[test]
+    fn herlihy_cas_all_complete_under_round_robin() {
+        let cfg = WorkloadConfig {
+            n: 3,
+            engine: Engine::HerlihyCas,
+            ops_per_proc: 5,
+            ..Default::default()
+        };
+        let out = run_counter_workload(&cfg, RunConfig::new(40_000, RoundRobin::new()));
+        out.report.assert_no_panics();
+        assert_eq!(out.completed, vec![5, 5, 5]);
+        let violations = counter_history_violations(&out);
+        assert!(violations.is_empty(), "{violations:?}");
+    }
+
+    #[test]
+    fn tbwf_atomic_all_timely_everyone_progresses() {
+        let cfg = WorkloadConfig {
+            n: 3,
+            engine: Engine::Tbwf(OmegaKind::Atomic),
+            ..Default::default()
+        };
+        let out = run_counter_workload(&cfg, RunConfig::new(200_000, RoundRobin::new()));
+        out.report.assert_no_panics();
+        let violations = counter_history_violations(&out);
+        assert!(violations.is_empty(), "{violations:?}");
+        assert!(
+            out.completed.iter().all(|&c| c >= 1),
+            "a timely process completed no operations: {:?}",
+            out.completed
+        );
+    }
+
+    #[test]
+    fn plain_of_solo_process_progresses() {
+        let cfg = WorkloadConfig {
+            n: 1,
+            engine: Engine::PlainOf,
+            ops_per_proc: 10,
+            ..Default::default()
+        };
+        let out = run_counter_workload(&cfg, RunConfig::new(10_000, RoundRobin::new()));
+        out.report.assert_no_panics();
+        assert_eq!(out.completed, vec![10]);
+    }
+
+    /// The builder and the counter workload on the TBWF engine are one
+    /// path: the same inputs give the same run.
+    #[test]
+    fn builder_and_counter_workload_run_the_same_system() {
+        for kind in [OmegaKind::Atomic, OmegaKind::Abortable] {
+            let (n, seed, ops) = (3, 5, 4);
+            let schedule = || RunConfig::new(60_000, SeededRandom::new(9));
+            let built = TbwfSystemBuilder::new(Counter)
+                .processes(n)
+                .omega(kind)
+                .seed(seed)
+                .workload_all(Workload::Repeat(CounterOp::Inc, ops))
+                .run(schedule());
+            let cfg = WorkloadConfig {
+                n,
+                engine: Engine::Tbwf(kind),
+                factory: RegisterFactoryConfig {
+                    seed,
+                    ..Default::default()
+                },
+                ops_per_proc: ops,
+            };
+            let counted = run_counter_workload(&cfg, schedule());
+            let (a, b) = (&built.report.trace, &counted.report.trace);
+            assert!(a.steps == b.steps, "{kind:?}: step sequences differ");
+            assert_eq!(a.obs, b.obs, "{kind:?}: observations differ");
+            let ops_of = |run: &TbwfRun<Counter>| -> Vec<Vec<(u64, u64, i64)>> {
+                run.results
+                    .iter()
+                    .map(|rs| rs.iter().map(|r| (r.invoked, r.time, r.resp)).collect())
+                    .collect()
+            };
+            assert_eq!(ops_of(&built), ops_of(&counted), "{kind:?}: results differ");
+            assert_eq!(built.completed, counted.completed);
+            assert_eq!(built.completed, vec![ops; n], "{kind:?}");
+        }
+    }
 
     #[test]
     fn stack_pushes_and_pops_linearize() {

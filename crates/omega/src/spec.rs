@@ -1,7 +1,7 @@
 //! Executable specification of Ω∆ (Definitions 4–5, Theorem 7).
 
 use crate::{OBS_CANDIDATE, OBS_LEADER};
-use tbwf_sim::analysis::{holds_infinitely_often, stable_fraction};
+use tbwf_sim::analysis::{holds_infinitely_often, stable_fraction, value_at};
 use tbwf_sim::{ProcId, Trace};
 
 /// The time of the last `leader` output change at any correct process —
@@ -120,14 +120,6 @@ pub fn agreement_violations(data: &OmegaRunData, from: u64) -> Vec<String> {
     let procs: Vec<usize> = (0..data.n)
         .filter(|&p| !data.crashed[p] && data.timely[p])
         .collect();
-    let value_at = |p: usize, t: u64| -> i64 {
-        data.leader[p]
-            .iter()
-            .take_while(|&&(u, _)| u <= t)
-            .last()
-            .map(|&(_, v)| v)
-            .unwrap_or(-1)
-    };
     // Only leader-output changes can create or resolve a disagreement,
     // so checking at each observation time ≥ `from` (plus `from` itself)
     // is exhaustive over the suffix.
@@ -144,7 +136,10 @@ pub fn agreement_violations(data: &OmegaRunData, from: u64) -> Vec<String> {
     for &t in &times {
         for (i, &p) in procs.iter().enumerate() {
             for &q in &procs[i + 1..] {
-                let (a, b) = (value_at(p, t), value_at(q, t));
+                let (a, b) = (
+                    value_at(&data.leader[p], t).unwrap_or(-1),
+                    value_at(&data.leader[q], t).unwrap_or(-1),
+                );
                 if a >= 0 && b >= 0 && a != b && seen.insert((p, q)) {
                     out.push(format!(
                         "leader disagreement at t = {t}: leader_p{p} = p{a} but leader_p{q} = p{b}"

@@ -17,15 +17,15 @@
 //!   \[7\] (assumes *all* processes timely; not gracefully degrading),
 //!   and a Herlihy-style wait-free construction from CAS (strong
 //!   primitives).
-//! * [`harness`] — workload runners used by the integration tests and the
-//!   E4/E5/E7 experiments.
+//!
+//! The runner that assembles these into n-process systems and executes
+//! workloads on them is `tbwf::system`, in the umbrella crate.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 #![forbid(unsafe_code)]
 
 pub mod baselines;
-pub mod harness;
 pub mod object;
 pub mod qa;
 pub mod tbwf;

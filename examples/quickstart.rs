@@ -8,6 +8,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
+use tbwf::linearize::counter_history_violations;
 use tbwf::prelude::*;
 
 fn main() {
@@ -30,17 +31,12 @@ fn main() {
         println!("  p{p}: {count} increments completed");
     }
 
-    // Linearizability spot-check: every Inc response is the unique value
-    // after that increment, so all responses must be distinct.
-    let mut responses: Vec<i64> = run.results.iter().flatten().map(|r| r.resp).collect();
-    let total = responses.len();
-    responses.sort_unstable();
-    responses.dedup();
-    assert_eq!(
-        responses.len(),
-        total,
-        "duplicate responses: not linearizable!"
-    );
+    // Linearizability check: every Inc response is the unique value after
+    // that increment, so the responses are distinct ranks that respect
+    // real-time order.
+    let violations = counter_history_violations(&run);
+    assert!(violations.is_empty(), "not linearizable: {violations:?}");
+    let total: u64 = run.completed.iter().sum();
     println!("  {total} operations total, all responses distinct (linearizable) ✓");
 
     assert!(

@@ -2,9 +2,11 @@
 //! type-specific invariants on concurrent histories.
 
 use std::collections::HashSet;
+use tbwf::linearize::counter_history_violations;
 use tbwf::prelude::*;
 
-/// Counter: every `Inc` response is the unique post-increment value.
+/// Counter: every `Inc` response is the unique post-increment value, in
+/// real-time order (the counter-history oracle).
 #[test]
 fn counter_inc_responses_are_distinct_across_seeds() {
     for seed in [11u64, 22, 33] {
@@ -14,14 +16,8 @@ fn counter_inc_responses_are_distinct_across_seeds() {
             .workload_all(Workload::Unlimited(CounterOp::Inc))
             .run(RunConfig::new(200_000, SeededRandom::new(seed)));
         run.report.assert_no_panics();
-        let resp: Vec<i64> = run.results.iter().flatten().map(|r| r.resp).collect();
-        let uniq: HashSet<i64> = resp.iter().copied().collect();
-        assert_eq!(
-            uniq.len(),
-            resp.len(),
-            "seed {seed}: duplicate Inc responses"
-        );
-        assert!(resp.iter().all(|&v| v >= 1), "responses start at 1");
+        let violations = counter_history_violations(&run);
+        assert!(violations.is_empty(), "seed {seed}: {violations:?}");
     }
 }
 

@@ -10,6 +10,7 @@
 //! show the same drift, but only when an experiment is rerun and diffed.
 
 use std::rc::Rc;
+use tbwf::linearize::counter_history_violations;
 use tbwf::prelude::*;
 use tbwf_monitor::fig2::{activity_monitor, MonitoredSide, MonitoringSide};
 use tbwf_omega::harness::install_omega_with;
@@ -284,11 +285,11 @@ fn counter_workload_engines() {
     for (engine, want) in [
         (
             Engine::TbwfNonCanonical(OmegaKind::Atomic),
-            0xc9ea_4c36_f7c6_a7e5,
+            0x2893_927a_c2db_93cc,
         ),
-        (Engine::PlainOf, 0x5783_4984_8630_e863),
-        (Engine::FlmsBoost, 0xa4d0_4c97_8d4e_d2db),
-        (Engine::HerlihyCas, 0x169e_3e80_4e6b_a75d),
+        (Engine::PlainOf, 0xaebb_2382_2fd4_eb49),
+        (Engine::FlmsBoost, 0x1cd0_5f6e_0901_4b4d),
+        (Engine::HerlihyCas, 0x8655_1330_5386_0637),
     ] {
         let cfg = WorkloadConfig {
             n: 3,
@@ -298,7 +299,8 @@ fn counter_workload_engines() {
         };
         let out = run_counter_workload(&cfg, RunConfig::new(40_000, SeededRandom::new(31)));
         out.report.assert_no_panics();
-        out.assert_distinct_responses();
+        let violations = counter_history_violations(&out);
+        assert!(violations.is_empty(), "{engine:?}: {violations:?}");
         let d = digest(&out.report.trace);
         assert_eq!(d, want, "{engine:?} digest {d:#018x}");
     }
