@@ -92,7 +92,7 @@ fn abort_rate(n: usize, steps: u64) -> (u64, u64, u64) {
 fn heartbeat_detector(slow_writer: bool, two_regs: bool, steps: u64) -> (u64, u64) {
     let factory = RegisterFactory::default();
     let regs: Vec<SharedAbortable<i64>> = (0..if two_regs { 2 } else { 1 })
-        .map(|i| factory.abortable_swsr(&format!("Hb{i}"), 0i64, ProcId(1), ProcId(0)))
+        .map(|_| factory.abortable_swsr("Hb", 0i64, ProcId(1), ProcId(0)))
         .collect();
 
     let mut b = SimBuilder::new();

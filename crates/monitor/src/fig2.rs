@@ -196,7 +196,7 @@ pub struct ActivityMonitorPair {
 /// implemented inline by users instead).
 pub fn activity_monitor(factory: &RegisterFactory, p: ProcId, q: ProcId) -> ActivityMonitorPair {
     assert_ne!(p, q, "A(p, p) is trivial and not register-backed");
-    let hb = factory.atomic(&format!("Hb[{q},{p}]"), -1i64);
+    let hb = factory.atomic("Hb", -1i64);
     ActivityMonitorPair {
         monitoring_side: MonitoringSide {
             q,

@@ -76,7 +76,7 @@ pub fn install_omega_with(
     match kind {
         OmegaKind::Atomic => {
             let counter_regs: Vec<_> = (0..n)
-                .map(|q| factory.atomic(&format!("CounterRegister[{q}]"), 0i64))
+                .map(|_| factory.atomic("CounterRegister", 0i64))
                 .collect();
             let mesh = MonitorMesh::install(b, factory, n);
             for p in 0..n {
@@ -102,24 +102,9 @@ pub fn install_omega_with(
                         continue;
                     }
                     let (wp, rq) = (ProcId(p), ProcId(q));
-                    msg[p][q] = Some(factory.abortable_swsr(
-                        &format!("MsgRegister[{p},{q}]"),
-                        (0i64, 0i64),
-                        wp,
-                        rq,
-                    ));
-                    hb1[p][q] = Some(factory.abortable_swsr(
-                        &format!("HbRegister1[{p},{q}]"),
-                        0i64,
-                        wp,
-                        rq,
-                    ));
-                    hb2[p][q] = Some(factory.abortable_swsr(
-                        &format!("HbRegister2[{p},{q}]"),
-                        0i64,
-                        wp,
-                        rq,
-                    ));
+                    msg[p][q] = Some(factory.abortable_swsr("MsgRegister", (0i64, 0i64), wp, rq));
+                    hb1[p][q] = Some(factory.abortable_swsr("HbRegister1", 0i64, wp, rq));
+                    hb2[p][q] = Some(factory.abortable_swsr("HbRegister2", 0i64, wp, rq));
                 }
             }
             for p in 0..n {

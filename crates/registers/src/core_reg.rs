@@ -6,7 +6,7 @@ use crate::policy::{AbortPolicy, EffectPolicy, PolicyDial};
 use crate::stats::{OpEvent, OpKind, OpLog};
 use crate::{AbortableRegister, AtomicRegister, OpToken};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -18,20 +18,32 @@ use tbwf_sim::{Env, Local, ProcId};
 /// The cells are [`Local`] integers so a nemesis can watch one as a
 /// gauge: `inflight[p] ≥ 1` holds exactly between `invoke_` and
 /// `complete_` of an operation by `p`, which is the window a
-/// crash-mid-operation injection targets.
+/// crash-mid-operation injection targets. Every register of the factory
+/// updates its invoker's cell through this one table, so a register
+/// keeps no gauge handles of its own.
 #[derive(Default)]
 pub(crate) struct InflightGauges {
     cells: RefCell<Vec<Local<i64>>>,
 }
 
 impl InflightGauges {
+    /// Runs `f` on the counter of process `p` (created on first use).
+    fn with_cell<R>(&self, p: ProcId, f: impl FnOnce(&Local<i64>) -> R) -> R {
+        let mut cells = self.cells.borrow_mut();
+        if cells.len() <= p.0 {
+            cells.resize_with(p.0 + 1, || Local::new(0));
+        }
+        f(&cells[p.0])
+    }
+
     /// The shared counter of process `p` (created on first use).
     pub(crate) fn cell(&self, p: ProcId) -> Local<i64> {
-        let mut cells = self.cells.borrow_mut();
-        while cells.len() <= p.0 {
-            cells.push(Local::new(0));
-        }
-        cells[p.0].clone()
+        self.with_cell(p, Local::clone)
+    }
+
+    /// Adds `delta` to process `p`'s counter.
+    fn add(&self, p: ProcId, delta: i64) {
+        self.with_cell(p, |c| c.update(|g| *g += delta));
     }
 }
 
@@ -78,20 +90,52 @@ struct Inflight<T> {
     payload: Option<T>,
 }
 
-struct CoreState<T> {
-    value: T,
-    inflight: Vec<Inflight<T>>,
-    next_id: u64,
-    rng: StdRng,
-    /// Per-process gauge cells, cached on first use so the per-operation
-    /// gauge updates skip the lookup through [`InflightGauges::cell`]
-    /// (the hot path runs twice per operation).
-    gauge_cache: Vec<Option<Local<i64>>>,
+/// The operations in flight on one register, as an unordered set.
+///
+/// Almost every register has at most one operation in flight at a time,
+/// so the first is stored inline and `more` allocates only on a register
+/// where two operations overlap.
+struct InflightSet<T> {
+    first: Option<Inflight<T>>,
+    more: Vec<Inflight<T>>,
 }
 
-/// Shared core of one simulated register.
+impl<T> InflightSet<T> {
+    fn is_empty(&self) -> bool {
+        self.first.is_none() && self.more.is_empty()
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut Inflight<T>> {
+        self.first.iter_mut().chain(self.more.iter_mut())
+    }
+
+    fn insert(&mut self, op: Inflight<T>) {
+        if self.first.is_none() {
+            self.first = Some(op);
+        } else {
+            self.more.push(op);
+        }
+    }
+
+    /// Removes and returns an operation matching `pred`, if any.
+    fn take(&mut self, mut pred: impl FnMut(&Inflight<T>) -> bool) -> Option<Inflight<T>> {
+        if self.first.as_ref().is_some_and(&mut pred) {
+            return self.first.take();
+        }
+        let i = self.more.iter().position(pred)?;
+        Some(self.more.swap_remove(i))
+    }
+}
+
+struct CoreState<T> {
+    value: T,
+    inflight: InflightSet<T>,
+    next_id: u64,
+}
+
+/// Shared core of one simulated register: its value, the operations in
+/// flight on it, and the factory's context.
 pub(crate) struct RegCore<T> {
-    name: String,
     state: RefCell<CoreState<T>>,
     ctx: Rc<FactoryShared>,
 }
@@ -99,9 +143,6 @@ pub(crate) struct RegCore<T> {
 /// What the core reports when an operation resolves.
 struct Resolution<T> {
     overlapped: bool,
-    /// Uniform samples for the abort and effect decisions.
-    u_abort: f64,
-    u_effect: f64,
     /// Invocation time, echoed back from `begin`.
     invoked: u64,
     /// The invoking process, echoed back from `begin` (the completer is
@@ -112,29 +153,18 @@ struct Resolution<T> {
 }
 
 impl<T: Clone> RegCore<T> {
-    pub(crate) fn new(name: String, init: T, seed: u64, ctx: Rc<FactoryShared>) -> Self {
+    pub(crate) fn new(init: T, ctx: Rc<FactoryShared>) -> Self {
         RegCore {
-            name,
             state: RefCell::new(CoreState {
                 value: init,
-                inflight: Vec::new(),
+                inflight: InflightSet {
+                    first: None,
+                    more: Vec::new(),
+                },
                 next_id: 0,
-                rng: StdRng::seed_from_u64(seed),
-                gauge_cache: Vec::new(),
             }),
             ctx,
         }
-    }
-
-    /// Updates process `p`'s in-flight gauge through the per-register
-    /// cache.
-    fn gauge_add(&self, st: &mut CoreState<T>, p: ProcId, delta: i64) {
-        if st.gauge_cache.len() <= p.0 {
-            st.gauge_cache.resize(p.0 + 1, None);
-        }
-        st.gauge_cache[p.0]
-            .get_or_insert_with(|| self.ctx.gauges.cell(p))
-            .update(|g| *g += delta);
     }
 
     /// Invocation step: register the in-flight op and mark overlaps.
@@ -151,37 +181,32 @@ impl<T: Clone> RegCore<T> {
     /// abort.
     fn begin(&self, env: &dyn Env, payload: Option<T>) -> OpToken {
         let (proc, invoked) = (env.pid(), env.now());
+        let gauges = &self.ctx.gauges;
         let mut guard = self.state.borrow_mut();
         let st = &mut *guard;
-        let mut i = 0;
-        while i < st.inflight.len() {
-            if env.is_crashed(st.inflight[i].proc) {
-                let dead = st.inflight.remove(i);
-                self.gauge_add(st, dead.proc, -1);
-            } else {
-                i += 1;
-            }
+        while let Some(dead) = st.inflight.take(|o| env.is_crashed(o.proc)) {
+            gauges.add(dead.proc, -1);
         }
         let id = st.next_id;
         st.next_id += 1;
         let any = !st.inflight.is_empty();
-        for o in &mut st.inflight {
+        for o in st.inflight.iter_mut() {
             o.overlapped = true;
         }
-        st.inflight.push(Inflight {
+        st.inflight.insert(Inflight {
             id,
             proc,
             overlapped: any,
             invoked,
             payload,
         });
-        self.gauge_add(st, proc, 1);
+        gauges.add(proc, 1);
         OpToken::new(id)
     }
 
-    /// Response step: remove the in-flight op, sample the adversary, and
-    /// run `apply` on the resolution and the register value — all under
-    /// one borrow of the state.
+    /// Response step: remove the in-flight op and run `apply` on the
+    /// resolution and the register value — all under one borrow of the
+    /// state.
     fn resolve_apply<R>(
         &self,
         tok: OpToken,
@@ -189,23 +214,13 @@ impl<T: Clone> RegCore<T> {
     ) -> (Resolution<T>, R) {
         let mut guard = self.state.borrow_mut();
         let st = &mut *guard;
-        let pos = st
+        let op = st
             .inflight
-            .iter()
-            .position(|o| o.id == tok.raw())
+            .take(|o| o.id == tok.raw())
             .expect("resolving unknown operation");
-        let op = st.inflight.remove(pos);
-        // The adversary samples are always drawn, even when the current
-        // policy ignores them: policy-dial changes must not shift the
-        // per-register RNG stream, or shrinking a fault plan would
-        // perturb the rest of the run.
-        let u_abort = st.rng.random::<f64>();
-        let u_effect = st.rng.random::<f64>();
-        self.gauge_add(st, op.proc, -1);
+        self.ctx.gauges.add(op.proc, -1);
         let mut res = Resolution {
             overlapped: op.overlapped,
-            u_abort,
-            u_effect,
             invoked: op.invoked,
             proc: op.proc,
             payload: op.payload,
@@ -264,32 +279,52 @@ impl<T: Clone> AtomicRegister<T> for SimAtomicReg<T> {
 /// override dial come from the factory context.
 pub(crate) struct SimAbortableReg<T> {
     pub(crate) core: RegCore<T>,
+    /// The adversary's own stream of abort and effect samples.
+    pub(crate) rng: RefCell<StdRng>,
     /// If set, only this process may write (single-writer enforcement).
     pub(crate) writer: Option<ProcId>,
     /// If set, only this process may read (single-reader enforcement).
     pub(crate) reader: Option<ProcId>,
 }
 
+/// Panics unless the invoker is the register's `owner` (if it has one).
+fn assert_owner(owner: Option<ProcId>, env: &dyn Env, done: &str) {
+    if let Some(owner) = owner {
+        let p = env.pid();
+        assert!(
+            p == owner,
+            "register {done} by non-owner {p} (owner {owner})"
+        );
+    }
+}
+
+impl<T: Clone> SimAbortableReg<T> {
+    /// The uniform samples for one response's abort and effect decisions.
+    ///
+    /// Both are drawn at every response, even when the current policy
+    /// ignores them: policy-dial changes must not shift the register's
+    /// stream, or shrinking a fault plan would perturb the rest of the
+    /// run.
+    fn samples(&self) -> (f64, f64) {
+        let mut rng = self.rng.borrow_mut();
+        (rng.random(), rng.random())
+    }
+}
+
 impl<T: Clone> AbortableRegister<T> for SimAbortableReg<T> {
     fn invoke_write(&self, env: &dyn Env, v: T) -> OpToken {
-        if let Some(w) = self.writer {
-            assert_eq!(
-                env.pid(),
-                w,
-                "register {} written by non-owner",
-                self.core.name
-            );
-        }
+        assert_owner(self.writer, env, "written");
         self.core.begin(env, Some(v))
     }
 
     fn complete_write(&self, _env: &dyn Env, tok: OpToken) -> WriteOutcome {
         let (abort_policy, effect_policy) = self.core.ctx.policies();
+        let (u_abort, u_effect) = self.samples();
         let (res, aborted) = self.core.resolve_apply(tok, |res, value| {
             let v = res.payload.take().expect("write resolved without payload");
-            let aborted = res.overlapped && abort_policy.aborts(res.u_abort);
+            let aborted = res.overlapped && abort_policy.aborts(u_abort);
             // An aborted write takes effect only if the effect policy says so.
-            if !aborted || effect_policy.takes_effect(res.u_effect) {
+            if !aborted || effect_policy.takes_effect(u_effect) {
                 *value = v;
             }
             aborted
@@ -303,21 +338,15 @@ impl<T: Clone> AbortableRegister<T> for SimAbortableReg<T> {
     }
 
     fn invoke_read(&self, env: &dyn Env) -> OpToken {
-        if let Some(r) = self.reader {
-            assert_eq!(
-                env.pid(),
-                r,
-                "register {} read by non-owner",
-                self.core.name
-            );
-        }
+        assert_owner(self.reader, env, "read");
         self.core.begin(env, None)
     }
 
     fn complete_read(&self, _env: &dyn Env, tok: OpToken) -> ReadOutcome<T> {
         let (abort_policy, _) = self.core.ctx.policies();
+        let (u_abort, _) = self.samples();
         let (res, v) = self.core.resolve_apply(tok, |res, value| {
-            if res.overlapped && abort_policy.aborts(res.u_abort) {
+            if res.overlapped && abort_policy.aborts(u_abort) {
                 None
             } else {
                 Some(value.clone())
@@ -339,6 +368,7 @@ impl<T: Clone> AbortableRegister<T> for SimAbortableReg<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
     use std::collections::BTreeSet;
     use tbwf_sim::FreeRunEnv;
 
@@ -346,12 +376,13 @@ mod tests {
     /// base policies.
     fn core(abort: AbortPolicy, effect: EffectPolicy) -> RegCore<i64> {
         let ctx = Rc::new(FactoryShared::new(abort, effect));
-        RegCore::new("R".into(), 0, 1, ctx)
+        RegCore::new(0, ctx)
     }
 
     fn abortable(abort: AbortPolicy, effect: EffectPolicy) -> SimAbortableReg<i64> {
         SimAbortableReg {
             core: core(abort, effect),
+            rng: RefCell::new(StdRng::seed_from_u64(1)),
             writer: None,
             reader: None,
         }
@@ -453,7 +484,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "written by non-owner")]
+    #[should_panic(expected = "register written by non-owner p3 (owner p0)")]
     fn single_writer_enforced() {
         let env = FreeRunEnv::new(ProcId(3));
         let r = SimAbortableReg {
@@ -461,6 +492,17 @@ mod tests {
             ..abortable(AbortPolicy::default(), EffectPolicy::default())
         };
         let _ = r.invoke_write(&env, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "register read by non-owner p3 (owner p1)")]
+    fn single_reader_enforced() {
+        let env = FreeRunEnv::new(ProcId(3));
+        let r = SimAbortableReg {
+            reader: Some(ProcId(1)),
+            ..abortable(AbortPolicy::default(), EffectPolicy::default())
+        };
+        let _ = r.invoke_read(&env);
     }
 
     #[test]

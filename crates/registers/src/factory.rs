@@ -1,11 +1,13 @@
-//! The register factory: creates named, logged, seeded registers for one
+//! The register factory: creates the logged, seeded registers of one
 //! run.
 
 use crate::core_reg::{FactoryShared, RegCore, SimAbortableReg, SimAtomicReg};
 use crate::policy::{AbortPolicy, EffectPolicy, PolicyDial};
 use crate::stats::OpLog;
 use crate::{SharedAbortable, SharedAtomic};
-use std::cell::Cell;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::sync::Arc;
 use tbwf_sim::{Local, ProcId};
@@ -33,6 +35,11 @@ impl Default for RegisterFactoryConfig {
 
 /// Creates the shared registers of one run, all feeding a common
 /// [`OpLog`].
+///
+/// Every constructor takes a `name` that labels the register at the call
+/// site; it is not kept. A register stores only its value, the
+/// operations in flight on it and (if abortable) its random stream and
+/// owners; an ownership panic names the offending and the owning process.
 ///
 /// ```
 /// use tbwf_registers::{ReadOutcome, RegisterFactory, WriteOutcome};
@@ -98,16 +105,14 @@ impl RegisterFactory {
             .wrapping_add(i)
     }
 
-    /// The core of a new register: its own seed, the factory's context.
-    fn core<T: Clone>(&self, name: &str, init: T) -> RegCore<T> {
-        let seed = self.next_seed();
-        RegCore::new(name.to_string(), init, seed, Rc::clone(&self.shared))
-    }
-
     /// Creates a multi-writer multi-reader atomic register.
-    pub fn atomic<T: Clone + 'static>(&self, name: &str, init: T) -> SharedAtomic<T> {
+    ///
+    /// An atomic register draws no adversary samples, but it still takes
+    /// its seed, so that every later register keeps its random stream.
+    pub fn atomic<T: Clone + 'static>(&self, _name: &str, init: T) -> SharedAtomic<T> {
+        self.next_seed();
         Rc::new(SimAtomicReg {
-            core: self.core(name, init),
+            core: RegCore::new(init, Rc::clone(&self.shared)),
         })
     }
 
@@ -115,21 +120,21 @@ impl RegisterFactory {
     /// (`reader`) may invoke, if set.
     fn owned<T: Clone + 'static>(
         &self,
-        name: &str,
         init: T,
         writer: Option<ProcId>,
         reader: Option<ProcId>,
     ) -> SharedAbortable<T> {
         Rc::new(SimAbortableReg {
-            core: self.core(name, init),
+            rng: RefCell::new(StdRng::seed_from_u64(self.next_seed())),
+            core: RegCore::new(init, Rc::clone(&self.shared)),
             writer,
             reader,
         })
     }
 
     /// Creates a multi-writer multi-reader abortable register.
-    pub fn abortable<T: Clone + 'static>(&self, name: &str, init: T) -> SharedAbortable<T> {
-        self.owned(name, init, None, None)
+    pub fn abortable<T: Clone + 'static>(&self, _name: &str, init: T) -> SharedAbortable<T> {
+        self.owned(init, None, None)
     }
 
     /// Creates a single-writer single-reader abortable register owned by
@@ -137,30 +142,27 @@ impl RegisterFactory {
     /// used throughout Section 6.
     pub fn abortable_swsr<T: Clone + 'static>(
         &self,
-        name: &str,
+        _name: &str,
         init: T,
         writer: ProcId,
         reader: ProcId,
     ) -> SharedAbortable<T> {
-        self.owned(name, init, Some(writer), Some(reader))
+        self.owned(init, Some(writer), Some(reader))
     }
 
     /// Creates a single-writer multi-reader abortable register owned by
     /// `writer` (write ownership is asserted at every operation).
     pub fn abortable_swmr<T: Clone + 'static>(
         &self,
-        name: &str,
+        _name: &str,
         init: T,
         writer: ProcId,
     ) -> SharedAbortable<T> {
-        self.owned(name, init, Some(writer), None)
+        self.owned(init, Some(writer), None)
     }
 
     /// Creates a compare-and-swap register (used only by the strong-
     /// primitive baseline, never by the paper's constructions).
-    ///
-    /// The name is accepted like every other register's but not kept: a
-    /// CAS register has no owner whose check could name it in a panic.
     pub fn cas<T: Clone + PartialEq + 'static>(&self, _name: &str, init: T) -> crate::SharedCas<T> {
         Rc::new(crate::cas::SimCasReg::new(init, self.log()))
     }

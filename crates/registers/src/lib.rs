@@ -34,12 +34,14 @@
 //! [`SharedAbortable`], [`SharedCas`]): an operation pays no lock and no
 //! atomic read-modify-write, and a handle cannot leave the run's thread.
 //!
-//! All registers are created through a [`RegisterFactory`], which names
-//! each register (ownership-violation panics quote the name) and gives
-//! it its own seed and one context shared by all of the factory's
-//! registers: the base policies, the [`PolicyDial`], the per-process
-//! in-flight gauges and the [`OpLog`] that every completed operation is
-//! folded into. The log keeps
+//! All registers are created through a [`RegisterFactory`], which gives
+//! each register its own seed and one context shared by all of the
+//! factory's registers: the base policies, the [`PolicyDial`], the
+//! per-process in-flight gauges and the [`OpLog`] that every completed
+//! operation is folded into. A register keeps no name and no gauge
+//! handles of its own, and it stores its first in-flight operation
+//! inline, so a register that never sees two operations overlap holds
+//! no heap beyond its own allocation. The log keeps
 //! counts and each process's latest write time, not a per-operation
 //! history, so its size does not grow with the run: the abort-rate
 //! ablation (E8) reads the counts, the write-efficiency experiment (E6)

@@ -71,9 +71,7 @@ impl FlmsShared {
     pub fn new(factory: &RegisterFactory, n: usize) -> Rc<Self> {
         Rc::new(FlmsShared {
             panic: factory.atomic("FLMS.panic", false),
-            ts: (0..n)
-                .map(|q| factory.atomic(&format!("FLMS.ts[{q}]"), TS_INF))
-                .collect(),
+            ts: (0..n).map(|_| factory.atomic("FLMS.ts", TS_INF)).collect(),
             ts_gen: factory.atomic("FLMS.tsGen", 0),
         })
     }
@@ -162,9 +160,7 @@ type DecisionReg<T> = SharedCas<Option<Entry<<T as ObjectType>::Op>>>;
 impl<T: ObjectType> CasUniversal<T> {
     /// Creates the shared object for `n` processes.
     pub fn new(ty: T, n: usize, factory: Rc<RegisterFactory>) -> Rc<Self> {
-        let announce = (0..n)
-            .map(|q| factory.atomic(&format!("Announce[{q}]"), None))
-            .collect();
+        let announce = (0..n).map(|_| factory.atomic("Announce", None)).collect();
         Rc::new(CasUniversal {
             ty: Rc::new(ty),
             n,
@@ -177,8 +173,7 @@ impl<T: ObjectType> CasUniversal<T> {
     fn decision(&self, s: usize) -> DecisionReg<T> {
         let mut d = self.decisions.borrow_mut();
         while d.len() <= s {
-            let i = d.len();
-            d.push(self.factory.cas(&format!("Decide[{i}]"), None));
+            d.push(self.factory.cas("Decide", None));
         }
         Rc::clone(&d[s])
     }

@@ -195,36 +195,22 @@ impl<T: ObjectType> QaObject<T> {
     fn slot(&self, s: usize) -> Rc<SlotRegs<T::Op>> {
         let mut slots = self.slots.borrow_mut();
         while slots.len() <= s {
-            let i = slots.len();
             slots.push(Rc::new(SlotRegs {
-                d: self.factory.abortable(&format!("D[{i}]"), None),
+                d: self.factory.abortable("D", None),
                 rounds: RefCell::new(Vec::new()),
             }));
         }
         Rc::clone(&slots[s])
     }
 
-    fn round(&self, slot_idx: usize, slot: &SlotRegs<T::Op>, r: usize) -> Rc<RoundRegs<T::Op>> {
+    fn round(&self, slot: &SlotRegs<T::Op>, r: usize) -> Rc<RoundRegs<T::Op>> {
         let mut rounds = slot.rounds.borrow_mut();
         while rounds.len() <= r {
-            let ri = rounds.len();
             let a = (0..self.n)
-                .map(|q| {
-                    self.factory.abortable_swmr(
-                        &format!("A[{slot_idx}][{ri}][{q}]"),
-                        None,
-                        ProcId(q),
-                    )
-                })
+                .map(|q| self.factory.abortable_swmr("A", None, ProcId(q)))
                 .collect();
             let b = (0..self.n)
-                .map(|q| {
-                    self.factory.abortable_swmr(
-                        &format!("B[{slot_idx}][{ri}][{q}]"),
-                        None,
-                        ProcId(q),
-                    )
-                })
+                .map(|q| self.factory.abortable_swmr("B", None, ProcId(q)))
                 .collect();
             rounds.push(Rc::new(RoundRegs { a, b }));
         }
@@ -462,7 +448,7 @@ impl<T: ObjectType> QaSession<T> {
             }
         };
         let slot = self.obj.slot(s);
-        let regs = self.obj.round(s, &slot, self.cur_round);
+        let regs = self.obj.round(&slot, self.cur_round);
         if !self.a_written {
             if regs.a[me]
                 .try_write(env, Some(a_val.clone()))

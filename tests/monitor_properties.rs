@@ -2,7 +2,6 @@
 //! full simulated runs — the assertion form of experiment E1.
 
 use std::rc::Rc;
-use std::sync::Arc;
 use tbwf::prelude::*;
 use tbwf_monitor::fig2::{activity_monitor, OBS_FAULT, OBS_STATUS};
 use tbwf_monitor::props::{check_pair, PairRun};
@@ -54,7 +53,6 @@ fn run_pair(s: PairSetup) -> PairRun {
     let report = b.build().run(cfg);
     report.assert_no_panics();
     let trace = &report.trace;
-    let _ = Arc::strong_count(&factory.log());
     PairRun {
         total_time: trace.len() as u64,
         monitoring: trace.obs_series(ProcId(0), "monitoring", 1),
