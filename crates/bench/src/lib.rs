@@ -1,13 +1,26 @@
-//! Shared helpers for the experiment binaries (E1–E13 and `explore`).
-//! See `EXPERIMENTS.md` at the workspace root for the mapping from
-//! experiments to paper claims.
+//! The experiments E1–E12 ([`experiments`]), the degradation gauntlet
+//! behind E12 ([`gauntlet`]), and what the experiment binaries (E1–E13
+//! and `explore`) share: the table formatter, the `--jobs`/`--repro`
+//! command line and the replay printer. See `EXPERIMENTS.md` at the
+//! workspace root for the mapping from experiments to paper claims.
 
 #![forbid(unsafe_code)]
 
+pub mod experiments;
 pub mod gauntlet;
 
-/// Prints an aligned text table.
-pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
+use std::path::Path;
+use std::process::ExitCode;
+
+use gauntlet::{write_artifact, Outcome};
+use tbwf_sim::{resolve_jobs, Executor, Json};
+
+/// Where the experiments' tables and artifacts are committed, relative to
+/// the workspace root (the directory the binaries run from).
+pub const RESULTS_DIR: &str = "results";
+
+/// Formats an aligned text table, every line ending in a newline.
+pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -16,17 +29,17 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
             }
         }
     }
-    let line = |cells: Vec<String>| {
+    let line = |cells: &[String]| {
         let padded: Vec<String> = cells
             .iter()
             .enumerate()
             .map(|(i, c)| format!("{:>w$}", c, w = widths.get(i).copied().unwrap_or(8)))
             .collect();
-        println!("| {} |", padded.join(" | "));
+        format!("| {} |\n", padded.join(" | "))
     };
-    line(headers.iter().map(|s| s.to_string()).collect());
-    println!(
-        "|{}|",
+    let mut out = line(&headers.iter().map(|s| s.to_string()).collect::<Vec<_>>());
+    out += &format!(
+        "|{}|\n",
         widths
             .iter()
             .map(|w| "-".repeat(w + 2))
@@ -34,8 +47,9 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
             .join("|")
     );
     for row in rows {
-        line(row.clone());
+        out += &line(row);
     }
+    out
 }
 
 /// Parses `args[i]`, the value of the CLI flag `flag`, as a count of at
@@ -73,6 +87,113 @@ pub fn summarize(xs: &[u64]) -> String {
         xs.iter().max().unwrap(),
         xs.iter().sum::<u64>()
     )
+}
+
+/// Everything E12 or E13 produces. The experiment writes nothing itself;
+/// its binary prints and writes this ([`Findings::finish`]), and the
+/// result tests compare it with the committed files.
+#[derive(Clone, Debug, Default)]
+pub struct Findings {
+    /// The text printed on stdout.
+    pub text: String,
+    /// Repro artifacts, each written to `results/<stem>.json`.
+    pub artifacts: Vec<(String, Json)>,
+    /// Violating campaigns or configurations and failed ablation checks;
+    /// empty when the experiment's claims hold.
+    pub problems: Vec<String>,
+}
+
+impl Findings {
+    /// Prints the text, writes the artifacts under [`RESULTS_DIR`], and
+    /// reports the problems on stderr. Fails if there is a problem or an
+    /// artifact cannot be written.
+    pub fn finish(self) -> ExitCode {
+        print!("{}", self.text);
+        let mut ok = self.problems.is_empty();
+        for (stem, artifact) in &self.artifacts {
+            if let Err(e) = write_artifact(Path::new(RESULTS_DIR), stem, artifact) {
+                eprintln!("cannot write artifact {stem}: {e}");
+                ok = false;
+            }
+        }
+        for p in &self.problems {
+            eprintln!("{p}");
+        }
+        if ok {
+            ExitCode::SUCCESS
+        } else {
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Loads a repro artifact for `--repro`: a header line to print and the
+/// outcome of replaying the artifact, or why it cannot be loaded.
+pub type Replay = fn(&str) -> Result<(String, Outcome), String>;
+
+/// Parses `--jobs N` and, when `repro` holds, `--repro FILE`.
+fn parse_flags(args: &[String], repro: bool) -> Result<(Option<usize>, Option<&str>), String> {
+    let (mut jobs, mut file) = (None, None);
+    for i in (0..args.len()).step_by(2) {
+        match args[i].as_str() {
+            "--jobs" => jobs = Some(positive_arg(args, i + 1, "--jobs")?),
+            "--repro" if repro => {
+                file = Some(args.get(i + 1).ok_or("--repro needs a file")?.as_str());
+            }
+            other => return Err(format!("unknown argument {other:?}")),
+        }
+    }
+    Ok((jobs, file))
+}
+
+/// The `main` of a sharded experiment binary (e11, e12, e13). With
+/// `--repro FILE` (accepted when `replay` is given) it prints the replayed
+/// injections and violations, and succeeds only if the artifact still
+/// violates. Otherwise it runs `experiment` on `--jobs N` workers
+/// (default all cores), printing the worker count on stderr so stdout is
+/// the same for every count. Bad arguments exit 1 with the usage.
+pub fn sharded_main(
+    name: &str,
+    replay: Option<Replay>,
+    experiment: impl FnOnce(&Executor) -> ExitCode,
+) -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (jobs, file) = match parse_flags(&args, replay.is_some()) {
+        Ok(flags) => flags,
+        Err(e) => {
+            let repro = if replay.is_some() {
+                " [--repro FILE]"
+            } else {
+                ""
+            };
+            eprintln!("{name}: {e}\nusage: {name} [--jobs N]{repro}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let Some((file, replay)) = file.zip(replay) else {
+        let executor = Executor::new(resolve_jobs(jobs));
+        eprintln!("{name}: {} worker(s)", executor.jobs());
+        return experiment(&executor);
+    };
+    let (header, out) = match replay(file) {
+        Ok(replayed) => replayed,
+        Err(e) => {
+            eprintln!("cannot load artifact: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    println!("{header}");
+    for inj in &out.injections {
+        println!("  injected: {inj}");
+    }
+    if out.violations.is_empty() {
+        println!("no violations — the artifact does not reproduce here");
+        return ExitCode::FAILURE;
+    }
+    for v in &out.violations {
+        println!("  violation [{}]: {}", v.invariant, v.detail);
+    }
+    ExitCode::SUCCESS
 }
 
 #[cfg(test)]

@@ -37,6 +37,7 @@
 #![forbid(unsafe_code)]
 
 pub mod config;
+pub mod e13_model_check;
 pub mod enumerate;
 pub mod exec;
 pub mod report;

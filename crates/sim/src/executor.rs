@@ -176,7 +176,7 @@ mod tests {
     #[test]
     fn resolve_jobs_prefers_explicit_value() {
         assert_eq!(resolve_jobs(Some(5)), 5);
-        // `Some(0)` is ignored, falling through to env/cores — at least 1.
+        // `Some(0)` is ignored, falling through to cores — at least 1.
         assert!(resolve_jobs(Some(0)) >= 1);
         assert!(resolve_jobs(None) >= 1);
     }
